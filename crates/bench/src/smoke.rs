@@ -1,6 +1,7 @@
-//! The `bench-smoke` suite: fixed-configuration micro-benchmarks of the two
-//! trace-engine hot paths (aDVF analysis and propagation replay) on the MM
-//! and PF workloads, with a JSON report and a regression gate.
+//! The `bench-smoke` suite: fixed-configuration micro-benchmarks of the
+//! trace-engine hot paths (aDVF analysis and propagation replay) and of one
+//! deterministic fault injection on the MM and PF workloads, with a JSON
+//! report and a regression gate.
 //!
 //! The suite is what the `bench-smoke` CI job runs: it times each benchmark,
 //! writes a schema-versioned `BENCH_*.json` document (embedding the exact
@@ -20,10 +21,11 @@ use moard_core::{
     trace_stats_to_json, AdvfAnalyzer, AnalysisConfig, CorruptLoc, ErrorPattern, OpVerdict,
 };
 use moard_inject::{
-    Parallelism, StudyRunner, StudySpec, ValidationRunner, ValidationSpec, WorkloadSelector,
+    DeterministicInjector, Parallelism, StudyRunner, StudySpec, ValidationRunner, ValidationSpec,
+    WorkloadSelector,
 };
 use moard_json::{Json, JsonError};
-use moard_vm::{run_traced, run_traced_with, Trace, TraceBackendSpec, TraceStats, Vm};
+use moard_vm::{run_traced, run_traced_with, FaultSpec, Trace, TraceBackendSpec, TraceStats, Vm};
 use moard_workloads::{MatMul, MmConfig, Pf, Registry, Workload};
 
 /// Version of the `BENCH_*.json` schema this build writes and reads.
@@ -190,6 +192,14 @@ pub fn minimize_smoke_spec() -> moard_inject::MinimizeSpec {
     moard_inject::MinimizeSpec::cell("mm", "C").stride(smoke_config().site_stride)
 }
 
+/// The fault the `dfi/pf` case injects: bit 31 of the middle participation
+/// site of the target object, so the injected run re-executes the whole
+/// program with the corruption live for its second half.
+pub fn dfi_smoke_fault(trace: &Trace, object: moard_vm::ObjectId) -> FaultSpec {
+    let sites = enumerate_sites(trace, object);
+    sites[sites.len() / 2].fault_bit(31)
+}
+
 /// Collect up to `cap` propagation seeds for the object: participation sites
 /// whose operation-level verdict leaves corrupted locations to replay.
 pub fn propagation_seeds(
@@ -233,7 +243,9 @@ pub struct SmokeReport {
 /// MM instance, adjacent double-bit bursts), `paged/pf` (the same analytic
 /// PF analysis streamed through the paged on-disk trace backend with
 /// deliberately small segments, gating segment decode, checksum
-/// verification, and seam handling), `sweep/mm+pf`
+/// verification, and seam handling), `dfi/pf` (one classified deterministic
+/// fault injection into default PF — the per-step cost of the
+/// interpreter's fault-injection runs), `sweep/mm+pf`
 /// (the study driver end to end: spec expansion, harness preparation, and
 /// per-task scheduling over both workloads, single-threaded so the timing
 /// gates the scheduler's overhead rather than the machine's core count),
@@ -342,6 +354,16 @@ pub fn run_suite() -> SmokeReport {
         moard_vm::TraceStorage::poisoned(&paged_pf).is_none(),
         "the paged PF spill must stay healthy across the timed rounds"
     );
+    // One deterministic fault injection, the unit of work of every DFI,
+    // RFI, minimize and exhaustive campaign: a whole-program re-execution of
+    // default PF with a mid-trace `xe` site corrupted, then classified
+    // against the golden run.  Module build and golden run are off the
+    // clock.
+    let injector = DeterministicInjector::new(pf_default()).expect("PF prepares");
+    let fault = dfi_smoke_fault(&pf.trace, pf.object);
+    benches.push(bench("dfi/pf", 2, 20, || {
+        black_box(injector.run_classified(&fault));
+    }));
     let registry = smoke_registry();
     let spec = sweep_spec();
     benches.push(bench("sweep/mm+pf", 1, 5, || {
@@ -751,6 +773,20 @@ mod tests {
         assert_eq!(spec.stride, smoke_config().site_stride);
         // Unpinned: the bench times the finder scan too.
         assert!(spec.site.is_none() && spec.expected.is_none());
+    }
+
+    #[test]
+    fn dfi_smoke_case_injects_a_whole_mid_trace_run() {
+        let pf = smoke_workloads().remove(1);
+        let fault = dfi_smoke_fault(&pf.trace, pf.object);
+        let len = pf.trace.stats().records;
+        assert!(fault.dyn_id > len / 4 && fault.dyn_id < 3 * len / 4);
+        // The corrupted run completes, so every iteration times a full
+        // re-execution rather than an early crash.
+        let injector = DeterministicInjector::new(pf_default()).unwrap();
+        let outcome = injector.run(&fault);
+        assert!(outcome.status.is_completed());
+        assert_eq!(outcome.steps, injector.golden().steps);
     }
 
     #[test]

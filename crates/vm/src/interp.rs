@@ -11,6 +11,33 @@
 //! * execute with a single deterministic fault ([`FaultSpec`]) applied at an
 //!   exact dynamic instruction, which is how the model resolves
 //!   overshadowing, propagation, and algorithm-level masking questions.
+//!
+//! # One loop, two sinks
+//!
+//! Every run kind goes through one interpreter loop, generic over where its
+//! trace records go.  Traced runs hand it the [`TraceBuilder`]; golden and
+//! fault-injected runs hand it a no-op sink whose `TRACED` flag is `false`,
+//! so the compiler drops every trace-only block from their copy of the
+//! loop.  The trace-only work is:
+//!
+//! * dependence sets ([`TaintSet`]) and element provenance of registers,
+//!   including the per-frame vectors that hold them;
+//! * the dependence set of every stored memory word (`mem_taint`);
+//! * the data-object lookup of load and store addresses;
+//! * the value a store overwrites, and whether the stored value depends
+//!   on it;
+//! * the parameter registers of a called function;
+//! * building the [`TraceRecord`] itself.
+//!
+//! Both copies of the loop compute the same run only if nothing that
+//! changes memory, registers, control flow, the step count or the outcome
+//! sits inside a trace-only block.  Such a block may read machine state but
+//! never write it.  The easy one to get wrong is the memory store in
+//! `Store`: the value it overwrites is read in a trace-only block *before*
+//! the store, and the store itself stays outside.  So do every register
+//! write and every early return.  Instructions and terminators are borrowed
+//! from the module, never cloned per step.  `tests/golden/dfi_outcomes.json` pins the untraced loop across
+//! all four fault targets and every way a run can end.
 
 use crate::fault::{FaultSpec, FaultTarget};
 use crate::memory::Memory;
@@ -21,7 +48,7 @@ use crate::taint::TaintSet;
 use crate::trace::{Trace, TraceOp, TraceRecord, TracedVal, ValueSource, TERMINATOR_INST};
 use moard_ir::{
     eval_binop, eval_cast, eval_cmp, eval_intrinsic, BlockId, FuncId, GlobalInit, Inst, Module,
-    Operand, RegId, Terminator, Value,
+    Operand, RegId, Terminator, Type, Value,
 };
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -76,7 +103,35 @@ impl From<TraceError> for VmError {
     }
 }
 
-/// One function activation.
+/// Where the interpreter loop sends its trace records.
+trait Sink {
+    /// Whether this sink records a trace.  Every trace-only block of the
+    /// loop is guarded by this constant, so `false` compiles them all away.
+    const TRACED: bool;
+
+    /// Append one record; only called when [`Sink::TRACED`] holds.
+    fn push(&mut self, record: TraceRecord);
+}
+
+impl Sink for TraceBuilder {
+    const TRACED: bool = true;
+
+    fn push(&mut self, record: TraceRecord) {
+        TraceBuilder::push(self, record);
+    }
+}
+
+/// The sink of golden and fault-injected runs: records nothing.
+struct NoTrace;
+
+impl Sink for NoTrace {
+    const TRACED: bool = false;
+
+    fn push(&mut self, _: TraceRecord) {}
+}
+
+/// One function activation.  `prov` and `taint` are trace-only and stay
+/// empty in untraced runs.
 struct Frame {
     func: FuncId,
     frame_id: u64,
@@ -89,22 +144,92 @@ struct Frame {
     ret_dst: Option<RegId>,
 }
 
-/// Evaluated operand with data semantics.
-#[derive(Clone)]
+/// The trace-only metadata of a register value: the data-object element it
+/// was loaded from, and the elements it depends on.
+type Meta = (Option<(ObjectId, u64)>, TaintSet);
+
+impl Frame {
+    /// Write `value` to `dst`, and its metadata when the run is traced
+    /// (`meta` is `None` in untraced runs).
+    fn set(&mut self, dst: RegId, value: Value, meta: Option<Meta>) {
+        let r = dst.0 as usize;
+        self.regs[r] = value;
+        if let Some((prov, taint)) = meta {
+            self.prov[r] = prov;
+            self.taint[r] = taint;
+        }
+    }
+
+    // The readers below are trace-only: untraced frames hold no metadata.
+
+    /// The element `op`'s value was loaded from, if any.
+    fn element(&self, op: &OpVal) -> Option<(ObjectId, u64)> {
+        match op.source {
+            ValueSource::Reg(r) => self.prov[r.0 as usize],
+            _ => None,
+        }
+    }
+
+    /// The elements `op`'s value depends on (constants and global bases
+    /// depend on none).
+    fn taint(&self, op: &OpVal) -> Option<&TaintSet> {
+        match op.source {
+            ValueSource::Reg(r) => Some(&self.taint[r.0 as usize]),
+            _ => None,
+        }
+    }
+
+    /// The metadata of a copy of `op`.
+    fn meta(&self, op: &OpVal) -> Meta {
+        (
+            self.element(op),
+            self.taint(op).cloned().unwrap_or_default(),
+        )
+    }
+
+    /// The dependences of a value computed from `ops`.
+    fn taint_union<'a>(&self, ops: impl IntoIterator<Item = &'a OpVal>) -> TaintSet {
+        let mut taint = TaintSet::empty();
+        for t in ops.into_iter().filter_map(|op| self.taint(op)) {
+            taint.union_with(t);
+        }
+        taint
+    }
+
+    fn traced(&self, op: &OpVal) -> TracedVal {
+        TracedVal {
+            value: op.value,
+            source: op.source,
+            element: self.element(op),
+        }
+    }
+}
+
+/// An evaluated operand: its value and where it came from.
+#[derive(Clone, Copy)]
 struct OpVal {
     value: Value,
     source: ValueSource,
-    element: Option<(ObjectId, u64)>,
-    taint: TaintSet,
 }
 
-impl OpVal {
-    fn traced(&self) -> TracedVal {
-        TracedVal {
-            value: self.value,
-            source: self.source,
-            element: self.element,
+/// Apply an operand-targeted fault if `hit` (the fault, when it strikes the
+/// current dynamic instruction) targets `slot`.  Persists the corruption in
+/// the source register when the operand came from one.
+fn inject_operand(hit: Option<&FaultSpec>, slot: usize, op: &mut OpVal, frame: &mut Frame) {
+    if let Some(f) = hit {
+        if f.target == FaultTarget::Operand(slot) {
+            op.value = op.value.flip_mask(f.mask);
+            if let ValueSource::Reg(r) = op.source {
+                frame.regs[r.0 as usize] = op.value;
+            }
         }
+    }
+}
+
+fn inject_result(hit: Option<&FaultSpec>, result: Value) -> Value {
+    match hit {
+        Some(f) if f.target == FaultTarget::Result => result.flip_mask(f.mask),
+        _ => result,
     }
 }
 
@@ -175,13 +300,13 @@ impl<'m> Vm<'m> {
 
     /// Execute without tracing or faults (the golden run).
     pub fn execute(mut self) -> ExecOutcome {
-        self.run(None, None)
+        self.run(None, &mut NoTrace)
     }
 
     /// Execute while recording the full dynamic trace in memory.
     pub fn execute_traced(mut self) -> (ExecOutcome, Trace) {
         let mut builder = TraceBuilder::Memory(Trace::default());
-        let outcome = self.run(None, Some(&mut builder));
+        let outcome = self.run(None, &mut builder);
         match builder {
             TraceBuilder::Memory(trace) => (outcome, trace),
             TraceBuilder::Paged(_) => unreachable!("memory builder stays memory"),
@@ -197,18 +322,18 @@ impl<'m> Vm<'m> {
         spec: &TraceBackendSpec,
     ) -> Result<(ExecOutcome, TraceData), VmError> {
         let mut builder = TraceBuilder::for_spec(spec)?;
-        let outcome = self.run(None, Some(&mut builder));
+        let outcome = self.run(None, &mut builder);
         Ok((outcome, builder.finish()?))
     }
 
     /// Execute with a deterministic fault applied.
     pub fn execute_with_fault(mut self, fault: &FaultSpec) -> ExecOutcome {
-        self.run(Some(fault), None)
+        self.run(Some(fault), &mut NoTrace)
     }
 
-    fn new_frame(&self, func: FuncId, frame_id: u64, ret_dst: Option<RegId>) -> Frame {
+    fn new_frame<S: Sink>(&self, func: FuncId, frame_id: u64, ret_dst: Option<RegId>) -> Frame {
         let f = self.module.function(func);
-        let n = f.num_regs();
+        let n = if S::TRACED { f.num_regs() } else { 0 };
         Frame {
             func,
             frame_id,
@@ -248,87 +373,52 @@ impl<'m> Vm<'m> {
     }
 
     fn eval_operand(&self, frame: &Frame, op: &Operand) -> OpVal {
-        match op {
-            Operand::Const(v) => OpVal {
-                value: *v,
-                source: ValueSource::Const,
-                element: None,
-                taint: TaintSet::empty(),
-            },
-            Operand::Reg(r) => OpVal {
-                value: frame.regs[r.0 as usize],
-                source: ValueSource::Reg(*r),
-                element: frame.prov[r.0 as usize],
-                taint: frame.taint[r.0 as usize].clone(),
-            },
-            Operand::Global(g) => OpVal {
-                value: Value::Ptr(self.global_bases[g.0 as usize]),
-                source: ValueSource::GlobalBase,
-                element: None,
-                taint: TaintSet::empty(),
-            },
-        }
+        let (value, source) = match op {
+            Operand::Const(v) => (*v, ValueSource::Const),
+            Operand::Reg(r) => (frame.regs[r.0 as usize], ValueSource::Reg(*r)),
+            Operand::Global(g) => (
+                Value::Ptr(self.global_bases[g.0 as usize]),
+                ValueSource::GlobalBase,
+            ),
+        };
+        OpVal { value, source }
     }
 
-    fn set_reg(
-        frame: &mut Frame,
-        dst: RegId,
-        value: Value,
-        prov: Option<(ObjectId, u64)>,
-        taint: TaintSet,
-    ) {
-        frame.regs[dst.0 as usize] = value;
-        frame.prov[dst.0 as usize] = prov;
-        frame.taint[dst.0 as usize] = taint;
-    }
-
-    /// Apply an operand-targeted fault if `fault` matches this dynamic
-    /// instruction and slot.  Persists the corruption in the source register
-    /// when the operand came from one.
-    fn maybe_inject_operand(
-        fault: Option<&FaultSpec>,
-        dyn_id: u64,
-        slot: usize,
-        op: &mut OpVal,
-        frame: &mut Frame,
-    ) {
-        if let Some(f) = fault {
-            if f.dyn_id == dyn_id && f.target == FaultTarget::Operand(slot) {
-                op.value = op.value.flip_mask(f.mask);
-                if let ValueSource::Reg(r) = op.source {
-                    frame.regs[r.0 as usize] = op.value;
-                }
-            }
-        }
-    }
-
-    fn maybe_inject_result(fault: Option<&FaultSpec>, dyn_id: u64, result: Value) -> Value {
-        if let Some(f) = fault {
-            if f.dyn_id == dyn_id && f.target == FaultTarget::Result {
-                return result.flip_mask(f.mask);
-            }
-        }
-        result
-    }
-
-    /// The main interpreter loop.  `sink`, when present, receives one
-    /// [`TraceRecord`] per dynamic operation (either backend; pushes are
-    /// infallible on this hot path — see [`TraceBuilder::push`]).
-    fn run(
+    /// Apply a memory-targeted fault (`target` is [`FaultTarget::LoadValue`]
+    /// or [`FaultTarget::StoreDest`]) to the element at `address`, before
+    /// the access consumes or overwrites it.
+    fn inject_memory(
         &mut self,
-        fault: Option<&FaultSpec>,
-        mut sink: Option<&mut TraceBuilder>,
-    ) -> ExecOutcome {
-        let entry = self.module.entry_id();
-        let mut frames: Vec<Frame> = vec![self.new_frame(entry, 0, None)];
+        hit: Option<&FaultSpec>,
+        target: FaultTarget,
+        ty: Type,
+        address: u64,
+    ) -> Result<(), ExecStatus> {
+        match hit {
+            Some(f) if f.target == target => {
+                self.memory.flip_mask(ty, address, f.mask).map_err(|_| {
+                    ExecStatus::MemFault(format!("fault injection at unmapped 0x{address:x}"))
+                })
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// The interpreter loop behind every run kind.  A [`TraceBuilder`] sink
+    /// receives one [`TraceRecord`] per dynamic operation (either backend;
+    /// pushes are infallible on this hot path — see [`TraceBuilder::push`]);
+    /// with [`NoTrace`] every trace-only block compiles away.
+    fn run<S: Sink>(&mut self, fault: Option<&FaultSpec>, sink: &mut S) -> ExecOutcome {
+        let module = self.module;
+        let mut frames: Vec<Frame> = vec![self.new_frame::<S>(module.entry_id(), 0, None)];
         let mut next_frame_id: u64 = 1;
         let mut dyn_id: u64 = 0;
         let mut mem_taint: HashMap<u64, TaintSet> = HashMap::new();
 
         macro_rules! emit {
             ($frame:expr, $inst_idx:expr, $dst:expr, $op:expr) => {
-                if let Some(t) = sink.as_deref_mut() {
-                    t.push(TraceRecord {
+                if S::TRACED {
+                    sink.push(TraceRecord {
                         id: dyn_id,
                         frame: $frame.frame_id,
                         func: $frame.func,
@@ -345,18 +435,16 @@ impl<'m> Vm<'m> {
             if dyn_id >= self.config.max_steps {
                 return self.finish(ExecStatus::Timeout, None, dyn_id);
             }
-            // Split the borrow: everything below works on the top frame.
             let frame_idx = frames.len() - 1;
-            let func = frames[frame_idx].func;
-            let block = frames[frame_idx].block;
-            let inst_idx = frames[frame_idx].inst;
-            let function = self.module.function(func);
-            let blk = function.block(block);
+            let frame = &mut frames[frame_idx];
+            let function = module.function(frame.func);
+            let blk = function.block(frame.block);
+            let inst_idx = frame.inst;
+            // The fault, if it strikes this dynamic instruction.
+            let hit = fault.filter(|f| f.dyn_id == dyn_id);
 
-            if inst_idx < blk.insts.len() {
-                let inst = blk.insts[inst_idx].clone();
-                frames[frame_idx].inst += 1;
-                let frame = &mut frames[frame_idx];
+            if let Some(inst) = blk.insts.get(inst_idx) {
+                frame.inst += 1;
                 match inst {
                     Inst::Bin {
                         op,
@@ -365,31 +453,33 @@ impl<'m> Vm<'m> {
                         rhs,
                         dst,
                     } => {
-                        let mut a = self.eval_operand(frame, &lhs);
-                        let mut b = self.eval_operand(frame, &rhs);
-                        Self::maybe_inject_operand(fault, dyn_id, 0, &mut a, frame);
-                        Self::maybe_inject_operand(fault, dyn_id, 1, &mut b, frame);
-                        let result = match eval_binop(op, ty, &a.value, &b.value) {
-                            Ok(v) => v,
+                        let mut a = self.eval_operand(frame, lhs);
+                        let mut b = self.eval_operand(frame, rhs);
+                        inject_operand(hit, 0, &mut a, frame);
+                        inject_operand(hit, 1, &mut b, frame);
+                        let result = match eval_binop(*op, *ty, &a.value, &b.value) {
+                            Ok(v) => inject_result(hit, v),
                             Err(e) => {
                                 return self.finish(ExecStatus::Trap(e.to_string()), None, dyn_id);
                             }
                         };
-                        let result = Self::maybe_inject_result(fault, dyn_id, result);
                         emit!(
                             frame,
                             inst_idx as u32,
-                            Some(dst),
+                            Some(*dst),
                             TraceOp::Bin {
-                                op,
-                                ty,
-                                lhs: a.traced(),
-                                rhs: b.traced(),
+                                op: *op,
+                                ty: *ty,
+                                lhs: frame.traced(&a),
+                                rhs: frame.traced(&b),
                                 result,
                             }
                         );
-                        let taint = TaintSet::union(&a.taint, &b.taint);
-                        Self::set_reg(frame, dst, result, None, taint);
+                        frame.set(
+                            *dst,
+                            result,
+                            S::TRACED.then(|| (None, frame.taint_union([&a, &b]))),
+                        );
                     }
                     Inst::Cmp {
                         pred,
@@ -397,71 +487,69 @@ impl<'m> Vm<'m> {
                         rhs,
                         dst,
                     } => {
-                        let mut a = self.eval_operand(frame, &lhs);
-                        let mut b = self.eval_operand(frame, &rhs);
-                        Self::maybe_inject_operand(fault, dyn_id, 0, &mut a, frame);
-                        Self::maybe_inject_operand(fault, dyn_id, 1, &mut b, frame);
-                        let result = eval_cmp(pred, &a.value, &b.value).unwrap_or(Value::I1(false));
-                        let result = Self::maybe_inject_result(fault, dyn_id, result);
+                        let mut a = self.eval_operand(frame, lhs);
+                        let mut b = self.eval_operand(frame, rhs);
+                        inject_operand(hit, 0, &mut a, frame);
+                        inject_operand(hit, 1, &mut b, frame);
+                        let result =
+                            eval_cmp(*pred, &a.value, &b.value).unwrap_or(Value::I1(false));
+                        let result = inject_result(hit, result);
                         emit!(
                             frame,
                             inst_idx as u32,
-                            Some(dst),
+                            Some(*dst),
                             TraceOp::Cmp {
-                                pred,
-                                lhs: a.traced(),
-                                rhs: b.traced(),
+                                pred: *pred,
+                                lhs: frame.traced(&a),
+                                rhs: frame.traced(&b),
                                 result,
                             }
                         );
-                        let taint = TaintSet::union(&a.taint, &b.taint);
-                        Self::set_reg(frame, dst, result, None, taint);
+                        frame.set(
+                            *dst,
+                            result,
+                            S::TRACED.then(|| (None, frame.taint_union([&a, &b]))),
+                        );
                     }
                     Inst::Cast { kind, to, src, dst } => {
-                        let mut s = self.eval_operand(frame, &src);
-                        Self::maybe_inject_operand(fault, dyn_id, 0, &mut s, frame);
-                        let result = match eval_cast(kind, to, &s.value) {
-                            Ok(v) => v,
+                        let mut s = self.eval_operand(frame, src);
+                        inject_operand(hit, 0, &mut s, frame);
+                        let result = match eval_cast(*kind, *to, &s.value) {
+                            Ok(v) => inject_result(hit, v),
                             Err(e) => {
                                 return self.finish(ExecStatus::Trap(e.to_string()), None, dyn_id);
                             }
                         };
-                        let result = Self::maybe_inject_result(fault, dyn_id, result);
                         emit!(
                             frame,
                             inst_idx as u32,
-                            Some(dst),
+                            Some(*dst),
                             TraceOp::Cast {
-                                kind,
-                                to,
-                                src: s.traced(),
+                                kind: *kind,
+                                to: *to,
+                                src: frame.traced(&s),
                                 result,
                             }
                         );
-                        Self::set_reg(frame, dst, result, None, s.taint);
+                        frame.set(
+                            *dst,
+                            result,
+                            S::TRACED.then(|| (None, frame.taint_union([&s]))),
+                        );
                     }
                     Inst::Load { ty, addr, dst } => {
-                        let mut a = self.eval_operand(frame, &addr);
-                        Self::maybe_inject_operand(fault, dyn_id, 0, &mut a, frame);
+                        let mut a = self.eval_operand(frame, addr);
+                        inject_operand(hit, 0, &mut a, frame);
                         let address = a.value.as_u64();
                         // A fault targeting the loaded value corrupts the
                         // memory element before the load consumes it.
-                        if let Some(f) = fault {
-                            if f.dyn_id == dyn_id
-                                && f.target == FaultTarget::LoadValue
-                                && self.memory.flip_mask(ty, address, f.mask).is_err()
-                            {
-                                return self.finish(
-                                    ExecStatus::MemFault(format!(
-                                        "fault injection at unmapped 0x{address:x}"
-                                    )),
-                                    None,
-                                    dyn_id,
-                                );
-                            }
+                        if let Err(status) =
+                            self.inject_memory(hit, FaultTarget::LoadValue, *ty, address)
+                        {
+                            return self.finish(status, None, dyn_id);
                         }
-                        let value = match self.memory.load(ty, address) {
-                            Ok(v) => v,
+                        let value = match self.memory.load(*ty, address) {
+                            Ok(v) => inject_result(hit, v),
                             Err(e) => {
                                 return self.finish(
                                     ExecStatus::MemFault(e.to_string()),
@@ -470,75 +558,74 @@ impl<'m> Vm<'m> {
                                 );
                             }
                         };
-                        let value = Self::maybe_inject_result(fault, dyn_id, value);
-                        let element = self.objects.locate(address);
+                        let element = if S::TRACED {
+                            self.objects.locate(address)
+                        } else {
+                            None
+                        };
                         emit!(
                             frame,
                             inst_idx as u32,
-                            Some(dst),
+                            Some(*dst),
                             TraceOp::Load {
-                                ty,
+                                ty: *ty,
                                 addr: address,
                                 addr_src: a.source,
                                 element,
                                 result: value,
                             }
                         );
-                        let mut taint = mem_taint.get(&address).cloned().unwrap_or_default();
-                        if let Some((o, e)) = element {
-                            taint.insert(o, e);
-                        }
-                        Self::set_reg(frame, dst, value, element, taint);
+                        let meta = S::TRACED.then(|| {
+                            let mut taint = mem_taint.get(&address).cloned().unwrap_or_default();
+                            if let Some((o, e)) = element {
+                                taint.insert(o, e);
+                            }
+                            (element, taint)
+                        });
+                        frame.set(*dst, value, meta);
                     }
                     Inst::Store { ty, value, addr } => {
-                        let mut v = self.eval_operand(frame, &value);
-                        let mut a = self.eval_operand(frame, &addr);
-                        Self::maybe_inject_operand(fault, dyn_id, 0, &mut v, frame);
-                        Self::maybe_inject_operand(fault, dyn_id, 1, &mut a, frame);
+                        let mut v = self.eval_operand(frame, value);
+                        let mut a = self.eval_operand(frame, addr);
+                        inject_operand(hit, 0, &mut v, frame);
+                        inject_operand(hit, 1, &mut a, frame);
                         let address = a.value.as_u64();
                         // A fault targeting the store destination corrupts
                         // the element just before it is overwritten.
-                        if let Some(f) = fault {
-                            if f.dyn_id == dyn_id
-                                && f.target == FaultTarget::StoreDest
-                                && self.memory.flip_mask(ty, address, f.mask).is_err()
-                            {
-                                return self.finish(
-                                    ExecStatus::MemFault(format!(
-                                        "fault injection at unmapped 0x{address:x}"
-                                    )),
-                                    None,
-                                    dyn_id,
-                                );
-                            }
+                        if let Err(status) =
+                            self.inject_memory(hit, FaultTarget::StoreDest, *ty, address)
+                        {
+                            return self.finish(status, None, dyn_id);
                         }
-                        let element = self.objects.locate(address);
-                        let overwritten = self.memory.load(ty, address).unwrap_or(Value::zero(ty));
-                        let depends = match element {
-                            Some((o, e)) => v.taint.may_depend_on(o, e),
-                            None => false,
-                        };
-                        if let Err(e) = self.memory.store(ty, address, v.value) {
-                            return self.finish(ExecStatus::MemFault(e.to_string()), None, dyn_id);
-                        }
-                        emit!(
-                            frame,
-                            inst_idx as u32,
-                            None,
+                        // Trace-only, and read before the store: the element
+                        // overwritten, its old value, and whether the stored
+                        // value depends on it.
+                        let op = S::TRACED.then(|| {
+                            let element = self.objects.locate(address);
                             TraceOp::Store {
-                                ty,
+                                ty: *ty,
                                 addr: address,
                                 addr_src: a.source,
                                 element,
-                                value: v.traced(),
-                                overwritten,
-                                value_depends_on_dest: depends,
+                                value: frame.traced(&v),
+                                overwritten: self
+                                    .memory
+                                    .load(*ty, address)
+                                    .unwrap_or(Value::zero(*ty)),
+                                value_depends_on_dest: element.is_some_and(|(o, e)| {
+                                    frame.taint(&v).is_some_and(|t| t.may_depend_on(o, e))
+                                }),
                             }
-                        );
-                        if v.taint.is_empty() {
-                            mem_taint.remove(&address);
-                        } else {
-                            mem_taint.insert(address, v.taint.clone());
+                        });
+                        if let Err(e) = self.memory.store(*ty, address, v.value) {
+                            return self.finish(ExecStatus::MemFault(e.to_string()), None, dyn_id);
+                        }
+                        if let Some(op) = op {
+                            emit!(frame, inst_idx as u32, None, op);
+                            match frame.taint(&v) {
+                                Some(t) if !t.is_empty() => mem_taint.insert(address, t.clone()),
+                                _ => mem_taint.remove(&address),
+                            };
                         }
                     }
                     Inst::Gep {
@@ -547,29 +634,31 @@ impl<'m> Vm<'m> {
                         elem_size,
                         dst,
                     } => {
-                        let mut b = self.eval_operand(frame, &base);
-                        let mut i = self.eval_operand(frame, &index);
-                        Self::maybe_inject_operand(fault, dyn_id, 0, &mut b, frame);
-                        Self::maybe_inject_operand(fault, dyn_id, 1, &mut i, frame);
+                        let mut b = self.eval_operand(frame, base);
+                        let mut i = self.eval_operand(frame, index);
+                        inject_operand(hit, 0, &mut b, frame);
+                        inject_operand(hit, 1, &mut i, frame);
                         let address = b
                             .value
                             .as_u64()
-                            .wrapping_add((i.value.as_i64() as u64).wrapping_mul(elem_size));
-                        let result = Value::Ptr(address);
-                        let result = Self::maybe_inject_result(fault, dyn_id, result);
+                            .wrapping_add((i.value.as_i64() as u64).wrapping_mul(*elem_size));
+                        let result = inject_result(hit, Value::Ptr(address));
                         emit!(
                             frame,
                             inst_idx as u32,
-                            Some(dst),
+                            Some(*dst),
                             TraceOp::Gep {
-                                base: b.traced(),
-                                index: i.traced(),
-                                elem_size,
+                                base: frame.traced(&b),
+                                index: frame.traced(&i),
+                                elem_size: *elem_size,
                                 result,
                             }
                         );
-                        let taint = TaintSet::union(&b.taint, &i.taint);
-                        Self::set_reg(frame, dst, result, None, taint);
+                        frame.set(
+                            *dst,
+                            result,
+                            S::TRACED.then(|| (None, frame.taint_union([&b, &i]))),
+                        );
                     }
                     Inst::Select {
                         cond,
@@ -577,76 +666,74 @@ impl<'m> Vm<'m> {
                         else_v,
                         dst,
                     } => {
-                        let mut c = self.eval_operand(frame, &cond);
-                        let mut t = self.eval_operand(frame, &then_v);
-                        let mut e = self.eval_operand(frame, &else_v);
-                        Self::maybe_inject_operand(fault, dyn_id, 0, &mut c, frame);
-                        Self::maybe_inject_operand(fault, dyn_id, 1, &mut t, frame);
-                        Self::maybe_inject_operand(fault, dyn_id, 2, &mut e, frame);
+                        let mut c = self.eval_operand(frame, cond);
+                        let mut t = self.eval_operand(frame, then_v);
+                        let mut e = self.eval_operand(frame, else_v);
+                        inject_operand(hit, 0, &mut c, frame);
+                        inject_operand(hit, 1, &mut t, frame);
+                        inject_operand(hit, 2, &mut e, frame);
                         let chosen = if c.value.is_truthy() { &t } else { &e };
-                        let result = Self::maybe_inject_result(fault, dyn_id, chosen.value);
+                        let result = inject_result(hit, chosen.value);
                         emit!(
                             frame,
                             inst_idx as u32,
-                            Some(dst),
+                            Some(*dst),
                             TraceOp::Select {
-                                cond: c.traced(),
-                                then_v: t.traced(),
-                                else_v: e.traced(),
+                                cond: frame.traced(&c),
+                                then_v: frame.traced(&t),
+                                else_v: frame.traced(&e),
                                 result,
                             }
                         );
-                        let mut taint = TaintSet::union(&c.taint, &chosen.taint);
                         // The unchosen arm's dependences do not flow into the
                         // result value, but the condition's do.
-                        taint.union_with(&c.taint);
-                        let prov = chosen.element;
-                        Self::set_reg(frame, dst, result, prov, taint);
+                        let meta = S::TRACED
+                            .then(|| (frame.element(chosen), frame.taint_union([&c, chosen])));
+                        frame.set(*dst, result, meta);
                     }
                     Inst::CallIntrinsic { intr, args, dst } => {
                         let mut vals: Vec<OpVal> =
                             args.iter().map(|a| self.eval_operand(frame, a)).collect();
                         for (i, v) in vals.iter_mut().enumerate() {
-                            Self::maybe_inject_operand(fault, dyn_id, i, v, frame);
+                            inject_operand(hit, i, v, frame);
                         }
                         let raw: Vec<Value> = vals.iter().map(|v| v.value).collect();
-                        let result = match eval_intrinsic(intr, &raw) {
-                            Ok(v) => v,
+                        let result = match eval_intrinsic(*intr, &raw) {
+                            Ok(v) => inject_result(hit, v),
                             Err(e) => {
                                 return self.finish(ExecStatus::Trap(e.to_string()), None, dyn_id);
                             }
                         };
-                        let result = Self::maybe_inject_result(fault, dyn_id, result);
                         emit!(
                             frame,
                             inst_idx as u32,
-                            Some(dst),
+                            Some(*dst),
                             TraceOp::Intrinsic {
-                                intr,
-                                args: vals.iter().map(|v| v.traced()).collect(),
+                                intr: *intr,
+                                args: vals.iter().map(|v| frame.traced(v)).collect(),
                                 result,
                             }
                         );
-                        let mut taint = TaintSet::empty();
-                        for v in &vals {
-                            taint.union_with(&v.taint);
-                        }
-                        Self::set_reg(frame, dst, result, None, taint);
+                        frame.set(
+                            *dst,
+                            result,
+                            S::TRACED.then(|| (None, frame.taint_union(&vals))),
+                        );
                     }
                     Inst::Mov { src, dst } => {
-                        let mut s = self.eval_operand(frame, &src);
-                        Self::maybe_inject_operand(fault, dyn_id, 0, &mut s, frame);
-                        let result = Self::maybe_inject_result(fault, dyn_id, s.value);
+                        let mut s = self.eval_operand(frame, src);
+                        inject_operand(hit, 0, &mut s, frame);
+                        let result = inject_result(hit, s.value);
                         emit!(
                             frame,
                             inst_idx as u32,
-                            Some(dst),
+                            Some(*dst),
                             TraceOp::Mov {
-                                src: s.traced(),
+                                src: frame.traced(&s),
                                 result,
                             }
                         );
-                        Self::set_reg(frame, dst, result, s.element, s.taint);
+                        frame.set(*dst, result, S::TRACED.then(|| frame.meta(&s)));
                     }
                     Inst::Call {
                         func: callee,
@@ -656,41 +743,36 @@ impl<'m> Vm<'m> {
                         let mut vals: Vec<OpVal> =
                             args.iter().map(|a| self.eval_operand(frame, a)).collect();
                         for (i, v) in vals.iter_mut().enumerate() {
-                            Self::maybe_inject_operand(fault, dyn_id, i, v, frame);
+                            inject_operand(hit, i, v, frame);
                         }
-                        let callee_fn = self.module.function(callee);
-                        let param_regs: Vec<RegId> =
-                            callee_fn.params.iter().map(|(r, _)| *r).collect();
+                        let params = &module.function(*callee).params;
                         let callee_frame_id = next_frame_id;
                         next_frame_id += 1;
                         emit!(
                             frame,
                             inst_idx as u32,
-                            dst,
+                            *dst,
                             TraceOp::Call {
-                                callee,
-                                args: vals.iter().map(|v| v.traced()).collect(),
+                                callee: *callee,
+                                args: vals.iter().map(|v| frame.traced(v)).collect(),
                                 callee_frame: callee_frame_id,
-                                param_regs: param_regs.clone(),
+                                param_regs: params.iter().map(|(r, _)| *r).collect(),
                             }
                         );
-                        let mut new_frame = self.new_frame(callee, callee_frame_id, dst);
-                        for (v, r) in vals.iter().zip(param_regs.iter()) {
-                            Self::set_reg(&mut new_frame, *r, v.value, v.element, v.taint.clone());
+                        let mut new_frame = self.new_frame::<S>(*callee, callee_frame_id, *dst);
+                        for (v, (r, _)) in vals.iter().zip(params) {
+                            new_frame.set(*r, v.value, S::TRACED.then(|| frame.meta(v)));
                         }
                         frames.push(new_frame);
                     }
                 }
                 dyn_id += 1;
             } else {
-                // Terminator.
-                let term = blk.term.clone();
-                match term {
+                match &blk.term {
                     Terminator::Br { target } => {
                         // Unconditional branches carry no data and are not
                         // counted as operations.
-                        let frame = &mut frames[frame_idx];
-                        frame.block = target;
+                        frame.block = *target;
                         frame.inst = 0;
                     }
                     Terminator::CondBr {
@@ -698,20 +780,19 @@ impl<'m> Vm<'m> {
                         then_b,
                         else_b,
                     } => {
-                        let frame = &mut frames[frame_idx];
-                        let mut c = self.eval_operand(frame, &cond);
-                        Self::maybe_inject_operand(fault, dyn_id, 0, &mut c, frame);
+                        let mut c = self.eval_operand(frame, cond);
+                        inject_operand(hit, 0, &mut c, frame);
                         let taken = c.value.is_truthy();
                         emit!(
                             frame,
                             TERMINATOR_INST,
                             None,
                             TraceOp::CondBr {
-                                cond: c.traced(),
+                                cond: frame.traced(&c),
                                 taken,
                             }
                         );
-                        frame.block = if taken { then_b } else { else_b };
+                        frame.block = if taken { *then_b } else { *else_b };
                         frame.inst = 0;
                         dyn_id += 1;
                     }
@@ -720,78 +801,54 @@ impl<'m> Vm<'m> {
                         cases,
                         default,
                     } => {
-                        let frame = &mut frames[frame_idx];
-                        let mut v = self.eval_operand(frame, &value);
-                        Self::maybe_inject_operand(fault, dyn_id, 0, &mut v, frame);
+                        let mut v = self.eval_operand(frame, value);
+                        inject_operand(hit, 0, &mut v, frame);
                         let key = v.value.as_i64();
-                        let mut target = default;
-                        let mut taken_index = cases.len();
-                        for (i, (case, blk)) in cases.iter().enumerate() {
-                            if *case == key {
-                                target = *blk;
-                                taken_index = i;
-                                break;
-                            }
-                        }
+                        let taken_index = cases
+                            .iter()
+                            .position(|(case, _)| *case == key)
+                            .unwrap_or(cases.len());
                         emit!(
                             frame,
                             TERMINATOR_INST,
                             None,
                             TraceOp::Switch {
-                                value: v.traced(),
+                                value: frame.traced(&v),
                                 taken_index,
                             }
                         );
-                        frame.block = target;
+                        frame.block = cases.get(taken_index).map_or(*default, |(_, b)| *b);
                         frame.inst = 0;
                         dyn_id += 1;
                     }
                     Terminator::Ret { value } => {
-                        let frame = &mut frames[frame_idx];
-                        let ret_ty = self.module.function(frame.func).ret_ty;
-                        let mut v = value.map(|op| self.eval_operand(frame, &op));
+                        let mut v = value.as_ref().map(|op| self.eval_operand(frame, op));
                         if let Some(val) = v.as_mut() {
-                            Self::maybe_inject_operand(fault, dyn_id, 0, val, frame);
+                            inject_operand(hit, 0, val, frame);
                         }
-                        let ret_val = match (&v, ret_ty) {
+                        let ret_val = match (&v, function.ret_ty) {
                             (Some(val), _) => Some(val.value),
                             (None, Some(t)) => Some(Value::zero(t)),
                             (None, None) => None,
                         };
                         let ret_dst = frame.ret_dst;
-                        let frame_id_done = frame.frame_id;
-                        let caller_frame_id = if frames.len() >= 2 {
-                            Some(frames[frames.len() - 2].frame_id)
-                        } else {
-                            None
-                        };
-                        {
-                            let frame = &frames[frame_idx];
-                            if let Some(t) = sink.as_deref_mut() {
-                                t.push(TraceRecord {
-                                    id: dyn_id,
-                                    frame: frame_id_done,
-                                    func: frame.func,
-                                    block: frame.block,
-                                    inst: TERMINATOR_INST,
-                                    dst: ret_dst,
-                                    op: TraceOp::Ret {
-                                        value: v.as_ref().map(|x| x.traced()),
-                                        caller_frame: caller_frame_id,
-                                        dst_in_caller: ret_dst,
-                                    },
-                                });
+                        let meta = S::TRACED.then(|| v.map(|x| frame.meta(&x)).unwrap_or_default());
+                        emit!(
+                            frames[frame_idx],
+                            TERMINATOR_INST,
+                            ret_dst,
+                            TraceOp::Ret {
+                                value: v.as_ref().map(|x| frames[frame_idx].traced(x)),
+                                caller_frame: frame_idx.checked_sub(1).map(|i| frames[i].frame_id),
+                                dst_in_caller: ret_dst,
                             }
-                        }
+                        );
                         dyn_id += 1;
-                        let (prov, taint) = v
-                            .map(|x| (x.element, x.taint))
-                            .unwrap_or((None, TaintSet::empty()));
                         frames.pop();
                         match frames.last_mut() {
                             Some(caller) => {
                                 if let (Some(dst), Some(val)) = (ret_dst, ret_val) {
-                                    Self::set_reg(caller, dst, val, prov, taint);
+                                    caller.set(dst, val, meta);
                                 }
                             }
                             None => {
