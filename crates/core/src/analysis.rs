@@ -12,7 +12,9 @@
 //! 3. **deterministic fault injection** ([`crate::resolver`]) — for anything
 //!    still unresolved, re-run the application with that exact fault and
 //!    classify the outcome (identical / acceptable / incorrect / crashed),
-//!    memoized by error equivalence.
+//!    memoized by error equivalence.  The default engine plans an object's
+//!    injections first and runs them on every core (see
+//!    [`AdvfAnalyzer::analyze`]).
 //!
 //! The per-class masking fractions accumulate into an [`AdvfAccumulator`]
 //! exactly as Equation 1 prescribes.
@@ -21,13 +23,16 @@ use crate::advf::{merge_pattern_tallies, AdvfAccumulator, AdvfReport, PatternCla
 use crate::error_pattern::{ErrorPattern, ErrorPatternSet};
 use crate::masking::{Masking, OpMaskKind};
 use crate::op_rules::{analyze_operation, CorruptLoc, OpVerdict};
+use crate::parallel::{available_workers, run_indexed};
 use crate::propagation::{
     BatchLane, BatchReplayCursor, PropagationResult, ReplayBatch, ReplayCursor,
 };
-use crate::resolver::{DfiResolver, EquivalenceCache, EquivalenceKey};
+use crate::resolver::{DfiResolver, EquivalenceCache, EquivalenceKey, ResolverStats};
 use crate::sites::{enumerate_strided_sites, sites_by_record, ParticipationSite, SiteSlot};
-use moard_vm::{ObjectId, OutcomeClass, TraceRecord, TraceStorage};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use moard_vm::{FaultSpec, ObjectId, OutcomeClass, TraceRecord, TraceStorage};
+use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,8 +44,9 @@ pub struct AnalysisConfig {
     /// single-bit across the element width).
     pub patterns: ErrorPatternSet,
     /// Optional cap on the number of deterministic fault injections per data
-    /// object.  Once exhausted, unresolved sites are conservatively counted
-    /// as not masked.  `None` means unbounded.
+    /// object, counted per [`AdvfAnalyzer::analyze`] call.  Once exhausted,
+    /// unresolved sites are conservatively counted as not masked.  `None`
+    /// means unbounded.
     pub max_dfi_per_object: Option<u64>,
     /// Analyze every `site_stride`-th participation site (1 = all sites).
     /// Deterministic down-sampling for very long traces; the aDVF value is a
@@ -122,16 +128,16 @@ impl AnalysisConfig {
 /// in-memory or paged; the analysis itself never needs the whole trace
 /// resident).
 ///
-/// The analyzer is `Sync`: the trace is immutable, the equivalence cache is
-/// internally locked, and the DFI-budget flag is atomic, so sharded per-site
-/// analysis ([`AdvfAnalyzer::analyze_sharded`]) can share one analyzer
-/// across worker threads — each worker holds its own [`ReplayCursor`] (and
-/// thus its own segment reader on the paged backend).
+/// The analyzer is `Sync`: the trace is immutable and the equivalence cache
+/// is internally locked, so sharded per-site analysis
+/// ([`AdvfAnalyzer::analyze_sharded`]) can share one analyzer across worker
+/// threads — each worker holds its own [`ReplayCursor`] (and thus its own
+/// segment reader on the paged backend).  The cache, and with it its DFI
+/// verdicts, lives as long as the analyzer; the DFI budget is per call.
 pub struct AdvfAnalyzer<'a> {
     trace: &'a dyn TraceStorage,
     config: AnalysisConfig,
     cache: EquivalenceCache,
-    dfi_budget_exhausted: AtomicBool,
     replay_batch: ReplayBatch,
 }
 
@@ -143,7 +149,6 @@ impl<'a> AdvfAnalyzer<'a> {
             trace,
             config,
             cache: EquivalenceCache::new(),
-            dfi_budget_exhausted: AtomicBool::new(false),
             replay_batch: ReplayBatch::default(),
         }
     }
@@ -172,6 +177,14 @@ impl<'a> AdvfAnalyzer<'a> {
     /// `resolver` supplies deterministic fault injection; pass `None` for the
     /// purely analytical mode, in which unresolved sites count as not masked
     /// (a conservative lower bound on aDVF).
+    ///
+    /// With a resolver, the default lane-batched engine plans the object's
+    /// injections before it folds: it lists, in fold order, every fault the
+    /// fold will inject (same budget, same cache-hit rule) and runs that
+    /// list on every available core, the calling thread included.  The fold
+    /// then reads the planned verdicts, so the report — DFI run/hit counts
+    /// and budget exhaustion included — does not depend on the core count.
+    /// `max_dfi_per_object` counts the injections of this call only.
     pub fn analyze(
         &self,
         object: ObjectId,
@@ -199,6 +212,7 @@ impl<'a> AdvfAnalyzer<'a> {
         let mut resolved_analytically = 0u64;
         let mut analyzed = 0u64;
         let stats_before = self.cache.stats();
+        let dfi = resolver.map(|r| DfiCall::new(r, stats_before));
         // One replay cursor for the whole object: every site classification
         // reuses its shadow-state buffers.
         let mut cursor = ReplayCursor::new(self.trace);
@@ -206,7 +220,7 @@ impl<'a> AdvfAnalyzer<'a> {
         for site in sites {
             analyzed += 1;
             let (fractions, used_dfi) =
-                self.analyze_site_tallied(&mut cursor, site, resolver, &mut tallies);
+                self.site_tallied(&mut cursor, site, dfi.as_ref(), &mut tallies);
             if !used_dfi {
                 resolved_analytically += 1;
             }
@@ -222,7 +236,7 @@ impl<'a> AdvfAnalyzer<'a> {
             dfi_runs: stats_after.injections - stats_before.injections,
             dfi_cache_hits: stats_after.cache_hits - stats_before.cache_hits,
             resolved_analytically,
-            dfi_budget_exhausted: self.dfi_budget_exhausted.load(Ordering::Relaxed),
+            dfi_budget_exhausted: dfi.is_some_and(|d| d.exhausted.get()),
             patterns: self.config.patterns.canonical(),
             pattern_tallies: tallies,
             lanes_batched: 0,
@@ -238,6 +252,9 @@ impl<'a> AdvfAnalyzer<'a> {
     /// is computed once; patterns that need a propagation replay become
     /// *lanes* grouped by record position into batches of up to `width`,
     /// each batch walking the trace once through a [`BatchReplayCursor`].
+    ///
+    /// *Plan pass* (only with a resolver) — [`AdvfAnalyzer::run_planned`]
+    /// injects, in parallel, every fault the resolution pass will inject.
     ///
     /// *Resolution pass* — sites fold into the accumulator in site order,
     /// and every DFI consult happens here in exactly the sequential
@@ -308,20 +325,17 @@ impl<'a> AdvfAnalyzer<'a> {
         let lanes_batched = lane_results.len() as u64;
         let batch_fallback_lanes = lane_results.iter().filter(|r| !r.is_masked()).count() as u64;
 
+        // Plan pass.
+        let planned = resolver.map(|r| self.run_planned(sites, &plans, &lane_results, r));
+        let dfi = planned.as_ref().map(|p| DfiCall::new(p, stats_before));
+
         // Resolution pass.
         let mut acc = AdvfAccumulator::new();
         let mut tallies: Vec<PatternClassTally> = Vec::new();
         let mut resolved_analytically = 0u64;
         for (site, plan) in sites.iter().zip(&plans) {
-            let (fractions, used_dfi) = self.fold_site(
-                &plan.rec,
-                site,
-                &plan.patterns,
-                &plan.tags,
-                &lane_results,
-                resolver,
-                &mut tallies,
-            );
+            let (fractions, used_dfi) =
+                self.fold_site(site, plan, &lane_results, dfi.as_ref(), &mut tallies);
             if !used_dfi {
                 resolved_analytically += 1;
             }
@@ -337,7 +351,7 @@ impl<'a> AdvfAnalyzer<'a> {
             dfi_runs: stats_after.injections - stats_before.injections,
             dfi_cache_hits: stats_after.cache_hits - stats_before.cache_hits,
             resolved_analytically,
-            dfi_budget_exhausted: self.dfi_budget_exhausted.load(Ordering::Relaxed),
+            dfi_budget_exhausted: dfi.is_some_and(|d| d.exhausted.get()),
             patterns: self.config.patterns.canonical(),
             pattern_tallies: tallies,
             lanes_batched,
@@ -377,60 +391,77 @@ impl<'a> AdvfAnalyzer<'a> {
         lane
     }
 
+    /// Plan pass of the batched engine: walk every DFI consult of the
+    /// resolution pass in fold order, apply [`AdvfAnalyzer::resolve_dfi`]'s
+    /// budget rule and the [`EquivalenceCache`]'s hit rule, and inject the
+    /// faults that will miss the cache on every available core.
+    ///
+    /// The returned resolver answers those faults from their verdicts and
+    /// hands anything else to `resolver`, so the cache still counts every
+    /// injection and hit in the fold, and a gap in the plan costs time,
+    /// never correctness.
+    // Kept out of line: inlined into `analyze_batched`, it slowed that
+    // function's scheduling loop, and with it every analytic analysis, by
+    // about 2.5% on a 2-core Xeon (`analytic-memory` `op_p50_ms` 13.6 ->
+    // 14.0 ms).
+    #[inline(never)]
+    fn run_planned<'r>(
+        &self,
+        sites: &[ParticipationSite],
+        plans: &[SitePlan],
+        lane_results: &[PropagationResult],
+        resolver: &'r dyn DfiResolver,
+    ) -> PlannedDfi<'r> {
+        let limit = self.config.max_dfi_per_object.unwrap_or(u64::MAX);
+        let mut misses: HashSet<EquivalenceKey> = HashSet::new();
+        let mut faults: Vec<FaultSpec> = Vec::new();
+        'plan: for (site, plan) in sites.iter().zip(plans) {
+            for (pattern, tag) in plan.patterns.iter().zip(&plan.tags) {
+                if tag.settled(lane_results).is_some() {
+                    continue;
+                }
+                if faults.len() as u64 >= limit {
+                    break 'plan;
+                }
+                let key = equivalence_key(&plan.rec, site, pattern);
+                if !self.cache.contains(&key) && misses.insert(key) {
+                    faults.push(site.fault(pattern));
+                }
+            }
+        }
+        let verdicts = run_indexed(available_workers(), faults.len(), |i| {
+            resolver.classify(&faults[i])
+        });
+        PlannedDfi {
+            verdicts: faults.into_iter().zip(verdicts).collect(),
+            resolver,
+        }
+    }
+
     /// Fold one site's per-pattern outcomes into fractions and tallies —
     /// the batched counterpart of [`AdvfAnalyzer::analyze_site_tallied`]'s
     /// classification loop, consuming precomputed operation verdicts
-    /// (`tags`) and batched replay results instead of replaying inline.
-    #[allow(clippy::too_many_arguments)]
+    /// (`plan.tags`) and batched replay results instead of replaying inline.
     fn fold_site(
         &self,
-        rec: &TraceRecord,
         site: &ParticipationSite,
-        patterns: &[ErrorPattern],
-        tags: &[LaneTag],
+        plan: &SitePlan,
         lane_results: &[PropagationResult],
-        resolver: Option<&dyn DfiResolver>,
+        dfi: Option<&DfiCall>,
         tallies: &mut Vec<PatternClassTally>,
     ) -> (Vec<(Masking, f64)>, bool) {
-        let n = patterns.len() as f64;
+        let n = plan.patterns.len() as f64;
         let mut counts: Vec<(Masking, u64)> = Vec::new();
         let mut used_dfi = false;
-        for (pattern, tag) in patterns.iter().zip(tags) {
-            let (class, dfi) = match tag {
-                LaneTag::Class(c) => (*c, false),
-                LaneTag::NeedsDfi => match self.resolve_dfi(rec, site, pattern, resolver) {
-                    Some(OutcomeClass::Identical) => (Masking::Propagation, true),
-                    Some(OutcomeClass::Acceptable) => (Masking::Algorithm, true),
-                    Some(_) => (Masking::NotMasked, true),
-                    None => (Masking::NotMasked, false),
-                },
-                LaneTag::Overshadow(lane) => {
-                    if lane_results[*lane].is_masked() {
-                        (Masking::Operation(OpMaskKind::Overshadowing), false)
-                    } else {
-                        match self.resolve_dfi(rec, site, pattern, resolver) {
-                            Some(c) if c.is_success() => {
-                                (Masking::Operation(OpMaskKind::Overshadowing), true)
-                            }
-                            Some(_) => (Masking::NotMasked, true),
-                            None => (Masking::NotMasked, false),
-                        }
-                    }
-                }
-                LaneTag::Propagate(lane) => {
-                    if lane_results[*lane].is_masked() {
-                        (Masking::Propagation, false)
-                    } else {
-                        match self.resolve_dfi(rec, site, pattern, resolver) {
-                            Some(OutcomeClass::Identical) => (Masking::Propagation, true),
-                            Some(OutcomeClass::Acceptable) => (Masking::Algorithm, true),
-                            Some(_) => (Masking::NotMasked, true),
-                            None => (Masking::NotMasked, false),
-                        }
-                    }
+        for (pattern, tag) in plan.patterns.iter().zip(&plan.tags) {
+            let (class, dfi_used) = match tag.settled(lane_results) {
+                Some(class) => (class, false),
+                None => {
+                    let overshadow = matches!(tag, LaneTag::Overshadow(_));
+                    self.resolve_dfi(&plan.rec, site, pattern, overshadow, dfi)
                 }
             };
-            used_dfi |= dfi;
+            used_dfi |= dfi_used;
             record_pattern_class(tallies, pattern.bits.len() as u32, class);
             if class == Masking::NotMasked {
                 continue;
@@ -509,10 +540,7 @@ impl<'a> AdvfAnalyzer<'a> {
         if workers <= 1 {
             let mut cursor = ReplayCursor::new(self.trace);
             for (slot, site) in fractions.iter_mut().zip(selected.iter()) {
-                *slot = Some(
-                    self.analyze_site_tallied(&mut cursor, site, None, &mut tallies)
-                        .0,
-                );
+                *slot = Some(self.site_tallied(&mut cursor, site, None, &mut tallies).0);
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -536,13 +564,8 @@ impl<'a> AdvfAnalyzer<'a> {
                                 };
                                 local.push((
                                     i,
-                                    self.analyze_site_tallied(
-                                        &mut cursor,
-                                        site,
-                                        None,
-                                        &mut local_tallies,
-                                    )
-                                    .0,
+                                    self.site_tallied(&mut cursor, site, None, &mut local_tallies)
+                                        .0,
                                 ));
                             }
                             (local, local_tallies)
@@ -727,15 +750,7 @@ impl<'a> AdvfAnalyzer<'a> {
         let mut acc = AdvfAccumulator::new();
         let mut tallies: Vec<PatternClassTally> = Vec::new();
         for (site, plan) in sites.iter().zip(&plans) {
-            let (fractions, _) = self.fold_site(
-                &plan.rec,
-                site,
-                &plan.patterns,
-                &plan.tags,
-                &lane_results,
-                None,
-                &mut tallies,
-            );
+            let (fractions, _) = self.fold_site(site, plan, &lane_results, None, &mut tallies);
             acc.add_participation(&fractions);
         }
 
@@ -760,6 +775,8 @@ impl<'a> AdvfAnalyzer<'a> {
 
     /// Analyze one participation site across all configured error patterns.
     /// Returns the per-class masked fractions and whether DFI was consulted.
+    /// A DFI budget applies to this call alone, as to every per-site entry
+    /// point below.
     pub fn analyze_site(
         &self,
         site: &ParticipationSite,
@@ -790,6 +807,18 @@ impl<'a> AdvfAnalyzer<'a> {
         resolver: Option<&dyn DfiResolver>,
         tallies: &mut Vec<PatternClassTally>,
     ) -> (Vec<(Masking, f64)>, bool) {
+        let dfi = resolver.map(|r| DfiCall::new(r, self.cache.stats()));
+        self.site_tallied(cursor, site, dfi.as_ref(), tallies)
+    }
+
+    /// [`AdvfAnalyzer::analyze_site_tallied`] under the caller's DFI budget.
+    fn site_tallied(
+        &self,
+        cursor: &mut ReplayCursor<'a>,
+        site: &ParticipationSite,
+        dfi: Option<&DfiCall>,
+        tallies: &mut Vec<PatternClassTally>,
+    ) -> (Vec<(Masking, f64)>, bool) {
         // Fetch through the cursor's warm reader: on the paged backend the
         // site's segment is (or is about to be) in the replay LRU anyway.
         let rec = cursor
@@ -803,8 +832,8 @@ impl<'a> AdvfAnalyzer<'a> {
         let mut counts: Vec<(Masking, u64)> = Vec::new();
         let mut used_dfi = false;
         for pattern in &patterns {
-            let (class, dfi) = self.classify_in(cursor, &rec, site, pattern.clone(), resolver);
-            used_dfi |= dfi;
+            let (class, dfi_used) = self.classify_with(cursor, &rec, site, pattern, dfi);
+            used_dfi |= dfi_used;
             record_pattern_class(tallies, pattern.bits.len() as u32, class);
             if class == Masking::NotMasked {
                 continue;
@@ -847,80 +876,79 @@ impl<'a> AdvfAnalyzer<'a> {
         pattern: crate::error_pattern::ErrorPattern,
         resolver: Option<&dyn DfiResolver>,
     ) -> (Masking, bool) {
-        match analyze_operation(rec, site.slot, &pattern) {
+        let dfi = resolver.map(|r| DfiCall::new(r, self.cache.stats()));
+        self.classify_with(cursor, rec, site, &pattern, dfi.as_ref())
+    }
+
+    /// [`AdvfAnalyzer::classify_in`] under the caller's DFI budget.
+    fn classify_with(
+        &self,
+        cursor: &mut ReplayCursor<'a>,
+        rec: &TraceRecord,
+        site: &ParticipationSite,
+        pattern: &ErrorPattern,
+        dfi: Option<&DfiCall>,
+    ) -> (Masking, bool) {
+        let k = self.config.propagation_window;
+        match analyze_operation(rec, site.slot, pattern) {
             OpVerdict::Masked(kind) => (Masking::Operation(kind), false),
             OpVerdict::NotMasked => (Masking::NotMasked, false),
             OpVerdict::OvershadowCandidate { corrupt } => {
                 // Overshadowing initiated the masking; whichever mechanism
                 // finishes it, the event is attributed to overshadowing
                 // (paper §III-C, discussion after the three classes).
-                let prop = cursor.replay(
-                    rec.id as usize + 1,
-                    &corrupt,
-                    self.config.propagation_window,
-                );
-                if prop.is_masked() {
+                if cursor.replay(rec.id as usize + 1, &corrupt, k).is_masked() {
                     return (Masking::Operation(OpMaskKind::Overshadowing), false);
                 }
-                match self.resolve_dfi(rec, site, &pattern, resolver) {
-                    Some(c) if c.is_success() => {
-                        (Masking::Operation(OpMaskKind::Overshadowing), true)
-                    }
-                    Some(_) => (Masking::NotMasked, true),
-                    None => (Masking::NotMasked, false),
-                }
+                self.resolve_dfi(rec, site, pattern, true, dfi)
             }
             OpVerdict::Propagate { corrupt } => {
-                let prop = cursor.replay(
-                    rec.id as usize + 1,
-                    &corrupt,
-                    self.config.propagation_window,
-                );
-                match prop {
-                    PropagationResult::AllMasked { .. } => (Masking::Propagation, false),
-                    PropagationResult::Unresolved { .. } => {
-                        match self.resolve_dfi(rec, site, &pattern, resolver) {
-                            Some(OutcomeClass::Identical) => (Masking::Propagation, true),
-                            Some(OutcomeClass::Acceptable) => (Masking::Algorithm, true),
-                            Some(_) => (Masking::NotMasked, true),
-                            None => (Masking::NotMasked, false),
-                        }
-                    }
+                if cursor.replay(rec.id as usize + 1, &corrupt, k).is_masked() {
+                    return (Masking::Propagation, false);
                 }
+                self.resolve_dfi(rec, site, pattern, false, dfi)
             }
-            OpVerdict::NeedsDfi => match self.resolve_dfi(rec, site, &pattern, resolver) {
-                Some(OutcomeClass::Identical) => (Masking::Propagation, true),
-                Some(OutcomeClass::Acceptable) => (Masking::Algorithm, true),
-                Some(_) => (Masking::NotMasked, true),
-                None => (Masking::NotMasked, false),
-            },
+            OpVerdict::NeedsDfi => self.resolve_dfi(rec, site, pattern, false, dfi),
         }
     }
 
+    /// Settle one (site, pattern) by DFI under the call's budget.  Returns
+    /// the masking class and whether DFI was consulted; without a resolver,
+    /// or once the budget is spent, the fault conservatively counts as not
+    /// masked.  An `overshadow` candidate that the run masks keeps its
+    /// overshadowing attribution.
     fn resolve_dfi(
         &self,
         rec: &TraceRecord,
         site: &ParticipationSite,
-        pattern: &crate::error_pattern::ErrorPattern,
-        resolver: Option<&dyn DfiResolver>,
-    ) -> Option<OutcomeClass> {
+        pattern: &ErrorPattern,
+        overshadow: bool,
+        dfi: Option<&DfiCall>,
+    ) -> (Masking, bool) {
         // The deterministic fault injector applies any error pattern in one
         // XOR, so *every* enumerated pattern resolves exactly — there is no
         // conservative single-bit-only path that would silently count wider
         // patterns as not masked.
-        let resolver = resolver?;
-        if self.dfi_budget_exhausted.load(Ordering::Relaxed) {
-            return None;
+        let Some(dfi) = dfi else {
+            return (Masking::NotMasked, false);
+        };
+        if dfi.exhausted.get() {
+            return (Masking::NotMasked, false);
         }
         if let Some(limit) = self.config.max_dfi_per_object {
-            if self.cache.stats().injections >= limit {
-                self.dfi_budget_exhausted.store(true, Ordering::Relaxed);
-                return None;
+            if self.cache.stats().injections - dfi.start >= limit {
+                dfi.exhausted.set(true);
+                return (Masking::NotMasked, false);
             }
         }
-        let key = EquivalenceKey::new(rec, site.slot, site.value.to_bits(), pattern.mask());
-        let fault = site.fault(pattern);
-        Some(self.cache.classify(key, &fault, resolver))
+        let key = equivalence_key(rec, site, pattern);
+        let class = match self.cache.classify(key, &site.fault(pattern), dfi.resolver) {
+            c if overshadow && c.is_success() => Masking::Operation(OpMaskKind::Overshadowing),
+            OutcomeClass::Identical if !overshadow => Masking::Propagation,
+            OutcomeClass::Acceptable if !overshadow => Masking::Algorithm,
+            _ => Masking::NotMasked,
+        };
+        (class, true)
     }
 
     /// Cumulative DFI statistics across all objects analyzed so far.
@@ -942,6 +970,68 @@ enum LaneTag {
     Overshadow(usize),
     /// Propagation candidate: masked iff its replay lane masked, else DFI.
     Propagate(usize),
+}
+
+impl LaneTag {
+    /// The class the trace settles without DFI, or `None` if the fold must
+    /// consult DFI.
+    fn settled(&self, lane_results: &[PropagationResult]) -> Option<Masking> {
+        match *self {
+            LaneTag::Class(class) => Some(class),
+            LaneTag::NeedsDfi => None,
+            LaneTag::Overshadow(lane) => lane_results[lane]
+                .is_masked()
+                .then_some(Masking::Operation(OpMaskKind::Overshadowing)),
+            LaneTag::Propagate(lane) => lane_results[lane]
+                .is_masked()
+                .then_some(Masking::Propagation),
+        }
+    }
+}
+
+/// One call's access to DFI: the resolver and the call's own budget.
+/// `max_dfi_per_object` counts the injections made since the call began,
+/// so an analyzer reused for another object starts with its full budget.
+struct DfiCall<'r> {
+    resolver: &'r dyn DfiResolver,
+    /// The cache's injection count when the call began.
+    start: u64,
+    exhausted: Cell<bool>,
+}
+
+impl<'r> DfiCall<'r> {
+    fn new(resolver: &'r dyn DfiResolver, stats: ResolverStats) -> Self {
+        DfiCall {
+            resolver,
+            start: stats.injections,
+            exhausted: Cell::new(false),
+        }
+    }
+}
+
+/// The verdicts of one object's planned injections, standing in for the
+/// real resolver during the fold; a fault the plan missed is injected then.
+struct PlannedDfi<'r> {
+    verdicts: HashMap<FaultSpec, OutcomeClass>,
+    resolver: &'r dyn DfiResolver,
+}
+
+impl DfiResolver for PlannedDfi<'_> {
+    fn classify(&self, fault: &FaultSpec) -> OutcomeClass {
+        match self.verdicts.get(fault) {
+            Some(&verdict) => verdict,
+            None => self.resolver.classify(fault),
+        }
+    }
+}
+
+/// The [`EquivalenceCache`] key of one (site, pattern) fault.
+fn equivalence_key(
+    rec: &TraceRecord,
+    site: &ParticipationSite,
+    pattern: &ErrorPattern,
+) -> EquivalenceKey {
+    EquivalenceKey::new(rec, site.slot, site.value.to_bits(), pattern.mask())
 }
 
 /// One site's scheduled work: its trace record, the enumerated error
@@ -1221,53 +1311,179 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batched_analysis_matches_sequential_engine_with_dfi() {
-        // Same object, same resolver, every batch width against `Off`: the
-        // whole report — verdict fractions, tallies, DFI run/hit counts —
-        // must match bit-for-bit; only the batch telemetry may differ.
-        let m = listing1_module();
-        let (golden, trace) = run_traced(&m).unwrap();
-        let vm = Vm::with_defaults(&m).unwrap();
-        let obj = vm.objects().by_name("par_a").unwrap().id;
-        let resolver = |fault: &moard_vm::FaultSpec| {
-            let outcome = run_with_fault(&m, fault).unwrap();
-            if !outcome.status.is_completed() {
-                return OutcomeClass::Crashed;
+    /// A DFI resolver comparing the `out` array and the return value, that
+    /// counts its injections and remembers every fault it injected.
+    struct CountingResolver<'m> {
+        module: &'m Module,
+        golden: moard_vm::ExecOutcome,
+        calls: std::sync::atomic::AtomicU64,
+        injected: std::sync::Mutex<HashSet<FaultSpec>>,
+    }
+
+    impl<'m> CountingResolver<'m> {
+        fn new(module: &'m Module) -> Self {
+            CountingResolver {
+                module,
+                golden: run_traced(module).unwrap().0,
+                calls: Default::default(),
+                injected: Default::default(),
             }
-            if outcome.bits_identical(&golden) {
+        }
+
+        fn calls(&self) -> u64 {
+            self.calls.load(Ordering::SeqCst)
+        }
+    }
+
+    impl DfiResolver for CountingResolver<'_> {
+        fn classify(&self, fault: &FaultSpec) -> OutcomeClass {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            assert!(
+                self.injected.lock().unwrap().insert(*fault),
+                "fault injected twice: {fault:?}"
+            );
+            let outcome = run_with_fault(self.module, fault).unwrap();
+            if !outcome.status.is_completed() {
+                OutcomeClass::Crashed
+            } else if outcome.bits_identical(&self.golden) {
                 OutcomeClass::Identical
-            } else if outcome.max_rel_diff(&golden, "out") < 1e-6 {
+            } else if outcome.max_rel_diff(&self.golden, "out") < 1e-6 {
                 OutcomeClass::Acceptable
             } else {
                 OutcomeClass::Incorrect
             }
-        };
-        for k in [0usize, 2, 50] {
-            let config = AnalysisConfig::with_window(k);
-            let off = AdvfAnalyzer::new(&trace, config.clone())
-                .with_replay_batch(ReplayBatch::Off)
-                .analyze(obj, "par_a", "listing1", Some(&resolver));
-            assert_eq!(off.lanes_batched, 0);
-            assert_eq!(off.batch_walks, 0);
-            for width in [1usize, 7, 64] {
-                let batched = AdvfAnalyzer::new(&trace, config.clone())
-                    .with_replay_batch(ReplayBatch::width(width))
-                    .analyze(obj, "par_a", "listing1", Some(&resolver));
-                let mut normalized = batched.clone();
-                normalized.lanes_batched = 0;
-                normalized.batch_walks = 0;
-                normalized.batch_fallback_lanes = 0;
-                assert_eq!(normalized, off, "k={k} width={width}");
-                assert_eq!(batched.advf().to_bits(), off.advf().to_bits());
-                if k > 0 {
-                    assert!(batched.lanes_batched > 0, "k={k} width={width}");
-                    assert!(
-                        batched.batch_walks <= batched.lanes_batched,
-                        "k={k} width={width}"
-                    );
+        }
+    }
+
+    #[test]
+    fn batched_analysis_matches_sequential_engine_with_dfi() {
+        // Same object, same resolver, every batch width against `Off` (the
+        // inline-DFI engine): the whole report — verdict fractions, tallies,
+        // DFI run/hit counts, budget exhaustion — must match bit-for-bit;
+        // only the batch telemetry may differ.  Budgets cut the planned
+        // injections mid-object, and the resolver proves the plan injects
+        // exactly what the fold consumes: one call per counted run, no
+        // fault twice.
+        let m = listing1_module();
+        let (_, trace) = run_traced(&m).unwrap();
+        let vm = Vm::with_defaults(&m).unwrap();
+        let obj = vm.objects().by_name("par_a").unwrap().id;
+        let pattern_sets = [
+            ErrorPatternSet::SingleBit,
+            ErrorPatternSet::AdjacentBits { width: 2 },
+            ErrorPatternSet::SeparatedPair { gap: 5 },
+        ];
+        for patterns in pattern_sets {
+            for budget in [Some(1u64), Some(3), Some(7), None] {
+                for k in [0usize, 2, 50] {
+                    let config = AnalysisConfig {
+                        propagation_window: k,
+                        patterns: patterns.clone(),
+                        max_dfi_per_object: budget,
+                        ..Default::default()
+                    };
+                    let case = format!("patterns={patterns:?} budget={budget:?} k={k}");
+                    let resolver = CountingResolver::new(&m);
+                    let off = AdvfAnalyzer::new(&trace, config.clone())
+                        .with_replay_batch(ReplayBatch::Off)
+                        .analyze(obj, "par_a", "listing1", Some(&resolver));
+                    assert_eq!(off.lanes_batched, 0);
+                    assert_eq!(off.batch_walks, 0);
+                    assert_eq!(resolver.calls(), off.dfi_runs, "{case}");
+                    if let Some(limit) = budget {
+                        assert!(off.dfi_runs <= limit, "{case}");
+                    }
+                    for width in [1usize, 7, 64] {
+                        let resolver = CountingResolver::new(&m);
+                        let batched = AdvfAnalyzer::new(&trace, config.clone())
+                            .with_replay_batch(ReplayBatch::width(width))
+                            .analyze(obj, "par_a", "listing1", Some(&resolver));
+                        assert_eq!(resolver.calls(), batched.dfi_runs, "{case} width={width}");
+                        let mut normalized = batched.clone();
+                        normalized.lanes_batched = 0;
+                        normalized.batch_walks = 0;
+                        normalized.batch_fallback_lanes = 0;
+                        assert_eq!(normalized, off, "{case} width={width}");
+                        assert_eq!(batched.advf().to_bits(), off.advf().to_bits());
+                        if k > 0 {
+                            assert!(batched.lanes_batched > 0, "{case} width={width}");
+                            assert!(
+                                batched.batch_walks <= batched.lanes_batched,
+                                "{case} width={width}"
+                            );
+                        }
+                    }
                 }
             }
+        }
+    }
+
+    /// Two objects, `a` and `b`, each consumed by its own instructions
+    /// (`out[i] = x[0] * x[1] + x[2]`), so their DFI equivalence classes
+    /// never overlap.
+    fn two_object_module() -> Module {
+        let mut m = Module::new("two_objects");
+        let a = m.add_global(Global::from_f64("a", &[1.5, 2.5, 3.5]));
+        let b = m.add_global(Global::from_f64("b", &[4.5, 5.5, 6.5]));
+        let out = m.add_global(Global::zeroed("out", Type::F64, 2));
+        let mut f = FunctionBuilder::new("main", &[], None);
+        for (slot, g) in [a, b].into_iter().enumerate() {
+            let x0 = f.load_elem(Type::F64, g, Operand::const_i64(0));
+            let x1 = f.load_elem(Type::F64, g, Operand::const_i64(1));
+            let x2 = f.load_elem(Type::F64, g, Operand::const_i64(2));
+            let p = f.fmul(Operand::Reg(x0), Operand::Reg(x1));
+            let s = f.fadd(Operand::Reg(p), Operand::Reg(x2));
+            f.store_elem(
+                Type::F64,
+                out,
+                Operand::const_i64(slot as i64),
+                Operand::Reg(s),
+            );
+        }
+        f.ret(None);
+        m.add_function(f.finish());
+        moard_ir::verify::assert_verified(&m);
+        m
+    }
+
+    #[test]
+    fn dfi_budget_is_per_analyze_call() {
+        // One analyzer, two objects, a budget of 3: the second object gets
+        // its own 3 injections, exactly as on a fresh analyzer — it does not
+        // inherit the first object's spent budget.  Analyzing the first
+        // object again answers its earlier faults from the analyzer's cache
+        // (never re-injecting them) and spends a new budget on the rest.
+        let m = two_object_module();
+        let (_, trace) = run_traced(&m).unwrap();
+        let vm = Vm::with_defaults(&m).unwrap();
+        let a = vm.objects().by_name("a").unwrap().id;
+        let b = vm.objects().by_name("b").unwrap().id;
+        let config = AnalysisConfig {
+            max_dfi_per_object: Some(3),
+            ..Default::default()
+        };
+        for replay_batch in [ReplayBatch::default(), ReplayBatch::Off] {
+            let resolver = CountingResolver::new(&m);
+            let shared = AdvfAnalyzer::new(&trace, config.clone()).with_replay_batch(replay_batch);
+            let first = shared.analyze(a, "a", "two_objects", Some(&resolver));
+            let second = shared.analyze(b, "b", "two_objects", Some(&resolver));
+            let fresh = AdvfAnalyzer::new(&trace, config.clone())
+                .with_replay_batch(replay_batch)
+                .analyze(b, "b", "two_objects", Some(&CountingResolver::new(&m)));
+            for report in [&first, &second] {
+                assert_eq!(report.dfi_runs, 3, "{replay_batch:?}");
+                assert!(report.dfi_budget_exhausted, "{replay_batch:?}");
+            }
+            assert_eq!(second, fresh, "{replay_batch:?}");
+            assert_eq!(resolver.calls(), 6, "{replay_batch:?}");
+            let again = shared.analyze(a, "a", "two_objects", Some(&resolver));
+            assert_eq!(again.dfi_runs, 3, "{replay_batch:?}");
+            assert!(
+                again.dfi_cache_hits >= first.dfi_cache_hits + 3,
+                "{replay_batch:?}"
+            );
+            assert_eq!(resolver.calls(), 9, "{replay_batch:?}");
+            assert_eq!(shared.dfi_stats().injections, 9, "{replay_batch:?}");
         }
     }
 

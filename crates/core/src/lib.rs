@@ -66,6 +66,7 @@ pub mod error;
 pub mod error_pattern;
 pub mod masking;
 pub mod op_rules;
+pub mod parallel;
 pub mod propagation;
 pub mod report;
 pub mod resolver;
@@ -81,6 +82,7 @@ pub use error::MoardError;
 pub use error_pattern::{ErrorPattern, ErrorPatternSet};
 pub use masking::{Masking, OpMaskKind};
 pub use op_rules::{analyze_operation, CorruptLoc, OpVerdict};
+pub use parallel::{available_workers, run_indexed};
 pub use propagation::{
     replay, BatchLane, BatchReplayCursor, PropagationResult, ReplayBatch, ReplayCursor,
     UnresolvedReason, MAX_REPLAY_LANES,

@@ -23,7 +23,10 @@ use std::sync::Mutex;
 /// Something that can run a deterministic fault injection and classify the
 /// outcome.  Implemented by `moard-inject::DeterministicInjector`; test code
 /// can supply closures or canned verdicts.
-pub trait DfiResolver {
+///
+/// Resolvers are `Sync`: the analyzer runs one object's planned injections
+/// on several threads at once (see [`crate::AdvfAnalyzer::analyze`]).
+pub trait DfiResolver: Sync {
     /// Run the application with `fault` injected and classify the outcome
     /// against the golden run.
     fn classify(&self, fault: &FaultSpec) -> OutcomeClass;
@@ -36,7 +39,7 @@ pub trait DfiResolver {
 
 impl<F> DfiResolver for F
 where
-    F: Fn(&FaultSpec) -> OutcomeClass,
+    F: Fn(&FaultSpec) -> OutcomeClass + Sync,
 {
     fn classify(&self, fault: &FaultSpec) -> OutcomeClass {
         self(fault)
@@ -92,15 +95,17 @@ const CACHE_STRIPES: usize = 16;
 
 /// A concurrent memoization layer over a [`DfiResolver`].
 ///
-/// The map is *lock-striped*: keys hash to one of [`CACHE_STRIPES`]
-/// independently locked shards, so concurrent workers resolving faults at
+/// The map is *lock-striped*: keys hash to one of 16 (`CACHE_STRIPES`)
+/// independently locked shards, so concurrent callers resolving faults at
 /// different static sites never serialize on a single global lock.  The
-/// stats are plain atomics.  Two workers racing on the *same* key may both
-/// miss and both inject — the resolver is deterministic, so both arrive at
-/// the same verdict and both count as injections, exactly as the previous
-/// single-lock implementation behaved (the read lock was released before
-/// the injection ran).  `cache_hits` stays exact: a hit is counted iff the
-/// verdict was answered from the map.
+/// stats are plain atomics, and no lock is held while an injection runs.
+///
+/// The analyzer consults the cache from one thread, in fold order: it runs
+/// an object's injections in parallel *before* the fold, outside the cache,
+/// and the fold then records them here one by one.  So `injections` and
+/// `cache_hits` never depend on scheduling.  Other concurrent callers stay
+/// safe, but two of them racing on the same key may both miss and both
+/// count an injection; `cache_hits` stays exact either way.
 pub struct EquivalenceCache {
     stripes: [Mutex<HashMap<EquivalenceKey, OutcomeClass>>; CACHE_STRIPES],
     injections: AtomicU64,
@@ -164,6 +169,15 @@ impl EquivalenceCache {
             .expect("cache lock poisoned")
             .insert(key, verdict);
         verdict
+    }
+
+    /// True if a verdict for `key` is already cached (so `classify` would
+    /// count a hit, not an injection).
+    pub(crate) fn contains(&self, key: &EquivalenceKey) -> bool {
+        self.stripes[stripe_of(key)]
+            .lock()
+            .expect("cache lock poisoned")
+            .contains_key(key)
     }
 
     /// Current statistics.

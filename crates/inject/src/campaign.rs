@@ -2,15 +2,16 @@
 //!
 //! The original MOARD evaluation ran its analysis and fault-injection
 //! campaigns on a 256-core cluster; here the same embarrassingly parallel
-//! structure is exploited on the local machine with scoped worker threads
-//! pulling task indices off a shared atomic counter.  Each worker owns
-//! nothing but a reference to the injector and writes its verdicts back by
-//! task index, so results are bit-identical regardless of thread count.
+//! structure is exploited on the local machine with
+//! [`moard_core::run_indexed`]: scoped worker threads pull task indices off
+//! a shared atomic counter.  Each worker owns nothing but a reference to the
+//! injector and writes its verdicts back by task index, so results are
+//! bit-identical regardless of thread count.
 
 use crate::injector::DeterministicInjector;
 use crate::stats::CampaignStats;
+use moard_core::{available_workers, run_indexed};
 use moard_vm::{FaultSpec, OutcomeClass};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How many worker threads to use for a campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,8 +20,10 @@ pub enum Parallelism {
     Auto,
     /// Use exactly this many workers.
     Fixed(usize),
-    /// Run everything on the calling thread (useful for debugging and for
-    /// deterministic micro-benchmarks).
+    /// Run every task on the calling thread (useful for debugging and for
+    /// deterministic micro-benchmarks).  An analysis with DFI still runs
+    /// each object's planned injections on every core
+    /// (`moard_core::AdvfAnalyzer::analyze`); its report is the same.
     Sequential,
 }
 
@@ -28,64 +31,11 @@ impl Parallelism {
     /// The number of worker threads this policy resolves to on this machine.
     pub fn worker_count(self) -> usize {
         match self {
-            Parallelism::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            Parallelism::Auto => available_workers(),
             Parallelism::Fixed(n) => n.max(1),
             Parallelism::Sequential => 1,
         }
     }
-}
-
-/// Run `len` independent tasks over `workers` scoped threads pulling indices
-/// off a shared atomic counter, and return the results in index order.
-///
-/// The shared fan-out of campaigns ([`run_campaign`]) and multi-object
-/// analysis (`WorkloadHarness::analyze_objects`): results are assembled by
-/// index, so the output is identical to a sequential `(0..len).map(task)`
-/// regardless of thread count.
-pub(crate) fn run_indexed<T, F>(workers: usize, len: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = workers.min(len.max(1));
-    if workers <= 1 {
-        return (0..len).map(task).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let mut shards: Vec<Vec<(usize, T)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let task = &task;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= len {
-                            break;
-                        }
-                        local.push((i, task(i)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        shards = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect();
-    });
-    let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
-    for (i, result) in shards.into_iter().flatten() {
-        slots[i] = Some(result);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index was claimed by a worker"))
-        .collect()
 }
 
 /// Run every fault in `faults` through the injector and return the outcomes

@@ -16,8 +16,8 @@ use crate::injector::DeterministicInjector;
 use crate::random::{run_rfi, RfiConfig};
 use crate::stats::CampaignStats;
 use moard_core::{
-    enumerate_sites, AdvfAnalyzer, AdvfReport, AnalysisConfig, MoardError, ParticipationSite,
-    ReplayBatch,
+    enumerate_sites, run_indexed, AdvfAnalyzer, AdvfReport, AnalysisConfig, MoardError,
+    ParticipationSite, ReplayBatch,
 };
 use moard_vm::{
     DataObjectRegistry, ExecOutcome, ObjectId, TraceBackendSpec, TraceData, Vm, VmConfig,
@@ -295,9 +295,10 @@ impl WorkloadHarness {
         // A single analytic object offers no across-object parallelism;
         // shard its participation sites across the workers instead.  The
         // report stays bit-identical to a sequential run (ordered fold; see
-        // `AdvfAnalyzer::analyze_sharded`).  The DFI path keeps per-object
-        // fan-out only: a shared injection cache across site shards would
-        // make run/hit tallies scheduling-dependent.
+        // `AdvfAnalyzer::analyze_sharded`).  With DFI the objects fan out
+        // whole, and each object's analysis runs its own planned
+        // injections on every core (`AdvfAnalyzer::analyze`), so its
+        // run/hit tallies never depend on scheduling.
         if !use_dfi && objects.len() == 1 && workers > 1 {
             return Ok(vec![self.analyze_sharded_inner(
                 &objects[0],
@@ -305,7 +306,7 @@ impl WorkloadHarness {
                 workers,
             )?]);
         }
-        crate::campaign::run_indexed(workers, objects.len(), |i| {
+        run_indexed(workers, objects.len(), |i| {
             self.analyze_inner(&objects[i], config.clone(), use_dfi)
         })
         .into_iter()

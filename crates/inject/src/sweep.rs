@@ -37,14 +37,14 @@
 //! # Ok::<(), moard_core::MoardError>(())
 //! ```
 
-use crate::campaign::{run_indexed, Parallelism};
+use crate::campaign::Parallelism;
 use crate::cancel::CancelToken;
 use crate::harness::{create_workload, HarnessCache, WorkloadHarness};
 use crate::random::RfiConfig;
 use crate::store::ResultStore;
 use moard_core::{
-    fingerprint_hex, AdvfReport, AnalysisConfig, ErrorPatternSet, MoardError, RfiEntry, RfiSummary,
-    StudyEntry, StudyReport,
+    fingerprint_hex, run_indexed, AdvfReport, AnalysisConfig, ErrorPatternSet, MoardError,
+    RfiEntry, RfiSummary, StudyEntry, StudyReport,
 };
 use moard_json::{FromJson, Json, JsonError, ToJson};
 use moard_workloads::WorkloadRegistry;

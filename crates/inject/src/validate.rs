@@ -60,7 +60,7 @@
 //! # Ok::<(), moard_core::MoardError>(())
 //! ```
 
-use crate::campaign::{run_indexed, run_shard_campaign, Parallelism};
+use crate::campaign::{run_shard_campaign, Parallelism};
 use crate::cancel::CancelToken;
 use crate::harness::{HarnessCache, WorkloadHarness};
 use crate::random::PatternSampler;
@@ -68,8 +68,8 @@ use crate::stats::CampaignStats;
 use crate::store::ResultStore;
 use crate::sweep::{resolve_cells, ObjectSelector, WorkloadSelector};
 use moard_core::{
-    fingerprint_hex, fnv1a, AdvfReport, AnalysisConfig, MoardError, RfiCampaign, ValidationCell,
-    ValidationReport,
+    fingerprint_hex, fnv1a, run_indexed, AdvfReport, AnalysisConfig, MoardError, RfiCampaign,
+    ValidationCell, ValidationReport,
 };
 use moard_json::{FromJson, Json, JsonError, ToJson};
 use moard_workloads::WorkloadRegistry;
