@@ -1588,6 +1588,9 @@ fn print_report(report: &moard_core::AdvfReport) {
         report.dfi_cache_hits,
         report.resolved_analytically
     );
+    if report.dfi_budget_exhausted {
+        out!("note              : the DFI budget ran out, so this aDVF is a lower bound (raise --max-dfi)");
+    }
     out!(
         "config fingerprint: {}",
         moard_core::fingerprint_hex(report.config_fingerprint)

@@ -13,8 +13,9 @@
 //!    still unresolved, re-run the application with that exact fault and
 //!    classify the outcome (identical / acceptable / incorrect / crashed),
 //!    memoized by error equivalence.  The default engine plans an object's
-//!    injections first and runs them on every core (see
-//!    [`AdvfAnalyzer::analyze`]).
+//!    injections first and runs them on every core, settling every planned
+//!    fault whose run stays on the golden path from the trace instead of
+//!    re-running the program (see [`AdvfAnalyzer::analyze`]).
 //!
 //! The per-class masking fractions accumulate into an [`AdvfAccumulator`]
 //! exactly as Equation 1 prescribes.
@@ -25,7 +26,7 @@ use crate::masking::{Masking, OpMaskKind};
 use crate::op_rules::{analyze_operation, CorruptLoc, OpVerdict};
 use crate::parallel::{available_workers, run_indexed};
 use crate::propagation::{
-    BatchLane, BatchReplayCursor, PropagationResult, ReplayBatch, ReplayCursor,
+    BatchLane, BatchReplayCursor, PropagationResult, ReplayBatch, ReplayCursor, MAX_REPLAY_LANES,
 };
 use crate::resolver::{DfiResolver, EquivalenceCache, EquivalenceKey, ResolverStats};
 use crate::sites::{enumerate_strided_sites, sites_by_record, ParticipationSite, SiteSlot};
@@ -180,11 +181,15 @@ impl<'a> AdvfAnalyzer<'a> {
     ///
     /// With a resolver, the default lane-batched engine plans the object's
     /// injections before it folds: it lists, in fold order, every fault the
-    /// fold will inject (same budget, same cache-hit rule) and runs that
-    /// list on every available core, the calling thread included.  The fold
-    /// then reads the planned verdicts, so the report — DFI run/hit counts
-    /// and budget exhaustion included — does not depend on the core count.
-    /// `max_dfi_per_object` counts the injections of this call only.
+    /// fold will inject (same budget, same cache-hit rule) and settles that
+    /// list on every available core, the calling thread included.  Faults
+    /// whose run stays on the golden path are followed to the end of the
+    /// trace and, if the resolver reconstructs their outcome
+    /// ([`DfiResolver::classify_same_path`]), never re-run; the rest are
+    /// injected.  The fold then reads the planned verdicts, so the report —
+    /// DFI run/hit counts and budget exhaustion included — depends neither
+    /// on the core count nor on how a verdict was computed.
+    /// `max_dfi_per_object` counts the DFI verdicts of this call only.
     pub fn analyze(
         &self,
         object: ObjectId,
@@ -393,12 +398,18 @@ impl<'a> AdvfAnalyzer<'a> {
 
     /// Plan pass of the batched engine: walk every DFI consult of the
     /// resolution pass in fold order, apply [`AdvfAnalyzer::resolve_dfi`]'s
-    /// budget rule and the [`EquivalenceCache`]'s hit rule, and inject the
+    /// budget rule and the [`EquivalenceCache`]'s hit rule, and settle the
     /// faults that will miss the cache on every available core.
+    ///
+    /// A fault the operation rules seeded (a propagation or overshadowing
+    /// candidate) is first followed to the end of the trace, up to 64 per
+    /// walk; if its run stays on the golden path and the resolver
+    /// reconstructs its outcome ([`DfiResolver::classify_same_path`]), that
+    /// verdict stands.  Every other fault is injected.
     ///
     /// The returned resolver answers those faults from their verdicts and
     /// hands anything else to `resolver`, so the cache still counts every
-    /// injection and hit in the fold, and a gap in the plan costs time,
+    /// DFI verdict and hit in the fold, and a gap in the plan costs time,
     /// never correctness.
     // Kept out of line: inlined into `analyze_batched`, it slowed that
     // function's scheduling loop, and with it every analytic analysis, by
@@ -413,8 +424,13 @@ impl<'a> AdvfAnalyzer<'a> {
         resolver: &'r dyn DfiResolver,
     ) -> PlannedDfi<'r> {
         let limit = self.config.max_dfi_per_object.unwrap_or(u64::MAX);
+        let reconstructs = resolver.reconstructs();
         let mut misses: HashSet<EquivalenceKey> = HashSet::new();
         let mut faults: Vec<FaultSpec> = Vec::new();
+        // Faults the operation rules seeded, as walk lanes, and each lane's
+        // index in `faults`.
+        let mut lanes: Vec<BatchLane> = Vec::new();
+        let mut lane_faults: Vec<usize> = Vec::new();
         'plan: for (site, plan) in sites.iter().zip(plans) {
             for (pattern, tag) in plan.patterns.iter().zip(&plan.tags) {
                 if tag.settled(lane_results).is_some() {
@@ -425,15 +441,60 @@ impl<'a> AdvfAnalyzer<'a> {
                 }
                 let key = equivalence_key(&plan.rec, site, pattern);
                 if !self.cache.contains(&key) && misses.insert(key) {
+                    if reconstructs {
+                        if let OpVerdict::Propagate { corrupt }
+                        | OpVerdict::OvershadowCandidate { corrupt } =
+                            analyze_operation(&plan.rec, site.slot, pattern)
+                        {
+                            lane_faults.push(faults.len());
+                            lanes.push(BatchLane {
+                                start: site.record_id as usize + 1,
+                                corrupt,
+                            });
+                        }
+                    }
                     faults.push(site.fault(pattern));
                 }
             }
         }
-        let verdicts = run_indexed(available_workers(), faults.len(), |i| {
-            resolver.classify(&faults[i])
+        let mut verdicts: Vec<Option<OutcomeClass>> = vec![None; faults.len()];
+        if !lanes.is_empty() {
+            let walks = lanes.len().div_ceil(MAX_REPLAY_LANES);
+            let settled = run_indexed(available_workers(), walks, |w| {
+                let lo = w * MAX_REPLAY_LANES;
+                let hi = (lo + MAX_REPLAY_LANES).min(lanes.len());
+                let mut ends = Vec::new();
+                BatchReplayCursor::new(self.trace).walk_to_end(&lanes[lo..hi], &mut ends);
+                ends.iter()
+                    .zip(&lane_faults[lo..hi])
+                    .map(|(end, &f)| {
+                        end.as_ref()
+                            .and_then(|end| resolver.classify_same_path(&faults[f], end))
+                    })
+                    .collect::<Vec<_>>()
+            });
+            for (&f, verdict) in lane_faults.iter().zip(settled.into_iter().flatten()) {
+                verdicts[f] = verdict;
+            }
+        }
+        let pending: Vec<usize> = (0..faults.len())
+            .filter(|&f| verdicts[f].is_none())
+            .collect();
+        let injected = run_indexed(available_workers(), pending.len(), |i| {
+            resolver.classify(&faults[pending[i]])
         });
+        for (&f, verdict) in pending.iter().zip(injected) {
+            verdicts[f] = Some(verdict);
+        }
         PlannedDfi {
-            verdicts: faults.into_iter().zip(verdicts).collect(),
+            verdicts: faults
+                .into_iter()
+                .zip(
+                    verdicts
+                        .into_iter()
+                        .map(|v| v.expect("every planned fault is settled")),
+                )
+                .collect(),
             resolver,
         }
     }
@@ -1142,6 +1203,7 @@ pub fn is_store_dest(slot: SiteSlot) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::propagation::SamePathEnd;
     use moard_ir::prelude::*;
     use moard_vm::{run_traced, run_with_fault, Vm};
 
@@ -1312,12 +1374,17 @@ mod tests {
     }
 
     /// A DFI resolver comparing the `out` array and the return value, that
-    /// counts its injections and remembers every fault it injected.
+    /// counts its injections and remembers every fault it settled.  A
+    /// reconstructing one also settles same-path faults from their end
+    /// state, after checking the rebuilt outcome against an injection.
     struct CountingResolver<'m> {
         module: &'m Module,
         golden: moard_vm::ExecOutcome,
+        objects: moard_vm::DataObjectRegistry,
+        reconstructs: bool,
         calls: std::sync::atomic::AtomicU64,
-        injected: std::sync::Mutex<HashSet<FaultSpec>>,
+        reconstructed: std::sync::atomic::AtomicU64,
+        settled: std::sync::Mutex<HashSet<FaultSpec>>,
     }
 
     impl<'m> CountingResolver<'m> {
@@ -1325,24 +1392,37 @@ mod tests {
             CountingResolver {
                 module,
                 golden: run_traced(module).unwrap().0,
+                objects: Vm::with_defaults(module).unwrap().objects().clone(),
+                reconstructs: false,
                 calls: Default::default(),
-                injected: Default::default(),
+                reconstructed: Default::default(),
+                settled: Default::default(),
+            }
+        }
+
+        fn reconstructing(module: &'m Module) -> Self {
+            CountingResolver {
+                reconstructs: true,
+                ..Self::new(module)
             }
         }
 
         fn calls(&self) -> u64 {
             self.calls.load(Ordering::SeqCst)
         }
-    }
 
-    impl DfiResolver for CountingResolver<'_> {
-        fn classify(&self, fault: &FaultSpec) -> OutcomeClass {
-            self.calls.fetch_add(1, Ordering::SeqCst);
+        fn reconstructed(&self) -> u64 {
+            self.reconstructed.load(Ordering::SeqCst)
+        }
+
+        fn settle_once(&self, fault: &FaultSpec) {
             assert!(
-                self.injected.lock().unwrap().insert(*fault),
-                "fault injected twice: {fault:?}"
+                self.settled.lock().unwrap().insert(*fault),
+                "fault settled twice: {fault:?}"
             );
-            let outcome = run_with_fault(self.module, fault).unwrap();
+        }
+
+        fn verdict(&self, outcome: &moard_vm::ExecOutcome) -> OutcomeClass {
             if !outcome.status.is_completed() {
                 OutcomeClass::Crashed
             } else if outcome.bits_identical(&self.golden) {
@@ -1355,15 +1435,48 @@ mod tests {
         }
     }
 
+    impl DfiResolver for CountingResolver<'_> {
+        fn classify(&self, fault: &FaultSpec) -> OutcomeClass {
+            self.calls.fetch_add(1, Ordering::SeqCst);
+            self.settle_once(fault);
+            self.verdict(&run_with_fault(self.module, fault).unwrap())
+        }
+
+        fn reconstructs(&self) -> bool {
+            self.reconstructs
+        }
+
+        fn classify_same_path(&self, fault: &FaultSpec, end: &SamePathEnd) -> Option<OutcomeClass> {
+            assert!(self.reconstructs, "asked to reconstruct {fault:?}");
+            let mut outcome = self.golden.clone();
+            for &(addr, value) in &end.memory {
+                let (id, index) = self.objects.locate(addr)?;
+                outcome.globals.get_mut(&self.objects.get(id).name)?[index as usize] = value;
+            }
+            if end.return_value.is_some() {
+                outcome.return_value = end.return_value;
+            }
+            let injected = run_with_fault(self.module, fault).unwrap();
+            assert!(
+                outcome.bits_identical(&injected) && outcome.steps == injected.steps,
+                "reconstruction of {fault:?} differs from injection"
+            );
+            self.reconstructed.fetch_add(1, Ordering::SeqCst);
+            self.settle_once(fault);
+            Some(self.verdict(&outcome))
+        }
+    }
+
     #[test]
     fn batched_analysis_matches_sequential_engine_with_dfi() {
         // Same object, same resolver, every batch width against `Off` (the
         // inline-DFI engine): the whole report — verdict fractions, tallies,
         // DFI run/hit counts, budget exhaustion — must match bit-for-bit;
         // only the batch telemetry may differ.  Budgets cut the planned
-        // injections mid-object, and the resolver proves the plan injects
-        // exactly what the fold consumes: one call per counted run, no
-        // fault twice.
+        // faults mid-object, and the resolvers prove the plan settles
+        // exactly what the fold consumes: one injection or reconstruction
+        // per counted run, no fault twice.  A reconstructing resolver must
+        // change nothing in the report.
         let m = listing1_module();
         let (_, trace) = run_traced(&m).unwrap();
         let vm = Vm::with_defaults(&m).unwrap();
@@ -1373,6 +1486,7 @@ mod tests {
             ErrorPatternSet::AdjacentBits { width: 2 },
             ErrorPatternSet::SeparatedPair { gap: 5 },
         ];
+        let mut reconstructed = 0;
         for patterns in pattern_sets {
             for budget in [Some(1u64), Some(3), Some(7), None] {
                 for k in [0usize, 2, 50] {
@@ -1394,28 +1508,39 @@ mod tests {
                         assert!(off.dfi_runs <= limit, "{case}");
                     }
                     for width in [1usize, 7, 64] {
-                        let resolver = CountingResolver::new(&m);
-                        let batched = AdvfAnalyzer::new(&trace, config.clone())
-                            .with_replay_batch(ReplayBatch::width(width))
-                            .analyze(obj, "par_a", "listing1", Some(&resolver));
-                        assert_eq!(resolver.calls(), batched.dfi_runs, "{case} width={width}");
-                        let mut normalized = batched.clone();
-                        normalized.lanes_batched = 0;
-                        normalized.batch_walks = 0;
-                        normalized.batch_fallback_lanes = 0;
-                        assert_eq!(normalized, off, "{case} width={width}");
-                        assert_eq!(batched.advf().to_bits(), off.advf().to_bits());
-                        if k > 0 {
-                            assert!(batched.lanes_batched > 0, "{case} width={width}");
-                            assert!(
-                                batched.batch_walks <= batched.lanes_batched,
-                                "{case} width={width}"
+                        for resolver in [
+                            CountingResolver::new(&m),
+                            CountingResolver::reconstructing(&m),
+                        ] {
+                            let batched = AdvfAnalyzer::new(&trace, config.clone())
+                                .with_replay_batch(ReplayBatch::width(width))
+                                .analyze(obj, "par_a", "listing1", Some(&resolver));
+                            let case = format!(
+                                "{case} width={width} reconstructs={}",
+                                resolver.reconstructs
                             );
+                            assert_eq!(
+                                resolver.calls() + resolver.reconstructed(),
+                                batched.dfi_runs,
+                                "{case}"
+                            );
+                            reconstructed += resolver.reconstructed();
+                            let mut normalized = batched.clone();
+                            normalized.lanes_batched = 0;
+                            normalized.batch_walks = 0;
+                            normalized.batch_fallback_lanes = 0;
+                            assert_eq!(normalized, off, "{case}");
+                            assert_eq!(batched.advf().to_bits(), off.advf().to_bits());
+                            if k > 0 {
+                                assert!(batched.lanes_batched > 0, "{case}");
+                                assert!(batched.batch_walks <= batched.lanes_batched, "{case}");
+                            }
                         }
                     }
                 }
             }
         }
+        assert!(reconstructed > 0, "some planned fault stays on the path");
     }
 
     /// Two objects, `a` and `b`, each consumed by its own instructions

@@ -85,7 +85,7 @@ pub use op_rules::{analyze_operation, CorruptLoc, OpVerdict};
 pub use parallel::{available_workers, run_indexed};
 pub use propagation::{
     replay, BatchLane, BatchReplayCursor, PropagationResult, ReplayBatch, ReplayCursor,
-    UnresolvedReason, MAX_REPLAY_LANES,
+    SamePathEnd, UnresolvedReason, MAX_REPLAY_LANES,
 };
 pub use report::{
     check_schema_version, fingerprint_hex, fnv1a, parse_fingerprint, trace_stats_to_json,

@@ -1,10 +1,10 @@
 //! Index-ordered fan-out over scoped worker threads.
 //!
-//! The one parallel helper shared by the analyzer (planned DFI injections,
-//! see [`crate::AdvfAnalyzer::analyze`]) and `moard-inject` (campaigns,
-//! multi-object analysis, study and validation task pools).  Workers pull
-//! task indices off a shared atomic counter and results are assembled by
-//! index, so the output never depends on the thread count.
+//! The one parallel helper shared by the analyzer (planned DFI walks and
+//! injections, see [`crate::AdvfAnalyzer::analyze`]) and `moard-inject`
+//! (campaigns, multi-object analysis, study and validation task pools).
+//! Workers pull task indices off a shared atomic counter and results are
+//! assembled by index, so the output never depends on the thread count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 

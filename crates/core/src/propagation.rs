@@ -46,11 +46,21 @@
 //!   address divergence — and every verdict is bit-identical to the
 //!   sequential [`ReplayCursor::replay`] because tainted lanes re-evaluate
 //!   the operation with exactly the sequential engine's rules, value by
-//!   value.
+//!   value;
+//! * the same walk with no window, [`BatchReplayCursor::walk_to_end`],
+//!   follows a deterministic fault to the end of the trace: a lane that
+//!   stays on the recorded path yields the exact corrupted end state
+//!   ([`SamePathEnd`]) from which the injector rebuilds the faulty run's
+//!   outcome without re-running the program.  Such lanes can carry
+//!   hundreds of corrupted words, so the batched tables keep a hash index
+//!   from key to entry, and per-lane live counts replace any per-record
+//!   fold over the tables.
 
 use crate::op_rules::CorruptLoc;
 use moard_ir::{eval_binop, eval_cast, eval_cmp, eval_intrinsic, RegId, Value};
 use moard_vm::{TraceOp, TraceRead, TraceRecord, TraceStorage, TracedVal, ValueSource};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Why the replay could not settle the masking question.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -428,20 +438,197 @@ impl LaneEntry {
     }
 }
 
+/// Per-lane number of shadow entries holding the lane's bit, and the mask
+/// of lanes with at least one.  Kept up to date on every mask change, so
+/// finding the lanes that masked out, or one lane's live count, never
+/// scans the tables.
+struct LaneCounts {
+    live: [u32; MAX_REPLAY_LANES],
+    nonzero: u64,
+}
+
+impl Default for LaneCounts {
+    fn default() -> Self {
+        LaneCounts {
+            live: [0; MAX_REPLAY_LANES],
+            nonzero: 0,
+        }
+    }
+}
+
+impl LaneCounts {
+    fn add(&mut self, lane: usize) {
+        self.live[lane] += 1;
+        self.nonzero |= 1u64 << lane;
+    }
+
+    /// One entry lost the bits of `lanes`.
+    fn remove(&mut self, lanes: u64) {
+        for lane in iter_lanes(lanes) {
+            self.live[lane] -= 1;
+            if self.live[lane] == 0 {
+                self.nonzero &= !(1u64 << lane);
+            }
+        }
+    }
+}
+
+/// Hasher for the shadow tables' integer keys (addresses, frame and
+/// register ids, all produced by the interpreter): one multiply per word,
+/// with the high bits folded down so 8-byte-aligned addresses still spread
+/// over the buckets.  With the default SipHash, walks to the end of the
+/// trace took 2-2.5x as long (`moard analyze amg A --stride 8 --max-dfi
+/// 200`: 0.51-0.58 s instead of 0.20-0.27 s on a 2-core Xeon).
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+}
+
+/// One shadow table: entries unique by key, in no particular order (order
+/// is irrelevant to every observable result), plus a hash index from key to
+/// entry position.  The index stores positions, never entries, so it adds a
+/// few bytes per 1 KiB [`LaneEntry`].
+struct LaneTable<K> {
+    entries: Vec<(K, LaneEntry)>,
+    index: HashMap<K, u32, BuildHasherDefault<KeyHasher>>,
+}
+
+impl<K> Default for LaneTable<K> {
+    fn default() -> Self {
+        LaneTable {
+            entries: Vec::new(),
+            index: HashMap::default(),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash> LaneTable<K> {
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.index.clear();
+    }
+
+    fn find(&self, key: K) -> Option<usize> {
+        self.index.get(&key).map(|&i| i as usize)
+    }
+
+    /// Lanes holding a corrupted value under `key`.
+    fn mask(&self, key: K) -> u64 {
+        self.find(key).map_or(0, |i| self.entries[i].1.mask)
+    }
+
+    /// This lane's corrupted value under `key` (its bit must be set).
+    fn lane(&self, key: K, lane: usize) -> Value {
+        let entry = &self.entries[self.find(key).expect("lane: entry present")].1;
+        debug_assert!(entry.mask >> lane & 1 != 0);
+        entry.vals[lane]
+    }
+
+    fn insert_lane(&mut self, key: K, lane: usize, value: Value, counts: &mut LaneCounts) {
+        match self.find(key) {
+            Some(i) => {
+                let e = &mut self.entries[i].1;
+                if e.mask >> lane & 1 == 0 {
+                    e.mask |= 1u64 << lane;
+                    counts.add(lane);
+                }
+                e.vals[lane] = value;
+            }
+            None => {
+                self.index.insert(key, self.entries.len() as u32);
+                self.entries.push((key, LaneEntry::seeded(lane, value)));
+                counts.add(lane);
+            }
+        }
+    }
+
+    fn remove_lanes(&mut self, key: K, lanes: u64, counts: &mut LaneCounts) {
+        if lanes == 0 {
+            return;
+        }
+        if let Some(i) = self.find(key) {
+            let e = &mut self.entries[i].1;
+            counts.remove(e.mask & lanes);
+            e.mask &= !lanes;
+            if e.mask == 0 {
+                self.swap_remove(i);
+            }
+        }
+    }
+
+    /// Remove every entry whose key matches, for all lanes at once.
+    fn remove_keys(&mut self, matches: impl Fn(&K) -> bool, counts: &mut LaneCounts) {
+        // Walking down keeps `swap_remove` from moving an unvisited entry.
+        for i in (0..self.entries.len()).rev() {
+            if matches(&self.entries[i].0) {
+                counts.remove(self.entries[i].1.mask);
+                self.swap_remove(i);
+            }
+        }
+    }
+
+    /// Erase one lane's bit from every entry.
+    fn clear_lane(&mut self, lane: usize, counts: &mut LaneCounts) {
+        let bit = 1u64 << lane;
+        for i in (0..self.entries.len()).rev() {
+            let e = &mut self.entries[i].1;
+            if e.mask & bit != 0 {
+                e.mask &= !bit;
+                counts.remove(bit);
+                if e.mask == 0 {
+                    self.swap_remove(i);
+                }
+            }
+        }
+    }
+
+    fn swap_remove(&mut self, i: usize) {
+        let (key, _) = self.entries.swap_remove(i);
+        self.index.remove(&key);
+        if let Some((moved, _)) = self.entries.get(i) {
+            self.index.insert(*moved, i as u32);
+        }
+    }
+
+    /// Union of live lane bits across the table.
+    fn union_mask(&self) -> u64 {
+        self.entries.iter().fold(0u64, |m, (_, e)| m | e.mask)
+    }
+}
+
 /// Lane-masked shadow state: the batched counterpart of [`ShadowState`].
-/// Same small linear tables, but each entry carries a `u64` of lane
-/// occupancy plus the per-lane corrupted values, so one scan of the tables
-/// serves every lane in the batch.
+/// Each entry carries a `u64` of lane occupancy plus the per-lane corrupted
+/// values, so one lookup serves every lane in the batch.
 #[derive(Default)]
 struct BatchShadowState {
-    regs: Vec<((u64, u32), LaneEntry)>,
-    mem: Vec<(u64, LaneEntry)>,
+    regs: LaneTable<(u64, u32)>,
+    mem: LaneTable<u64>,
+    counts: LaneCounts,
 }
 
 impl BatchShadowState {
     fn clear(&mut self) {
         self.regs.clear();
         self.mem.clear();
+        self.counts = LaneCounts::default();
     }
 
     fn seed_lane(&mut self, lane: usize, locs: &[CorruptLoc]) {
@@ -458,23 +645,7 @@ impl BatchShadowState {
     }
 
     fn reg_mask(&self, frame: u64, reg: RegId) -> u64 {
-        let key = (frame, reg.0);
-        self.regs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map_or(0, |(_, e)| e.mask)
-    }
-
-    fn reg_lane(&self, frame: u64, reg: RegId, lane: usize) -> Value {
-        let key = (frame, reg.0);
-        let entry = &self
-            .regs
-            .iter()
-            .find(|(k, _)| *k == key)
-            .expect("reg_lane: entry present")
-            .1;
-        debug_assert!(entry.mask >> lane & 1 != 0);
-        entry.vals[lane]
+        self.regs.mask((frame, reg.0))
     }
 
     /// Lanes whose value of this operand is corrupted.
@@ -489,34 +660,19 @@ impl BatchShadowState {
     /// [`BatchShadowState::operand_mask`]).
     fn operand_lane(&self, frame: u64, v: &TracedVal, lane: usize) -> Value {
         match v.source {
-            ValueSource::Reg(r) => self.reg_lane(frame, r, lane),
+            ValueSource::Reg(r) => self.regs.lane((frame, r.0), lane),
             _ => unreachable!("operand_lane on a non-register source"),
         }
     }
 
     fn reg_insert_lane(&mut self, frame: u64, reg: RegId, lane: usize, value: Value) {
-        let key = (frame, reg.0);
-        match self.regs.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, e)) => {
-                e.mask |= 1u64 << lane;
-                e.vals[lane] = value;
-            }
-            None => self.regs.push((key, LaneEntry::seeded(lane, value))),
-        }
+        self.regs
+            .insert_lane((frame, reg.0), lane, value, &mut self.counts);
     }
 
     fn kill_reg_lanes(&mut self, frame: u64, reg: RegId, lanes: u64) {
-        if lanes == 0 {
-            return;
-        }
-        let key = (frame, reg.0);
-        if let Some(i) = self.regs.iter().position(|(k, _)| *k == key) {
-            let e = &mut self.regs[i].1;
-            e.mask &= !lanes;
-            if e.mask == 0 {
-                self.regs.swap_remove(i);
-            }
-        }
+        self.regs
+            .remove_lanes((frame, reg.0), lanes, &mut self.counts);
     }
 
     fn set_reg_lane(
@@ -536,81 +692,35 @@ impl BatchShadowState {
 
     /// Drop every register of a returning frame, for all lanes at once.
     fn drop_frame(&mut self, frame: u64) {
-        self.regs.retain(|((f, _), _)| *f != frame);
+        self.regs
+            .remove_keys(|&(f, _)| f == frame, &mut self.counts);
     }
 
     fn mem_mask(&self, addr: u64) -> u64 {
-        self.mem
-            .iter()
-            .find(|(a, _)| *a == addr)
-            .map_or(0, |(_, e)| e.mask)
+        self.mem.mask(addr)
     }
 
     fn mem_lane(&self, addr: u64, lane: usize) -> Value {
-        let entry = &self
-            .mem
-            .iter()
-            .find(|(a, _)| *a == addr)
-            .expect("mem_lane: entry present")
-            .1;
-        debug_assert!(entry.mask >> lane & 1 != 0);
-        entry.vals[lane]
+        self.mem.lane(addr, lane)
     }
 
     fn mem_insert_lane(&mut self, addr: u64, lane: usize, value: Value) {
-        match self.mem.iter_mut().find(|(a, _)| *a == addr) {
-            Some((_, e)) => {
-                e.mask |= 1u64 << lane;
-                e.vals[lane] = value;
-            }
-            None => self.mem.push((addr, LaneEntry::seeded(lane, value))),
-        }
+        self.mem.insert_lane(addr, lane, value, &mut self.counts);
     }
 
     fn mem_remove_lanes(&mut self, addr: u64, lanes: u64) {
-        if lanes == 0 {
-            return;
-        }
-        if let Some(i) = self.mem.iter().position(|(a, _)| *a == addr) {
-            let e = &mut self.mem[i].1;
-            e.mask &= !lanes;
-            if e.mask == 0 {
-                self.mem.swap_remove(i);
-            }
-        }
-    }
-
-    /// Union of live lane bits across all register and memory entries; a
-    /// lane absent here has fully masked out.
-    fn union_mask(&self) -> u64 {
-        let regs = self.regs.iter().fold(0u64, |m, (_, e)| m | e.mask);
-        self.mem.iter().fold(regs, |m, (_, e)| m | e.mask)
-    }
-
-    /// Union of live lane bits across memory entries only (the trace-end
-    /// verdict ignores registers of finished frames).
-    fn mem_union_mask(&self) -> u64 {
-        self.mem.iter().fold(0u64, |m, (_, e)| m | e.mask)
+        self.mem.remove_lanes(addr, lanes, &mut self.counts);
     }
 
     /// Number of live corrupted locations for one lane.
     fn live_count(&self, lane: usize) -> usize {
-        let bit = 1u64 << lane;
-        self.regs.iter().filter(|(_, e)| e.mask & bit != 0).count()
-            + self.mem.iter().filter(|(_, e)| e.mask & bit != 0).count()
+        self.counts.live[lane] as usize
     }
 
     /// Erase one lane's bits everywhere (called when the lane retires).
     fn clear_lane(&mut self, lane: usize) {
-        let keep = !(1u64 << lane);
-        self.regs.retain_mut(|(_, e)| {
-            e.mask &= keep;
-            e.mask != 0
-        });
-        self.mem.retain_mut(|(_, e)| {
-            e.mask &= keep;
-            e.mask != 0
-        });
+        self.regs.clear_lane(lane, &mut self.counts);
+        self.mem.clear_lane(lane, &mut self.counts);
     }
 }
 
@@ -875,15 +985,97 @@ fn step(rec: &TraceRecord, state: &mut ShadowState) -> StepResult {
 /// touch only that lane's mask bit and value slot, and the operand masks are
 /// snapshotted before any write, so lanes cannot observe each other — which
 /// is what makes every verdict bit-identical to a sequential replay.
+///
+/// A walk to the end of the trace ([`BatchReplayCursor::walk_to_end`])
+/// differs in two places only: it has no window, and a corrupted final
+/// return value is recorded in `returned` instead of retiring its lane.
 struct BatchWalk<'a> {
     state: &'a mut BatchShadowState,
     results: &'a mut [Option<PropagationResult>],
     active: u64,
+    to_end: bool,
+    /// Lanes whose program return value differs (walks to the end only),
+    /// and those values.
+    returned: u64,
+    ret_vals: [Value; MAX_REPLAY_LANES],
     scratch_masks: Vec<u64>,
     scratch_vals: Vec<Value>,
 }
 
 impl BatchWalk<'_> {
+    /// Walk the records from the first pending lane's start, activating each
+    /// lane at its start and retiring it when it resolves, a lane whose
+    /// window of `window` records ran out included.  Returns the position
+    /// the walk stopped at: the trace end, or earlier if every lane retired
+    /// or the backend poisoned itself on a decode error.
+    fn run(
+        &mut self,
+        reader: &mut dyn TraceRead,
+        len: u64,
+        batch: &[BatchLane],
+        starts: &[u64],
+        window: u64,
+    ) -> u64 {
+        let n = batch.len();
+        let mut next_pending = 0usize;
+        while next_pending < n && self.results[next_pending].is_some() {
+            next_pending += 1;
+        }
+        let mut pos = if next_pending < n {
+            starts[next_pending]
+        } else {
+            len
+        };
+        'walk: while pos < len && (self.active != 0 || next_pending < n) {
+            let run = reader.run_from(pos);
+            if run.is_empty() {
+                break;
+            }
+            for rec in run {
+                // Activate lanes whose walk starts at this record.
+                while next_pending < n && starts[next_pending] == pos {
+                    if self.results[next_pending].is_none() {
+                        self.state
+                            .seed_lane(next_pending, &batch[next_pending].corrupt);
+                        self.active |= 1u64 << next_pending;
+                    }
+                    next_pending += 1;
+                }
+                if self.active == 0 {
+                    // Nothing live: hop straight to the next start.
+                    while next_pending < n && self.results[next_pending].is_some() {
+                        next_pending += 1;
+                    }
+                    if next_pending >= n {
+                        break 'walk;
+                    }
+                    pos = starts[next_pending];
+                    continue 'walk;
+                }
+                // Window exhaustion, checked before the record is examined
+                // (handles k = 0 like the sequential engine).  Starts ascend
+                // with the lane index, so the lowest active lane runs out
+                // first.
+                while self.active != 0 {
+                    let lane = self.active.trailing_zeros() as usize;
+                    if pos - starts[lane] < window {
+                        break;
+                    }
+                    self.retire_unresolved(lane, UnresolvedReason::WindowExhausted);
+                }
+                if self.active != 0 {
+                    self.step(rec);
+                    // Lanes with no live entry anywhere fully masked out.
+                    let clean = self.active & !self.state.counts.nonzero;
+                    for lane in iter_lanes(clean) {
+                        self.retire_masked(lane, (pos + 1 - starts[lane]) as usize);
+                    }
+                }
+                pos += 1;
+            }
+        }
+        pos
+    }
     fn retire_unresolved(&mut self, lane: usize, reason: UnresolvedReason) {
         let live = self.state.live_count(lane);
         self.results[lane] = Some(PropagationResult::Unresolved {
@@ -1141,10 +1333,10 @@ impl BatchWalk<'_> {
                 };
                 // Capture per-lane return values before the frame's
                 // registers die.
-                let mut ret_vals = [NO_VALUE; MAX_REPLAY_LANES];
+                let mut vals = [NO_VALUE; MAX_REPLAY_LANES];
                 if let Some(v) = value {
                     for lane in iter_lanes(rm) {
-                        ret_vals[lane] = self.state.operand_lane(frame, v, lane);
+                        vals[lane] = self.state.operand_lane(frame, v, lane);
                     }
                 }
                 self.state.drop_frame(frame);
@@ -1153,14 +1345,20 @@ impl BatchWalk<'_> {
                     if let Some(clean) = value {
                         for lane in iter_lanes(rm) {
                             self.state
-                                .set_reg_lane(*cf, *dst, lane, ret_vals[lane], clean.value);
+                                .set_reg_lane(*cf, *dst, lane, vals[lane], clean.value);
                         }
                     }
                 } else if let Some(clean) = value {
                     // Corrupted final program return value: the outcome
                     // differs.
                     for lane in iter_lanes(rm) {
-                        if !ret_vals[lane].bits_eq(&clean.value) {
+                        if vals[lane].bits_eq(&clean.value) {
+                            continue;
+                        }
+                        if self.to_end {
+                            self.returned |= 1u64 << lane;
+                            self.ret_vals[lane] = vals[lane];
+                        } else {
                             self.retire_unresolved(lane, UnresolvedReason::TraceEnded);
                         }
                     }
@@ -1184,6 +1382,28 @@ impl BatchWalk<'_> {
             }
         }
     }
+}
+
+/// Where a faulty run that provably stays on the golden path ends up: the
+/// memory words that differ from the golden run at exit, and the program's
+/// return value when it differs.  An empty end state is the golden outcome
+/// itself.  Produced by [`BatchReplayCursor::walk_to_end`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SamePathEnd {
+    /// `(address, value)` of every corrupted memory word, by address.
+    pub memory: Vec<(u64, Value)>,
+    /// The corrupted return value of the entry function, if any.
+    pub return_value: Option<Value>,
+}
+
+/// Where a batched walk stopped, and the lane state the two entry points
+/// turn into their results.
+struct WalkStop {
+    pos: u64,
+    active: u64,
+    returned: u64,
+    ret_vals: [Value; MAX_REPLAY_LANES],
+    starts: [u64; MAX_REPLAY_LANES],
 }
 
 /// A reusable lane-batched replay cursor: up to [`MAX_REPLAY_LANES`] replays
@@ -1238,102 +1458,24 @@ impl<'t> BatchReplayCursor<'t> {
         k: usize,
         out: &mut Vec<PropagationResult>,
     ) {
-        assert!(
-            batch.len() <= MAX_REPLAY_LANES,
-            "at most {MAX_REPLAY_LANES} lanes per batch"
-        );
-        debug_assert!(
-            batch.windows(2).all(|w| w[0].start <= w[1].start),
-            "batch lanes must be sorted by start"
-        );
-        self.state.clear();
-        let n = batch.len();
-        let mut results: Vec<Option<PropagationResult>> = vec![None; n];
-        let mut starts = [0u64; MAX_REPLAY_LANES];
-        for (i, lane) in batch.iter().enumerate() {
-            starts[i] = lane.start as u64;
-            if lane.corrupt.is_empty() {
-                results[i] = Some(PropagationResult::AllMasked { ops_examined: 0 });
-            }
-        }
-        {
-            let mut walk = BatchWalk {
-                state: &mut self.state,
-                results: &mut results,
-                active: 0,
-                scratch_masks: Vec::new(),
-                scratch_vals: Vec::new(),
-            };
-            let mut next_pending = 0usize;
-            while next_pending < n && walk.results[next_pending].is_some() {
-                next_pending += 1;
-            }
-            let mut pos = if next_pending < n {
-                starts[next_pending]
+        let mut results: Vec<Option<PropagationResult>> = vec![None; batch.len()];
+        let stop = self.walk(batch, k as u64, false, &mut results);
+        // Trace ended (or the backend poisoned itself) with lanes still
+        // live: same verdict rule as the sequential engine — only corrupted
+        // *memory* survives the end of the trace.
+        let mem_live = self.state.mem.union_mask();
+        for lane in iter_lanes(stop.active) {
+            let examined = (stop.pos - stop.starts[lane]) as usize;
+            results[lane] = Some(if mem_live >> lane & 1 == 0 {
+                PropagationResult::AllMasked {
+                    ops_examined: examined,
+                }
             } else {
-                self.len
-            };
-            'walk: while pos < self.len && (walk.active != 0 || next_pending < n) {
-                let run = self.reader.run_from(pos);
-                if run.is_empty() {
-                    break;
+                PropagationResult::Unresolved {
+                    reason: UnresolvedReason::TraceEnded,
+                    live_locations: self.state.live_count(lane),
                 }
-                for rec in run {
-                    // Activate lanes whose window starts at this record.
-                    while next_pending < n && starts[next_pending] == pos {
-                        if walk.results[next_pending].is_none() {
-                            walk.state
-                                .seed_lane(next_pending, &batch[next_pending].corrupt);
-                            walk.active |= 1u64 << next_pending;
-                        }
-                        next_pending += 1;
-                    }
-                    if walk.active == 0 {
-                        // Nothing live: hop straight to the next start.
-                        while next_pending < n && walk.results[next_pending].is_some() {
-                            next_pending += 1;
-                        }
-                        if next_pending >= n {
-                            break 'walk;
-                        }
-                        pos = starts[next_pending];
-                        continue 'walk;
-                    }
-                    // Per-lane window exhaustion, checked before the record
-                    // is examined (handles k = 0 like the sequential engine).
-                    for lane in iter_lanes(walk.active) {
-                        if pos - starts[lane] >= k as u64 {
-                            walk.retire_unresolved(lane, UnresolvedReason::WindowExhausted);
-                        }
-                    }
-                    if walk.active != 0 {
-                        walk.step(rec);
-                        // Lanes with no live bits anywhere fully masked out.
-                        let clean = walk.active & !walk.state.union_mask();
-                        for lane in iter_lanes(clean) {
-                            walk.retire_masked(lane, (pos + 1 - starts[lane]) as usize);
-                        }
-                    }
-                    pos += 1;
-                }
-            }
-            // Trace ended (or the backend poisoned itself) with lanes still
-            // live: same verdict rule as the sequential engine — only
-            // corrupted *memory* survives the end of the trace.
-            let mem_live = walk.state.mem_union_mask();
-            for lane in iter_lanes(walk.active) {
-                let examined = (pos - starts[lane]) as usize;
-                walk.results[lane] = Some(if mem_live >> lane & 1 == 0 {
-                    PropagationResult::AllMasked {
-                        ops_examined: examined,
-                    }
-                } else {
-                    PropagationResult::Unresolved {
-                        reason: UnresolvedReason::TraceEnded,
-                        live_locations: walk.state.live_count(lane),
-                    }
-                });
-            }
+            });
         }
         // Lanes the walk never reached resolve through the exact sequential
         // engine.
@@ -1344,13 +1486,122 @@ impl<'t> BatchReplayCursor<'t> {
         }
         out.extend(results.into_iter().map(|r| r.expect("lane resolved")));
     }
+
+    /// Follow every lane of `batch` to the end of the trace, appending one
+    /// entry per lane to `out` in lane order: the lane's [`SamePathEnd`]
+    /// when its run provably stays on the golden path, `None` otherwise.
+    ///
+    /// A lane's run stays on the golden path when it executes exactly the
+    /// recorded records with the same load and store addresses; its seed
+    /// must then be the complete corrupted state right after the fault (the
+    /// `corrupt` locations of [`crate::OpVerdict::Propagate`] and
+    /// [`crate::OpVerdict::OvershadowCandidate`] are).  There is no window.
+    /// A lane is same-path if the walk reaches the trace's last record with
+    /// it, or if its corruption dies out on the way (the rest of its run is
+    /// then the golden run).  It gets `None` when a corrupted value decides
+    /// a branch or switch differently or feeds an address, when re-evaluating
+    /// an operation traps (a `cmp` included, although the interpreter yields
+    /// `false` there), when its start is at or past the trace end, or when
+    /// the backend poisons itself before the lane is settled.
+    ///
+    /// Like the windowed replay, the shadow state keys memory by word
+    /// address, so the end state is exact for programs that load and store
+    /// whole elements with the element's type, as every built-in workload
+    /// does (`tests/dfi_reconstruction.rs` checks each of them against
+    /// injection).
+    ///
+    /// Lanes must be sorted by ascending `start`, at most
+    /// [`MAX_REPLAY_LANES`] of them, as for
+    /// [`BatchReplayCursor::replay_batch`].
+    pub fn walk_to_end(&mut self, batch: &[BatchLane], out: &mut Vec<Option<SamePathEnd>>) {
+        let mut results: Vec<Option<PropagationResult>> = vec![None; batch.len()];
+        let stop = self.walk(batch, u64::MAX, true, &mut results);
+        let mut ends: Vec<Option<SamePathEnd>> = results
+            .iter()
+            .map(|r| r.filter(|r| r.is_masked()).map(|_| SamePathEnd::default()))
+            .collect();
+        // Lanes still live where the walk stopped are same-path only if it
+        // stopped at the end of the trace, not at a poisoned segment.
+        if stop.pos >= self.len {
+            for lane in iter_lanes(stop.active) {
+                ends[lane] = Some(SamePathEnd::default());
+            }
+            for (addr, e) in &self.state.mem.entries {
+                for lane in iter_lanes(e.mask & stop.active) {
+                    if let Some(end) = &mut ends[lane] {
+                        end.memory.push((*addr, e.vals[lane]));
+                    }
+                }
+            }
+        }
+        for lane in iter_lanes(stop.returned) {
+            if let Some(end) = &mut ends[lane] {
+                end.return_value = Some(stop.ret_vals[lane]);
+            }
+        }
+        for end in ends.iter_mut().flatten() {
+            end.memory.sort_unstable_by_key(|&(addr, _)| addr);
+        }
+        out.extend(ends);
+    }
+
+    /// Reset the state, settle empty seeds, and walk `batch` with the given
+    /// window (see [`BatchWalk::run`]).
+    fn walk(
+        &mut self,
+        batch: &[BatchLane],
+        window: u64,
+        to_end: bool,
+        results: &mut [Option<PropagationResult>],
+    ) -> WalkStop {
+        assert!(
+            batch.len() <= MAX_REPLAY_LANES,
+            "at most {MAX_REPLAY_LANES} lanes per batch"
+        );
+        debug_assert!(
+            batch.windows(2).all(|w| w[0].start <= w[1].start),
+            "batch lanes must be sorted by start"
+        );
+        self.state.clear();
+        let mut starts = [0u64; MAX_REPLAY_LANES];
+        for (i, lane) in batch.iter().enumerate() {
+            starts[i] = lane.start as u64;
+            if lane.corrupt.is_empty() {
+                results[i] = Some(PropagationResult::AllMasked { ops_examined: 0 });
+            }
+        }
+        let mut walk = BatchWalk {
+            state: &mut self.state,
+            results,
+            active: 0,
+            to_end,
+            returned: 0,
+            ret_vals: [NO_VALUE; MAX_REPLAY_LANES],
+            scratch_masks: Vec::new(),
+            scratch_vals: Vec::new(),
+        };
+        let pos = walk.run(
+            self.reader.as_mut(),
+            self.len,
+            batch,
+            &starts[..batch.len()],
+            window,
+        );
+        WalkStop {
+            pos,
+            active: walk.active,
+            returned: walk.returned,
+            ret_vals: walk.ret_vals,
+            starts,
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use moard_ir::prelude::*;
-    use moard_vm::{run_traced, Trace};
+    use moard_vm::{run_traced, run_with_fault, ExecOutcome, FaultSpec, FaultTarget, Trace, Vm};
 
     /// x = a[0]; y = x * 2; a[1] = y; a[1] = 7.0; return a[1]
     /// An error in a[0] propagates into a[1] but is overwritten by the later
@@ -1766,83 +2017,105 @@ mod tests {
         }
     }
 
+    /// Lanes from every record of `trace`, sorted by start: a type-correct
+    /// bit flip of each destination register, periodic multi-location
+    /// memory seeds, a mixed reg+mem seed, one seed of 32 registers and 32
+    /// words (many index moves on removal), tail starts at and past the
+    /// trace end, and a trivially-masked empty seed.
+    fn parity_lanes(trace: &Trace) -> Vec<BatchLane> {
+        let mut lanes: Vec<BatchLane> = Vec::new();
+        lanes.push(BatchLane {
+            start: 0,
+            corrupt: vec![],
+        });
+        for rec in trace.iter() {
+            let start = rec.id as usize + 1;
+            if let (Some(dst), Some(clean)) = (rec.dst, dst_result(rec)) {
+                lanes.push(BatchLane {
+                    start,
+                    corrupt: vec![CorruptLoc::Reg {
+                        frame: rec.frame,
+                        reg: dst,
+                        value: clean.flip_bit(0),
+                    }],
+                });
+            }
+            if rec.id % 3 == 0 {
+                lanes.push(BatchLane {
+                    start,
+                    corrupt: vec![
+                        CorruptLoc::Mem {
+                            addr: 0x1000,
+                            value: Value::F64(99.5),
+                        },
+                        CorruptLoc::Mem {
+                            addr: 0x1008,
+                            value: Value::F64(-7.0),
+                        },
+                    ],
+                });
+            }
+            if rec.id % 4 == 1 {
+                if let (Some(dst), Some(clean)) = (rec.dst, dst_result(rec)) {
+                    lanes.push(BatchLane {
+                        start,
+                        corrupt: vec![
+                            CorruptLoc::Reg {
+                                frame: rec.frame,
+                                reg: dst,
+                                value: clean.flip_bits(&[1, 2]),
+                            },
+                            CorruptLoc::Mem {
+                                addr: 0x1000,
+                                value: Value::F64(3.25),
+                            },
+                        ],
+                    });
+                }
+            }
+            if rec.id % 9 == 2 {
+                let n = 32;
+                let regs = (0..n).map(|r| CorruptLoc::Reg {
+                    frame: rec.frame,
+                    reg: moard_ir::RegId(r as u32),
+                    value: Value::I64(r as i64 - 5),
+                });
+                let words = (0..n).map(|w| CorruptLoc::Mem {
+                    addr: 0x1000 + 8 * w,
+                    value: Value::F64(w as f64 + 0.5),
+                });
+                lanes.push(BatchLane {
+                    start,
+                    corrupt: regs.chain(words).collect(),
+                });
+            }
+        }
+        let len = trace.len();
+        lanes.push(BatchLane {
+            start: len,
+            corrupt: vec![CorruptLoc::Mem {
+                addr: 0x1000,
+                value: Value::F64(1.5),
+            }],
+        });
+        lanes.push(BatchLane {
+            start: len + 9,
+            corrupt: vec![CorruptLoc::Reg {
+                frame: 0,
+                reg: moard_ir::RegId(0),
+                value: Value::I64(7),
+            }],
+        });
+        lanes.sort_by_key(|l| l.start);
+        lanes
+    }
+
     #[test]
     fn batched_replay_is_bit_identical_to_sequential() {
         let mut max_lanes = 0usize;
         for m in [overwrite_later_module(), parity_module()] {
             let (_, trace) = run_traced(&m).unwrap();
-            // Lanes from every record: a type-correct bit flip of each
-            // destination register, periodic multi-location memory seeds, a
-            // mixed reg+mem seed, plus tail starts at and past the trace end
-            // and a trivially-masked empty seed.
-            let mut lanes: Vec<BatchLane> = Vec::new();
-            lanes.push(BatchLane {
-                start: 0,
-                corrupt: vec![],
-            });
-            for rec in trace.iter() {
-                let start = rec.id as usize + 1;
-                if let (Some(dst), Some(clean)) = (rec.dst, dst_result(rec)) {
-                    lanes.push(BatchLane {
-                        start,
-                        corrupt: vec![CorruptLoc::Reg {
-                            frame: rec.frame,
-                            reg: dst,
-                            value: clean.flip_bit(0),
-                        }],
-                    });
-                }
-                if rec.id % 3 == 0 {
-                    lanes.push(BatchLane {
-                        start,
-                        corrupt: vec![
-                            CorruptLoc::Mem {
-                                addr: 0x1000,
-                                value: Value::F64(99.5),
-                            },
-                            CorruptLoc::Mem {
-                                addr: 0x1008,
-                                value: Value::F64(-7.0),
-                            },
-                        ],
-                    });
-                }
-                if rec.id % 4 == 1 {
-                    if let (Some(dst), Some(clean)) = (rec.dst, dst_result(rec)) {
-                        lanes.push(BatchLane {
-                            start,
-                            corrupt: vec![
-                                CorruptLoc::Reg {
-                                    frame: rec.frame,
-                                    reg: dst,
-                                    value: clean.flip_bits(&[1, 2]),
-                                },
-                                CorruptLoc::Mem {
-                                    addr: 0x1000,
-                                    value: Value::F64(3.25),
-                                },
-                            ],
-                        });
-                    }
-                }
-            }
-            let len = trace.len();
-            lanes.push(BatchLane {
-                start: len,
-                corrupt: vec![CorruptLoc::Mem {
-                    addr: 0x1000,
-                    value: Value::F64(1.5),
-                }],
-            });
-            lanes.push(BatchLane {
-                start: len + 9,
-                corrupt: vec![CorruptLoc::Reg {
-                    frame: 0,
-                    reg: moard_ir::RegId(0),
-                    value: Value::I64(7),
-                }],
-            });
-            lanes.sort_by_key(|l| l.start);
+            let lanes = parity_lanes(&trace);
             max_lanes = max_lanes.max(lanes.len());
 
             let mut cursor = BatchReplayCursor::new(&trace);
@@ -1861,6 +2134,119 @@ mod tests {
             }
         }
         assert!(max_lanes > MAX_REPLAY_LANES, "population fills a batch");
+    }
+
+    #[test]
+    fn walk_to_end_agrees_with_an_unbounded_sequential_replay() {
+        // The sequential engine with no window stops where a walk to the
+        // end gives up (control, address, trap), reports a lane masked
+        // when it is, and otherwise ends on `TraceEnded` with exactly the
+        // lane's corrupted words live (the final return is the last
+        // record, after every register died).
+        for m in [overwrite_later_module(), parity_module()] {
+            let (_, trace) = run_traced(&m).unwrap();
+            let lanes = parity_lanes(&trace);
+            let len = trace.len();
+            let mut cursor = BatchReplayCursor::new(&trace);
+            for width in [1usize, 7, 64] {
+                let mut ends = Vec::new();
+                for chunk in lanes.chunks(width) {
+                    cursor.walk_to_end(chunk, &mut ends);
+                }
+                for (lane, end) in lanes.iter().zip(&ends) {
+                    let case = format!("width={width} start={}", lane.start);
+                    if lane.start >= len {
+                        assert_eq!(*end, None, "{case}");
+                        continue;
+                    }
+                    match replay(&trace, lane.start, &lane.corrupt, usize::MAX) {
+                        PropagationResult::AllMasked { .. } => {
+                            assert_eq!(*end, Some(SamePathEnd::default()), "{case}")
+                        }
+                        PropagationResult::Unresolved {
+                            reason: UnresolvedReason::TraceEnded,
+                            live_locations,
+                        } => {
+                            let end = end.as_ref().expect("same-path lane");
+                            assert_eq!(end.memory.len(), live_locations, "{case}");
+                            assert!(!end.memory.is_empty() || end.return_value.is_some());
+                            assert!(end.memory.windows(2).all(|w| w[0].0 < w[1].0));
+                        }
+                        PropagationResult::Unresolved { .. } => assert_eq!(*end, None, "{case}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// `golden` with the words and return value of `end` patched in.
+    fn patched(
+        golden: &ExecOutcome,
+        objects: &moard_vm::DataObjectRegistry,
+        end: &SamePathEnd,
+    ) -> ExecOutcome {
+        let mut outcome = golden.clone();
+        for &(addr, value) in &end.memory {
+            let (id, index) = objects.locate(addr).expect("word inside a global");
+            outcome.globals.get_mut(&objects.get(id).name).unwrap()[index as usize] = value;
+        }
+        if end.return_value.is_some() {
+            outcome.return_value = end.return_value;
+        }
+        outcome
+    }
+
+    #[test]
+    fn walk_to_end_reconstructs_injected_outcomes() {
+        // A `Result` fault leaves exactly its flipped destination register
+        // behind, so the register seed is the injector's post-fault state:
+        // every lane the walk follows to the end must rebuild the injected
+        // outcome bit for bit.  The population covers every kind of end.
+        let (mut same_path, mut diverged, mut words, mut returns) = (0, 0, 0, 0);
+        for m in [overwrite_later_module(), parity_module()] {
+            let (golden, trace) = run_traced(&m).unwrap();
+            let objects = Vm::with_defaults(&m).unwrap().objects().clone();
+            let mut lanes = Vec::new();
+            let mut faults = Vec::new();
+            for rec in trace.iter() {
+                let (Some(dst), Some(clean)) = (rec.dst, dst_result(rec)) else {
+                    continue;
+                };
+                for bit in [0u32, 62] {
+                    let mask = 1u64 << (bit % clean.ty().bit_width());
+                    lanes.push(BatchLane {
+                        start: rec.id as usize + 1,
+                        corrupt: vec![CorruptLoc::Reg {
+                            frame: rec.frame,
+                            reg: dst,
+                            value: clean.flip_mask(mask),
+                        }],
+                    });
+                    faults.push(FaultSpec::masked(rec.id, FaultTarget::Result, mask));
+                }
+            }
+            let mut cursor = BatchReplayCursor::new(&trace);
+            let mut ends = Vec::new();
+            for chunk in lanes.chunks(MAX_REPLAY_LANES) {
+                cursor.walk_to_end(chunk, &mut ends);
+            }
+            for (fault, end) in faults.iter().zip(&ends) {
+                let Some(end) = end else {
+                    diverged += 1;
+                    continue;
+                };
+                let injected = run_with_fault(&m, fault).unwrap();
+                let rebuilt = patched(&golden, &objects, end);
+                assert!(
+                    rebuilt.bits_identical(&injected) && rebuilt.steps == injected.steps,
+                    "{fault:?}: rebuilt {rebuilt:?}, injected {injected:?}"
+                );
+                same_path += 1;
+                words += usize::from(!end.memory.is_empty());
+                returns += usize::from(end.return_value.is_some());
+            }
+        }
+        assert!(same_path > 0 && diverged > 0 && words > 0 && returns > 0);
     }
 
     #[test]

@@ -6,6 +6,13 @@
 //! exactly that bit flipped at exactly that dynamic operation and classifying
 //! the outcome against the golden run (§III-E, §IV).
 //!
+//! A faulty run that stays on the golden path needs no re-run: the trace
+//! already holds every value except the few the fault corrupts.  The
+//! analyzer follows such faults to the end of the trace
+//! ([`crate::BatchReplayCursor::walk_to_end`]) and a resolver that can
+//! rebuild the outcome from the corrupted words classifies it through
+//! [`DfiResolver::classify_same_path`]; everything else is injected.
+//!
 //! To avoid repeating injections for equivalent faults, MOARD leverages error
 //! equivalence (in the spirit of Relyzer/GangES, cited as \[7\], \[20\] in the
 //! paper): two fault sites at the same *static* instruction, the same operand
@@ -14,6 +21,7 @@
 //! [`EquivalenceCache`] keys verdicts on exactly that tuple, so single-bit
 //! flips and the multi-bit patterns of §VII-B memoize with equal precision.
 
+use crate::propagation::SamePathEnd;
 use crate::sites::SiteSlot;
 use moard_vm::{FaultSpec, OutcomeClass, TraceRecord};
 use std::collections::HashMap;
@@ -30,6 +38,24 @@ pub trait DfiResolver: Sync {
     /// Run the application with `fault` injected and classify the outcome
     /// against the golden run.
     fn classify(&self, fault: &FaultSpec) -> OutcomeClass;
+
+    /// Whether this resolver can classify a fault from its end state
+    /// ([`DfiResolver::classify_same_path`]).  The analyzer walks no trace
+    /// for a resolver that says no.  The default says no.
+    fn reconstructs(&self) -> bool {
+        false
+    }
+
+    /// Classify `fault` without running it, from the end state of its run,
+    /// which provably follows the golden path: the golden outcome with the
+    /// words and return value of `end` patched in, status completed and the
+    /// golden step count.  `None` declines, and the analyzer then injects
+    /// the fault through [`DfiResolver::classify`].  Only consulted when
+    /// [`DfiResolver::reconstructs`] is true; the default declines.
+    fn classify_same_path(&self, fault: &FaultSpec, end: &SamePathEnd) -> Option<OutcomeClass> {
+        let _ = (fault, end);
+        None
+    }
 
     /// Human-readable name for reports.
     fn name(&self) -> &str {
@@ -82,23 +108,16 @@ impl EquivalenceKey {
 /// Statistics of a cache-backed resolver.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ResolverStats {
-    /// Number of actual fault-injection executions performed.
+    /// Faults settled by DFI: injected, or reconstructed exactly from the
+    /// trace.
     pub injections: u64,
     /// Number of verdicts answered from the equivalence cache.
     pub cache_hits: u64,
 }
 
-/// Number of lock stripes in the [`EquivalenceCache`].  A power of two so
-/// stripe selection is a mask; 16 keeps contention negligible at the worker
-/// counts the analyzers actually run (the pool is CPU-bound, not lock-bound).
-const CACHE_STRIPES: usize = 16;
-
-/// A concurrent memoization layer over a [`DfiResolver`].
-///
-/// The map is *lock-striped*: keys hash to one of 16 (`CACHE_STRIPES`)
-/// independently locked shards, so concurrent callers resolving faults at
-/// different static sites never serialize on a single global lock.  The
-/// stats are plain atomics, and no lock is held while an injection runs.
+/// A memoization layer over a [`DfiResolver`]: one locked map from
+/// equivalence key to verdict, plus atomic statistics.  No lock is held
+/// while an injection runs.
 ///
 /// The analyzer consults the cache from one thread, in fold order: it runs
 /// an object's injections in parallel *before* the fold, outside the cache,
@@ -106,78 +125,46 @@ const CACHE_STRIPES: usize = 16;
 /// `cache_hits` never depend on scheduling.  Other concurrent callers stay
 /// safe, but two of them racing on the same key may both miss and both
 /// count an injection; `cache_hits` stays exact either way.
+#[derive(Default)]
 pub struct EquivalenceCache {
-    stripes: [Mutex<HashMap<EquivalenceKey, OutcomeClass>>; CACHE_STRIPES],
+    verdicts: Mutex<HashMap<EquivalenceKey, OutcomeClass>>,
     injections: AtomicU64,
     cache_hits: AtomicU64,
-}
-
-impl Default for EquivalenceCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// FNV-1a over the key's raw fields — cheap, stable, and independent of the
-/// `HashMap`'s own randomized hasher, so stripe spread survives pathological
-/// site populations (e.g. every site in one function).
-fn stripe_of(key: &EquivalenceKey) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    let (f, b, i) = key.static_key;
-    mix((f as u64) << 32 | b as u64);
-    mix((i as u64) << 32 | key.slot_key as u64);
-    mix(key.value_bits);
-    mix(key.mask);
-    (h as usize) & (CACHE_STRIPES - 1)
 }
 
 impl EquivalenceCache {
     /// Create an empty cache.
     pub fn new() -> Self {
-        EquivalenceCache {
-            stripes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            injections: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-        }
+        Self::default()
     }
 
     /// Resolve `fault` for the site identified by `key`, using the cache when
     /// an equivalent fault was already injected.  The injection itself runs
-    /// outside every lock: a slow resolver blocks only the workers that need
-    /// this exact stripe, and only for the map probe.
+    /// outside the lock.
     pub fn classify(
         &self,
         key: EquivalenceKey,
         fault: &FaultSpec,
         resolver: &dyn DfiResolver,
     ) -> OutcomeClass {
-        let stripe = &self.stripes[stripe_of(&key)];
-        if let Some(v) = stripe.lock().expect("cache lock poisoned").get(&key) {
+        if let Some(v) = self.map().get(&key) {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             return *v;
         }
         let verdict = resolver.classify(fault);
         self.injections.fetch_add(1, Ordering::Relaxed);
-        stripe
-            .lock()
-            .expect("cache lock poisoned")
-            .insert(key, verdict);
+        self.map().insert(key, verdict);
         verdict
     }
 
     /// True if a verdict for `key` is already cached (so `classify` would
     /// count a hit, not an injection).
     pub(crate) fn contains(&self, key: &EquivalenceKey) -> bool {
-        self.stripes[stripe_of(key)]
-            .lock()
-            .expect("cache lock poisoned")
-            .contains_key(key)
+        self.map().contains_key(key)
+    }
+
+    fn map(&self) -> std::sync::MutexGuard<'_, HashMap<EquivalenceKey, OutcomeClass>> {
+        self.verdicts.lock().expect("cache lock poisoned")
     }
 
     /// Current statistics.
@@ -190,10 +177,7 @@ impl EquivalenceCache {
 
     /// Number of distinct equivalence classes resolved so far.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|s| s.lock().expect("cache lock poisoned").len())
-            .sum()
+        self.map().len()
     }
 
     /// True if nothing has been resolved yet.
@@ -289,7 +273,7 @@ mod tests {
     fn striped_cache_keeps_stats_exact_under_concurrency() {
         // Many threads hammering a shared key population: every classify is
         // either a hit or an injection (no lost updates), every distinct key
-        // lands in exactly one stripe, and hits stay exact.
+        // is stored once, and hits stay exact.
         let cache = EquivalenceCache::new();
         let resolver = |_: &FaultSpec| OutcomeClass::Identical;
         let keys: Vec<EquivalenceKey> = (0..64)

@@ -36,9 +36,6 @@ pub struct WorkloadHarness {
     injector: DeterministicInjector,
     trace: TraceData,
     traced_outcome: ExecOutcome,
-    /// Data-object table, resolved once at construction (object lookups used
-    /// to rebuild a whole `Vm` per call).
-    objects: DataObjectRegistry,
     /// Replay-engine selection applied to every analyzer this harness
     /// constructs.  An execution-resource choice like the trace backend —
     /// never an analysis input (reports are bit-identical either way).
@@ -65,7 +62,6 @@ impl WorkloadHarness {
                 ..VmConfig::default()
             },
         )?;
-        let objects = vm.objects().clone();
         let (traced_outcome, trace) = vm.execute_traced_with(backend)?;
         if !traced_outcome.bits_identical(injector.golden()) {
             return Err(MoardError::TracePerturbed {
@@ -76,7 +72,6 @@ impl WorkloadHarness {
             injector,
             trace,
             traced_outcome,
-            objects,
             replay_batch: ReplayBatch::default(),
         })
     }
@@ -158,18 +153,18 @@ impl WorkloadHarness {
 
     /// The data-object table of this harness's memory image.
     pub fn objects(&self) -> &DataObjectRegistry {
-        &self.objects
+        self.injector.objects()
     }
 
     /// Resolve a data-object name in the cached object table.
     pub fn object_id(&self, name: &str) -> Result<ObjectId, MoardError> {
-        self.objects
+        self.objects()
             .by_name(name)
             .map(|o| o.id)
             .ok_or_else(|| MoardError::UnknownObject {
                 workload: self.workload().name().to_string(),
                 object: name.to_string(),
-                available: self.objects.iter().map(|o| o.name.clone()).collect(),
+                available: self.objects().iter().map(|o| o.name.clone()).collect(),
             })
     }
 

@@ -5,10 +5,15 @@
 //! instruction, operand/destination, bit), it re-executes the workload with
 //! exactly that bit flipped and classifies the outcome against the golden
 //! run using the workload's own acceptance criterion.
+//!
+//! A fault whose run provably stays on the golden path needs no re-run: the
+//! analyzer hands the injector the words that run corrupts
+//! ([`SamePathEnd`]), and [`DeterministicInjector::reconstruct`] patches them
+//! into the golden outcome.
 
-use moard_core::{DfiResolver, MoardError};
+use moard_core::{DfiResolver, MoardError, SamePathEnd};
 use moard_ir::Module;
-use moard_vm::{ExecOutcome, FaultSpec, OutcomeClass, Vm, VmConfig};
+use moard_vm::{DataObjectRegistry, ExecOutcome, FaultSpec, OutcomeClass, Vm, VmConfig};
 use moard_workloads::Workload;
 
 /// A reusable deterministic fault injector for one workload instance.
@@ -16,6 +21,9 @@ pub struct DeterministicInjector {
     workload: Box<dyn Workload>,
     module: Module,
     golden: ExecOutcome,
+    /// The data objects of the golden run's memory image, to place the
+    /// words of a reconstructed outcome.
+    objects: DataObjectRegistry,
     config: VmConfig,
 }
 
@@ -29,7 +37,9 @@ impl DeterministicInjector {
             max_steps: workload.max_steps(),
             ..VmConfig::default()
         };
-        let golden = Vm::new(&module, config.clone())?.execute();
+        let vm = Vm::new(&module, config.clone())?;
+        let objects = vm.objects().clone();
+        let golden = vm.execute();
         if !golden.status.is_completed() {
             return Err(MoardError::GoldenRunFailed {
                 workload: workload.name().to_string(),
@@ -40,6 +50,7 @@ impl DeterministicInjector {
             workload,
             module,
             golden,
+            objects,
             config,
         })
     }
@@ -59,6 +70,12 @@ impl DeterministicInjector {
         &self.golden
     }
 
+    /// The data-object table of the golden run's memory image (the same for
+    /// every run of this module and configuration).
+    pub(crate) fn objects(&self) -> &DataObjectRegistry {
+        &self.objects
+    }
+
     /// The VM configuration used for every injected run.
     pub fn vm_config(&self) -> &VmConfig {
         &self.config
@@ -76,11 +93,49 @@ impl DeterministicInjector {
         let outcome = self.run(fault);
         self.workload.classify(&self.golden, &outcome)
     }
+
+    /// The outcome of a faulty run that stays on the golden path, rebuilt
+    /// from its end state: the golden outcome (status, steps) with every
+    /// corrupted word and the corrupted return value patched in.
+    ///
+    /// `None` when a word is not the start of an element of a global of
+    /// the word's type, or a return value does not match the golden one's
+    /// type; such a fault must be injected instead.
+    pub fn reconstruct(&self, end: &SamePathEnd) -> Option<ExecOutcome> {
+        let mut outcome = self.golden.clone();
+        for &(addr, value) in &end.memory {
+            let (id, index) = self.objects.locate(addr)?;
+            let object = self.objects.get(id);
+            if object.elem_addr(index) != addr || object.elem_ty != value.ty() {
+                return None;
+            }
+            *outcome
+                .globals
+                .get_mut(&object.name)?
+                .get_mut(index as usize)? = value;
+        }
+        if let Some(value) = end.return_value {
+            if self.golden.return_value?.ty() != value.ty() {
+                return None;
+            }
+            outcome.return_value = Some(value);
+        }
+        Some(outcome)
+    }
 }
 
 impl DfiResolver for DeterministicInjector {
     fn classify(&self, fault: &FaultSpec) -> OutcomeClass {
         self.run_classified(fault)
+    }
+
+    fn reconstructs(&self) -> bool {
+        true
+    }
+
+    fn classify_same_path(&self, _: &FaultSpec, end: &SamePathEnd) -> Option<OutcomeClass> {
+        let outcome = self.reconstruct(end)?;
+        Some(self.workload.classify(&self.golden, &outcome))
     }
 
     fn name(&self) -> &str {

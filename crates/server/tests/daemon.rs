@@ -4,7 +4,7 @@
 
 use moard_core::AnalysisConfig;
 use moard_server::{Client, Daemon, DaemonConfig, Priority, Request, Response};
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -114,6 +114,11 @@ fn garbage_frames_get_error_responses_never_a_hang_or_panic() {
     let mut raw = TcpStream::connect(daemon.addr()).unwrap();
     raw.write_all(&u32::MAX.to_be_bytes()).unwrap();
     raw.flush().unwrap();
+    // The daemon counts the rejection before it answers and closes, so
+    // reading to EOF orders the count before the metrics query below.
+    let mut answer = Vec::new();
+    raw.read_to_end(&mut answer).unwrap();
+    assert!(!answer.is_empty(), "the oversized frame is answered");
     let mut oversized = Client::connect(daemon.addr()).unwrap();
     oversized.ping().unwrap(); // daemon is alive and serving others
 

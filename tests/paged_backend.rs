@@ -1,16 +1,18 @@
 //! Paged trace backend edge cases: segment-seam parity against the
 //! in-memory backend, replay windows spanning several segments, windows
 //! running past the trace end, corrupt/truncated segments surfacing as
-//! typed errors, and golden-report cross-backend bit-identity.
+//! typed errors (also when only DFI's walks to the end of the trace read
+//! them), and golden-report cross-backend bit-identity.
 //!
 //! The seam tests shrink `segment_records` far below the default so every
 //! few records cross a segment boundary — any off-by-one in segment
 //! arithmetic, run stitching, or the reader LRU shows up immediately.
 
 use moard::inject::{Session, SessionBuilder, WorkloadHarness};
-use moard::model::MoardError;
-use moard::vm::{TraceBackendSpec, TraceStorage, VmError};
+use moard::model::{AdvfAnalyzer, DfiResolver, MoardError, SamePathEnd};
+use moard::vm::{FaultSpec, OutcomeClass, TraceBackendSpec, TraceStorage, VmError};
 use moard::workloads::MatMul;
+use std::collections::HashSet;
 
 /// Paged backend with tiny segments: a seam every 16 records.
 fn tiny_segments() -> TraceBackendSpec {
@@ -236,4 +238,116 @@ fn paged_spill_directory_is_removed_on_drop() {
         "spill directory {} survived the harness drop",
         dir.display()
     );
+}
+
+/// MM's `A` at stride 8 with a budget of 24 DFI verdicts: every planned
+/// fault sits early in the trace, and most corrupt `C` until the end.
+fn a_config() -> moard::model::AnalysisConfig {
+    moard::model::AnalysisConfig {
+        site_stride: 8,
+        max_dfi_per_object: Some(24),
+        ..Default::default()
+    }
+}
+
+/// Flip one payload byte of the trace's last segment, after checking that
+/// no site of `A` (nor its replay window) reaches it: only the walks to the
+/// end of the trace read that segment.
+fn corrupt_last_segment(h: &WorkloadHarness) {
+    let paged = h.trace().as_paged().expect("paged backend");
+    let per_segment = paged.segment_records() as u64;
+    let last = (h.trace().len() as u64 - 1) / per_segment;
+    let last_site = h.strided_sites("A", 8).unwrap().last().unwrap().record_id;
+    let window = a_config().propagation_window as u64;
+    assert!(
+        last_site + window < last * per_segment,
+        "the last segment must lie after every site and replay window of A"
+    );
+    let path = paged.dir().join(format!("seg-{last:06}.bin"));
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(&path, bytes).unwrap();
+}
+
+#[test]
+fn dfi_analysis_over_a_poisoned_segment_is_a_typed_error() {
+    // The planned faults' walks to the end of the trace are the first to
+    // read the corrupted segment: the harness must still return the typed
+    // error, never a report built from walks cut short, and never panic.
+    let h = mm_harness(&tiny_segments());
+    corrupt_last_segment(&h);
+    match h.analyze("A", a_config()) {
+        Err(MoardError::Vm(VmError::Trace(moard::vm::TraceError::Corrupt { .. }))) => {}
+        other => panic!("expected a typed Corrupt trace error, got {other:?}"),
+    }
+}
+
+/// Records which planned faults were injected and which were rebuilt from
+/// their end state (and whether that end state still held corruption).
+struct Recorder<'a> {
+    injector: &'a moard::inject::DeterministicInjector,
+    injected: std::sync::Mutex<HashSet<FaultSpec>>,
+    rebuilt: std::sync::Mutex<Vec<(FaultSpec, bool)>>,
+}
+
+impl<'a> Recorder<'a> {
+    fn new(h: &'a WorkloadHarness) -> Self {
+        Recorder {
+            injector: h.injector(),
+            injected: Default::default(),
+            rebuilt: Default::default(),
+        }
+    }
+}
+
+impl DfiResolver for Recorder<'_> {
+    fn classify(&self, fault: &FaultSpec) -> OutcomeClass {
+        self.injected.lock().unwrap().insert(*fault);
+        self.injector.run_classified(fault)
+    }
+
+    fn reconstructs(&self) -> bool {
+        true
+    }
+
+    fn classify_same_path(&self, fault: &FaultSpec, end: &SamePathEnd) -> Option<OutcomeClass> {
+        let live = !end.memory.is_empty() || end.return_value.is_some();
+        self.rebuilt.lock().unwrap().push((*fault, live));
+        self.injector.classify_same_path(fault, end)
+    }
+}
+
+#[test]
+fn walks_cut_short_by_a_poisoned_segment_are_injected() {
+    // On the healthy trace, the faults whose corruption is still live at
+    // the last record are rebuilt from the walk.  Once the last segment is
+    // corrupted, their walks are cut short, so each of them must be
+    // injected instead of rebuilt from the state where the walk stopped.
+    let h = mm_harness(&tiny_segments());
+    let a = h.object_id("A").unwrap();
+    let healthy = Recorder::new(&h);
+    let report = AdvfAnalyzer::new(h.trace(), a_config()).analyze(a, "A", "MM", Some(&healthy));
+    let live_to_end: HashSet<FaultSpec> = healthy
+        .rebuilt
+        .into_inner()
+        .unwrap()
+        .into_iter()
+        .filter_map(|(fault, live)| live.then_some(fault))
+        .collect();
+    assert!(!live_to_end.is_empty(), "some walk reaches the last record");
+
+    corrupt_last_segment(&h);
+    let poisoned = Recorder::new(&h);
+    let cut = AdvfAnalyzer::new(h.trace(), a_config()).analyze(a, "A", "MM", Some(&poisoned));
+    assert!(TraceStorage::poisoned(h.trace()).is_some());
+    assert_eq!(cut.dfi_runs, report.dfi_runs);
+    let injected = poisoned.injected.into_inner().unwrap();
+    for (fault, _) in poisoned.rebuilt.into_inner().unwrap() {
+        assert!(
+            !live_to_end.contains(&fault),
+            "{fault:?} was rebuilt from a walk cut short"
+        );
+    }
+    assert!(live_to_end.is_subset(&injected));
 }
