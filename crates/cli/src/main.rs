@@ -70,19 +70,19 @@ macro_rules! out {
 const USAGE: &str = "usage: moard [--format json|text] <command> [args]
   moard list
   moard analyze <workload> [object] [--k N] [--stride N] [--max-dfi N] [--patterns P]
-                [--no-dfi] [--seq] [--trace-backend B] [--replay-batch N|off]
+                [--no-dfi] [--seq] [--trace-backend B]
   moard report  <workload> [object...] [--k N] [--stride N] [--max-dfi N] [--patterns P]
-                [--no-dfi] [--trace-backend B] [--replay-batch N|off]
+                [--no-dfi] [--trace-backend B]
   moard sweep   [workload...] [--workloads all|table1|w1,w2] [--objects o1,o2]
                 [--k N,N...] [--stride N,N...] [--max-dfi N|unbounded,...]
                 [--patterns P,P...] [--no-dfi]
                 [--rfi-tests N,N...] [--rfi-seed N] [--store DIR] [--resume]
-                [--seq | --threads N] [--trace-backend B] [--replay-batch N|off]
+                [--seq | --threads N] [--trace-backend B]
   moard validate [workload...] [--workloads all|table1|w1,w2] [--objects o1,o2]
                 [--k N] [--stride N] [--max-dfi N|unbounded] [--patterns P] [--no-dfi]
                 [--confidence 90|95|99] [--margin F] [--max-trials N] [--seed N]
                 [--tolerance F] [--store DIR] [--resume] [--seq | --threads N]
-                [--emit-scenarios DIR] [--trace-backend B] [--replay-batch N|off]
+                [--emit-scenarios DIR] [--trace-backend B]
   moard inject  <workload> <object> [--tests N] [--seed N] [--patterns P]
                 [--exhaustive] [--budget N]
   moard minimize <workload> <object> [--report FILE] [--site REC:SLOT]
@@ -90,7 +90,7 @@ const USAGE: &str = "usage: moard [--format json|text] <command> [args]
                 [--expect CLASS] [--seed N] [--name NAME] [--emit-scenario DIR]
   moard rank    <workload> [--k N] [--stride N] [--max-dfi N] [--patterns P]
   moard serve   [--addr HOST:PORT] [--port N] [--threads N] [--store DIR]
-                [--trace-backend B] [--replay-batch N|off]
+                [--trace-backend B]
   moard client  <ping|metrics|cancel <job>|shutdown> --addr HOST:PORT
   moard client  <analyze|sweep|validate|minimize> --addr HOST:PORT
                 [--priority low|normal|high] [job flags as for the local
@@ -106,14 +106,11 @@ options:
                        separated-pair:N (two bits N apart), or
                        explicit:b+b,b,... (sweep accepts a comma list grid)
   --no-dfi             purely analytical lower bound (no fault injection)
-  --seq                analyze objects sequentially (default: parallel)
+  --seq                run objects/tasks one at a time (an analysis with DFI
+                       still walks and injects on every core)
   --trace-backend B    trace storage: memory (default) or paged[:DIR] — paged
                        streams fixed-size on-disk segments so traces never
                        need to fit in RAM; reports are bit-identical
-  --replay-batch N|off lane-batched replay width 1..=64 (default 64): propagate
-                       up to N faults per trace walk; `off` selects the
-                       sequential one-replay-per-walk engine.  Verdicts are
-                       bit-identical either way
 
 sweep options (grid flags take comma-separated lists; the sweep covers the
 full workload x object x grid cross-product):
@@ -267,7 +264,6 @@ const VALUED_FLAGS: &[&str] = &[
     "--emit-scenario",
     "--emit-scenarios",
     "--trace-backend",
-    "--replay-batch",
 ];
 /// Boolean flags.
 const BOOL_FLAGS: &[&str] = &["--no-dfi", "--seq", "--exhaustive", "--resume"];
@@ -285,7 +281,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
         "--no-dfi",
         "--seq",
         "--trace-backend",
-        "--replay-batch",
     ];
     const SWEEP: &[&str] = &[
         "--k",
@@ -302,7 +297,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
         "--resume",
         "--threads",
         "--trace-backend",
-        "--replay-batch",
     ];
     const VALIDATE: &[&str] = &[
         "--k",
@@ -323,7 +317,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
         "--threads",
         "--emit-scenarios",
         "--trace-backend",
-        "--replay-batch",
     ];
     const INJECT: &[&str] = &[
         "--k",
@@ -355,7 +348,6 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
         "--threads",
         "--store",
         "--trace-backend",
-        "--replay-batch",
     ];
     // The union of every job the client can submit, plus the connection
     // flags.  No `--seq`/`--threads` (the daemon's pool decides), no
@@ -524,19 +516,6 @@ fn trace_backend_flag(args: &[String]) -> Result<Option<moard_vm::TraceBackendSp
     }
 }
 
-/// The shared `--replay-batch N|off` flag of the analysis, sweep, validate,
-/// and serve subcommands.  Like `--trace-backend`, purely an
-/// execution-resource choice — never part of any fingerprint, and verdicts
-/// are bit-identical across widths.
-fn replay_batch_flag(args: &[String]) -> Result<Option<moard_core::ReplayBatch>, MoardError> {
-    match str_flag_value(args, "--replay-batch")? {
-        None => Ok(None),
-        Some(text) => moard_core::ReplayBatch::parse_flag(text)
-            .map(Some)
-            .map_err(|e| MoardError::InvalidConfig(format!("flag `--replay-batch`: {e}"))),
-    }
-}
-
 /// Value of a fractional `--flag F` (e.g. `--margin 0.05`).
 fn float_flag_value(args: &[String], flag: &str) -> Result<Option<f64>, MoardError> {
     let Some(text) = str_flag_value(args, flag)? else {
@@ -642,9 +621,6 @@ fn configured_session(
     }
     if let Some(backend) = trace_backend_flag(&cli.args)? {
         builder = builder.trace_backend(backend);
-    }
-    if let Some(batch) = replay_batch_flag(&cli.args)? {
-        builder = builder.replay_batch(batch);
     }
     Ok(builder)
 }
@@ -844,9 +820,6 @@ fn cmd_sweep(cli: &Cli) -> Result<(), CliError> {
     if let Some(backend) = trace_backend_flag(&cli.args)? {
         runner = runner.trace_backend(backend);
     }
-    if let Some(batch) = replay_batch_flag(&cli.args)? {
-        runner = runner.replay_batch(batch);
-    }
     let (report, stats) = runner.run_detailed_in(&cli.registry)?;
     match cli.format {
         Format::Json => out!("{}", report.to_json().to_pretty()),
@@ -988,9 +961,6 @@ fn cmd_validate(cli: &Cli) -> Result<(), CliError> {
     let backend = trace_backend_flag(&cli.args)?;
     if let Some(backend) = &backend {
         runner = runner.trace_backend(backend.clone());
-    }
-    if let Some(batch) = replay_batch_flag(&cli.args)? {
-        runner = runner.replay_batch(batch);
     }
     let (report, stats) = runner.run_detailed_in(&cli.registry)?;
     match cli.format {
@@ -1404,7 +1374,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), CliError> {
         threads: threads_flag(&cli.args)?.unwrap_or(0),
         store: str_flag_value(&cli.args, "--store")?.map(Into::into),
         trace_backend: trace_backend_flag(&cli.args)?.unwrap_or_default(),
-        replay_batch: replay_batch_flag(&cli.args)?.unwrap_or_default(),
     })?;
     // Scraped by scripts and CI (port 0 resolves to the ephemeral port
     // here): keep the exact shape, and flush before the blocking join.

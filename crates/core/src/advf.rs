@@ -224,7 +224,7 @@ impl PatternClassTally {
 
 /// Merge `from` into `into`, keyed by class and kept sorted by
 /// `flipped_bits` (integer sums, so the result is independent of merge
-/// order — the property sharded analysis relies on).
+/// order).
 pub fn merge_pattern_tallies(into: &mut Vec<PatternClassTally>, from: &[PatternClassTally]) {
     for tally in from {
         match into
@@ -275,15 +275,15 @@ pub struct AdvfReport {
     /// fared across the analyzed sites.
     pub pattern_tallies: Vec<PatternClassTally>,
     /// Replay lanes scheduled through the lane-batched engine (one lane per
-    /// (site, pattern) that needed a propagation replay).  Zero when the
-    /// analysis ran with batching off.  These three counters are engine
-    /// telemetry: any batch width (including off) yields the same verdicts.
+    /// (site, pattern) that needed a propagation replay).  These three
+    /// counters are engine telemetry: they describe how the replays ran,
+    /// never a verdict.
     pub lanes_batched: u64,
     /// Number of batched trace walks those lanes shared.
     pub batch_walks: u64,
     /// Lanes whose batched replay stayed unresolved and therefore fell back
-    /// to the per-site DFI resolver path (or to conservative not-masked
-    /// accounting without a resolver).
+    /// to DFI (or to conservative not-masked accounting without a
+    /// resolver).
     pub batch_fallback_lanes: u64,
     /// Fingerprint of the [`crate::AnalysisConfig`] that produced this report
     /// (see `AnalysisConfig::fingerprint`); lets consumers of serialized

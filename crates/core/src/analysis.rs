@@ -12,28 +12,30 @@
 //! 3. **deterministic fault injection** ([`crate::resolver`]) — for anything
 //!    still unresolved, re-run the application with that exact fault and
 //!    classify the outcome (identical / acceptable / incorrect / crashed),
-//!    memoized by error equivalence.  The default engine plans an object's
-//!    injections first and runs them on every core, settling every planned
-//!    fault whose run stays on the golden path from the trace instead of
-//!    re-running the program (see [`AdvfAnalyzer::analyze`]).
+//!    memoized by error equivalence.
 //!
-//! The per-class masking fractions accumulate into an [`AdvfAccumulator`]
-//! exactly as Equation 1 prescribes.
+//! [`AdvfAnalyzer::analyze`] is the one whole-object path: it replays up to
+//! 64 faults per trace walk, plans the object's injections and runs them on
+//! every core, settles every planned fault whose run stays on the golden
+//! path from the trace instead of re-running the program, and then folds
+//! the verdicts in (site, pattern) order.  The per-class masking fractions
+//! accumulate into an [`AdvfAccumulator`] exactly as Equation 1 prescribes.
+//! [`AdvfAnalyzer::classify`] runs the same pipeline for a single
+//! (site, pattern), replaying it alone through a [`ReplayCursor`].
 
-use crate::advf::{merge_pattern_tallies, AdvfAccumulator, AdvfReport, PatternClassTally};
+use crate::advf::{AdvfAccumulator, AdvfReport, PatternClassTally};
 use crate::error_pattern::{ErrorPattern, ErrorPatternSet};
 use crate::masking::{Masking, OpMaskKind};
 use crate::op_rules::{analyze_operation, CorruptLoc, OpVerdict};
 use crate::parallel::{available_workers, run_indexed};
 use crate::propagation::{
-    BatchLane, BatchReplayCursor, PropagationResult, ReplayBatch, ReplayCursor, MAX_REPLAY_LANES,
+    BatchLane, BatchReplayCursor, PropagationResult, ReplayCursor, MAX_REPLAY_LANES,
 };
 use crate::resolver::{DfiResolver, EquivalenceCache, EquivalenceKey, ResolverStats};
 use crate::sites::{enumerate_strided_sites, sites_by_record, ParticipationSite, SiteSlot};
 use moard_vm::{FaultSpec, ObjectId, OutcomeClass, TraceRecord, TraceStorage};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,42 +132,25 @@ impl AnalysisConfig {
 /// resident).
 ///
 /// The analyzer is `Sync`: the trace is immutable and the equivalence cache
-/// is internally locked, so sharded per-site analysis
-/// ([`AdvfAnalyzer::analyze_sharded`]) can share one analyzer across worker
-/// threads — each worker holds its own [`ReplayCursor`] (and thus its own
-/// segment reader on the paged backend).  The cache, and with it its DFI
-/// verdicts, lives as long as the analyzer; the DFI budget is per call.
+/// is internally locked, so the plan pass of [`AdvfAnalyzer::analyze`]
+/// settles one object's faults on several threads, each walking the trace
+/// with its own cursor (and thus its own segment reader on the paged
+/// backend).  The cache, and with it its DFI verdicts, lives as long as the
+/// analyzer; the DFI budget is per call.
 pub struct AdvfAnalyzer<'a> {
     trace: &'a dyn TraceStorage,
     config: AnalysisConfig,
     cache: EquivalenceCache,
-    replay_batch: ReplayBatch,
 }
 
 impl<'a> AdvfAnalyzer<'a> {
-    /// Create an analyzer over `trace` with the default (lane-batched)
-    /// replay engine.
+    /// Create an analyzer over `trace`.
     pub fn new(trace: &'a dyn TraceStorage, config: AnalysisConfig) -> Self {
         AdvfAnalyzer {
             trace,
             config,
             cache: EquivalenceCache::new(),
-            replay_batch: ReplayBatch::default(),
         }
-    }
-
-    /// Select the replay engine: lane-batched at a given width, or `Off`
-    /// for the sequential one-walk-per-fault engine.  Any setting produces
-    /// bit-identical reports (up to the `lanes_batched`/`batch_walks`/
-    /// `batch_fallback_lanes` telemetry, which is zero when off).
-    pub fn with_replay_batch(mut self, replay_batch: ReplayBatch) -> Self {
-        self.replay_batch = replay_batch;
-        self
-    }
-
-    /// The replay-engine batching setting in use.
-    pub fn replay_batch(&self) -> ReplayBatch {
-        self.replay_batch
     }
 
     /// The configuration in use.
@@ -179,17 +164,32 @@ impl<'a> AdvfAnalyzer<'a> {
     /// purely analytical mode, in which unresolved sites count as not masked
     /// (a conservative lower bound on aDVF).
     ///
-    /// With a resolver, the default lane-batched engine plans the object's
-    /// injections before it folds: it lists, in fold order, every fault the
-    /// fold will inject (same budget, same cache-hit rule) and settles that
-    /// list on every available core, the calling thread included.  Faults
-    /// whose run stays on the golden path are followed to the end of the
-    /// trace and, if the resolver reconstructs their outcome
-    /// ([`DfiResolver::classify_same_path`]), never re-run; the rest are
-    /// injected.  The fold then reads the planned verdicts, so the report —
-    /// DFI run/hit counts and budget exhaustion included — depends neither
-    /// on the core count nor on how a verdict was computed.
-    /// `max_dfi_per_object` counts the DFI verdicts of this call only.
+    /// *Scheduling pass* — per (site, pattern), the operation-level verdict
+    /// is computed once; patterns that need a propagation replay become
+    /// *lanes* grouped by record position into batches of up to
+    /// [`MAX_REPLAY_LANES`], each batch walking the trace once through a
+    /// [`BatchReplayCursor`] as soon as it fills.
+    ///
+    /// *Plan pass* (only with a resolver) — lists, in fold order, every
+    /// fault the fold will inject (same budget, same cache-hit rule) and
+    /// settles that list on every available core, the calling thread
+    /// included.  Faults whose run stays on the golden path are followed
+    /// to the end of the trace and, if the resolver reconstructs their
+    /// outcome ([`DfiResolver::classify_same_path`]), never re-run; the
+    /// rest are injected.
+    ///
+    /// *Fold* — sites fold into the accumulator in site order, and every
+    /// DFI consult happens here in (site, pattern) order, reading the
+    /// planned verdicts.  The report — DFI run/hit counts and budget
+    /// exhaustion included — therefore depends neither on the core count
+    /// nor on how a verdict was computed.  `max_dfi_per_object` counts the
+    /// DFI verdicts of this call only.
+    ///
+    /// The call never fails: on the paged backend a segment that fails to
+    /// decode poisons the trace, and scheduling stops at the first site
+    /// whose record it cannot read.  The report then covers only the sites
+    /// before it (`sites_analyzed` says how many), so a direct caller must
+    /// check [`TraceStorage::poisoned`] afterwards, as the harness does.
     pub fn analyze(
         &self,
         object: ObjectId,
@@ -198,81 +198,6 @@ impl<'a> AdvfAnalyzer<'a> {
         resolver: Option<&dyn DfiResolver>,
     ) -> AdvfReport {
         let sites = self.pattern_sites(object);
-        match self.replay_batch.lanes() {
-            Some(width) => self.analyze_batched(&sites, object_name, workload, resolver, width),
-            None => self.analyze_sequential(&sites, object_name, workload, resolver),
-        }
-    }
-
-    /// The pre-batching engine: one replay walk per (site, pattern).
-    fn analyze_sequential(
-        &self,
-        sites: &[ParticipationSite],
-        object_name: &str,
-        workload: &str,
-        resolver: Option<&dyn DfiResolver>,
-    ) -> AdvfReport {
-        let mut acc = AdvfAccumulator::new();
-        let mut tallies: Vec<PatternClassTally> = Vec::new();
-        let mut resolved_analytically = 0u64;
-        let mut analyzed = 0u64;
-        let stats_before = self.cache.stats();
-        let dfi = resolver.map(|r| DfiCall::new(r, stats_before));
-        // One replay cursor for the whole object: every site classification
-        // reuses its shadow-state buffers.
-        let mut cursor = ReplayCursor::new(self.trace);
-
-        for site in sites {
-            analyzed += 1;
-            let (fractions, used_dfi) =
-                self.site_tallied(&mut cursor, site, dfi.as_ref(), &mut tallies);
-            if !used_dfi {
-                resolved_analytically += 1;
-            }
-            acc.add_participation(&fractions);
-        }
-
-        let stats_after = self.cache.stats();
-        AdvfReport {
-            object: object_name.to_string(),
-            workload: workload.to_string(),
-            accumulator: acc,
-            sites_analyzed: analyzed,
-            dfi_runs: stats_after.injections - stats_before.injections,
-            dfi_cache_hits: stats_after.cache_hits - stats_before.cache_hits,
-            resolved_analytically,
-            dfi_budget_exhausted: dfi.is_some_and(|d| d.exhausted.get()),
-            patterns: self.config.patterns.canonical(),
-            pattern_tallies: tallies,
-            lanes_batched: 0,
-            batch_walks: 0,
-            batch_fallback_lanes: 0,
-            config_fingerprint: self.config.fingerprint(),
-        }
-    }
-
-    /// The lane-batched engine: two passes over the site population.
-    ///
-    /// *Scheduling pass* — per (site, pattern), the operation-level verdict
-    /// is computed once; patterns that need a propagation replay become
-    /// *lanes* grouped by record position into batches of up to `width`,
-    /// each batch walking the trace once through a [`BatchReplayCursor`].
-    ///
-    /// *Plan pass* (only with a resolver) — [`AdvfAnalyzer::run_planned`]
-    /// injects, in parallel, every fault the resolution pass will inject.
-    ///
-    /// *Resolution pass* — sites fold into the accumulator in site order,
-    /// and every DFI consult happens here in exactly the sequential
-    /// (site, pattern) order, so cache statistics, budget accounting and
-    /// verdicts are all bit-identical to [`AdvfAnalyzer::analyze_sequential`].
-    fn analyze_batched(
-        &self,
-        sites: &[ParticipationSite],
-        object_name: &str,
-        workload: &str,
-        resolver: Option<&dyn DfiResolver>,
-        width: usize,
-    ) -> AdvfReport {
         let k = self.config.propagation_window;
         let stats_before = self.cache.stats();
         let mut cursor = BatchReplayCursor::new(self.trace);
@@ -281,12 +206,13 @@ impl<'a> AdvfAnalyzer<'a> {
         let mut plans: Vec<SitePlan> = Vec::with_capacity(sites.len());
         let mut lane_results: Vec<PropagationResult> = Vec::new();
         let mut batch: Vec<BatchLane> = Vec::new();
-        let mut grouper = BatchGrouper::new(width, k);
+        let mut grouper = BatchGrouper::new(k);
         let mut batch_walks = 0u64;
-        for site in sites {
-            let rec = cursor
-                .fetch(site.record_id)
-                .expect("site references a record in this trace");
+        for site in &sites {
+            let Some(rec) = cursor.fetch(site.record_id) else {
+                // The trace is poisoned: analyze the sites scheduled so far.
+                break;
+            };
             let patterns = self.config.patterns.patterns_for(site.value.ty());
             let mut tags = Vec::with_capacity(patterns.len());
             for pattern in &patterns {
@@ -329,12 +255,13 @@ impl<'a> AdvfAnalyzer<'a> {
         }
         let lanes_batched = lane_results.len() as u64;
         let batch_fallback_lanes = lane_results.iter().filter(|r| !r.is_masked()).count() as u64;
+        let sites = &sites[..plans.len()];
 
         // Plan pass.
         let planned = resolver.map(|r| self.run_planned(sites, &plans, &lane_results, r));
         let dfi = planned.as_ref().map(|p| DfiCall::new(p, stats_before));
 
-        // Resolution pass.
+        // Fold.
         let mut acc = AdvfAccumulator::new();
         let mut tallies: Vec<PatternClassTally> = Vec::new();
         let mut resolved_analytically = 0u64;
@@ -396,8 +323,8 @@ impl<'a> AdvfAnalyzer<'a> {
         lane
     }
 
-    /// Plan pass of the batched engine: walk every DFI consult of the
-    /// resolution pass in fold order, apply [`AdvfAnalyzer::resolve_dfi`]'s
+    /// Plan pass of [`AdvfAnalyzer::analyze`]: walk every DFI consult of
+    /// the fold in fold order, apply [`AdvfAnalyzer::resolve_dfi`]'s
     /// budget rule and the [`EquivalenceCache`]'s hit rule, and settle the
     /// faults that will miss the cache on every available core.
     ///
@@ -411,7 +338,7 @@ impl<'a> AdvfAnalyzer<'a> {
     /// hands anything else to `resolver`, so the cache still counts every
     /// DFI verdict and hit in the fold, and a gap in the plan costs time,
     /// never correctness.
-    // Kept out of line: inlined into `analyze_batched`, it slowed that
+    // Kept out of line: inlined into `analyze`, it slowed that
     // function's scheduling loop, and with it every analytic analysis, by
     // about 2.5% on a 2-core Xeon (`analytic-memory` `op_p50_ms` 13.6 ->
     // 14.0 ms).
@@ -499,10 +426,9 @@ impl<'a> AdvfAnalyzer<'a> {
         }
     }
 
-    /// Fold one site's per-pattern outcomes into fractions and tallies —
-    /// the batched counterpart of [`AdvfAnalyzer::analyze_site_tallied`]'s
-    /// classification loop, consuming precomputed operation verdicts
-    /// (`plan.tags`) and batched replay results instead of replaying inline.
+    /// Fold one site's per-pattern outcomes into fractions and tallies:
+    /// the scheduling pass's operation verdicts (`plan.tags`) and batched
+    /// replay results, and DFI for whatever they leave open.
     fn fold_site(
         &self,
         site: &ParticipationSite,
@@ -555,393 +481,28 @@ impl<'a> AdvfAnalyzer<'a> {
         sites
     }
 
-    /// Purely analytical analysis of one object with the participation
-    /// sites sharded across `workers` threads.
-    ///
-    /// Each worker owns a private [`ReplayCursor`] over the shared immutable
-    /// trace (zero cloning) and classifies a disjoint subset of the strided
-    /// sites; the per-site fractions are then folded into the accumulator
-    /// **in site order**, so the report is bit-identical to
-    /// `analyze(object, .., None)` regardless of thread count.  Sharding is
-    /// restricted to the analytic mode because a shared DFI cache would make
-    /// run/hit tallies depend on scheduling.
-    pub fn analyze_sharded(
-        &self,
-        object: ObjectId,
-        object_name: &str,
-        workload: &str,
-        workers: usize,
-    ) -> AdvfReport {
-        let sites = self.pattern_sites(object);
-        match self.replay_batch.lanes() {
-            Some(width) => {
-                self.analyze_sharded_batched(&sites, object_name, workload, workers, width)
-            }
-            None => self.analyze_sharded_sequential(&sites, object_name, workload, workers),
-        }
-    }
-
-    /// The pre-batching sharded engine: workers claim individual sites and
-    /// replay each (site, pattern) on their private [`ReplayCursor`].
-    fn analyze_sharded_sequential(
-        &self,
-        sites: &[ParticipationSite],
-        object_name: &str,
-        workload: &str,
-        workers: usize,
-    ) -> AdvfReport {
-        let selected: Vec<&ParticipationSite> = sites.iter().collect();
-        let workers = workers.max(1).min(selected.len().max(1));
-        let stats_before = self.cache.stats();
-
-        // Per-class masked fractions of one site (`analyze_site` output).
-        type SiteFractions = Vec<(Masking, f64)>;
-        let mut fractions: Vec<Option<SiteFractions>> = vec![None; selected.len()];
-        let mut tallies: Vec<PatternClassTally> = Vec::new();
-        if workers <= 1 {
-            let mut cursor = ReplayCursor::new(self.trace);
-            for (slot, site) in fractions.iter_mut().zip(selected.iter()) {
-                *slot = Some(self.site_tallied(&mut cursor, site, None, &mut tallies).0);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            // One worker's output: its claimed (site index, fractions)
-            // pairs plus its local pattern-class tallies.
-            type WorkerShard = (Vec<(usize, Vec<(Masking, f64)>)>, Vec<PatternClassTally>);
-            let mut shards: Vec<WorkerShard> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let selected = &selected;
-                        scope.spawn(move || {
-                            let mut cursor = ReplayCursor::new(self.trace);
-                            let mut local = Vec::new();
-                            let mut local_tallies: Vec<PatternClassTally> = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(site) = selected.get(i) else {
-                                    break;
-                                };
-                                local.push((
-                                    i,
-                                    self.site_tallied(&mut cursor, site, None, &mut local_tallies)
-                                        .0,
-                                ));
-                            }
-                            (local, local_tallies)
-                        })
-                    })
-                    .collect();
-                shards = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("sharded analysis worker panicked"))
-                    .collect();
-            });
-            // Pattern-class tallies are exact integer counts keyed (and kept
-            // sorted) by class, so folding them worker-by-worker yields the
-            // same vector as the sequential loop no matter the scheduling.
-            for (local, local_tallies) in shards {
-                for (i, f) in local {
-                    fractions[i] = Some(f);
-                }
-                merge_pattern_tallies(&mut tallies, &local_tallies);
-            }
-        }
-
-        // Deterministic fold: site order, exactly as the sequential loop.
-        let mut acc = AdvfAccumulator::new();
-        for f in &fractions {
-            acc.add_participation(f.as_ref().expect("every site index was claimed"));
-        }
-        let stats_after = self.cache.stats();
-        AdvfReport {
-            object: object_name.to_string(),
-            workload: workload.to_string(),
-            accumulator: acc,
-            sites_analyzed: selected.len() as u64,
-            dfi_runs: stats_after.injections - stats_before.injections,
-            dfi_cache_hits: stats_after.cache_hits - stats_before.cache_hits,
-            resolved_analytically: selected.len() as u64,
-            dfi_budget_exhausted: false,
-            patterns: self.config.patterns.canonical(),
-            pattern_tallies: tallies,
-            lanes_batched: 0,
-            batch_walks: 0,
-            batch_fallback_lanes: 0,
-            config_fingerprint: self.config.fingerprint(),
-        }
-    }
-
-    /// The lane-batched sharded engine.
-    ///
-    /// The scheduling pass runs sequentially (it is pure in-memory record
-    /// inspection) and materializes the *exact* batches the single-threaded
-    /// batched engine would walk; workers then claim whole batches — each
-    /// with a private [`BatchReplayCursor`] — and the per-site fold runs in
-    /// site order, so the report (batch telemetry included) is bit-identical
-    /// to [`AdvfAnalyzer::analyze_batched`] at any worker count.
-    fn analyze_sharded_batched(
-        &self,
-        sites: &[ParticipationSite],
-        object_name: &str,
-        workload: &str,
-        workers: usize,
-        width: usize,
-    ) -> AdvfReport {
-        let k = self.config.propagation_window;
-        let stats_before = self.cache.stats();
-
-        // Scheduling pass: same lane order and batch boundaries as the
-        // sequential batched engine, batches kept instead of walked.
-        let mut cursor = BatchReplayCursor::new(self.trace);
-        let mut plans: Vec<SitePlan> = Vec::with_capacity(sites.len());
-        let mut batches: Vec<Vec<BatchLane>> = Vec::new();
-        let mut open: Vec<BatchLane> = Vec::new();
-        let mut grouper = BatchGrouper::new(width, k);
-        let mut lanes_batched = 0usize;
-        for site in sites {
-            let rec = cursor
-                .fetch(site.record_id)
-                .expect("site references a record in this trace");
-            let patterns = self.config.patterns.patterns_for(site.value.ty());
-            let mut tags = Vec::with_capacity(patterns.len());
-            for pattern in &patterns {
-                let tag = match analyze_operation(&rec, site.slot, pattern) {
-                    OpVerdict::Masked(kind) => LaneTag::Class(Masking::Operation(kind)),
-                    OpVerdict::NotMasked => LaneTag::Class(Masking::NotMasked),
-                    OpVerdict::NeedsDfi => LaneTag::NeedsDfi,
-                    OpVerdict::OvershadowCandidate { corrupt } => {
-                        LaneTag::Overshadow(schedule_lane(
-                            &mut batches,
-                            &mut open,
-                            &mut grouper,
-                            site,
-                            corrupt,
-                            &mut lanes_batched,
-                        ))
-                    }
-                    OpVerdict::Propagate { corrupt } => LaneTag::Propagate(schedule_lane(
-                        &mut batches,
-                        &mut open,
-                        &mut grouper,
-                        site,
-                        corrupt,
-                        &mut lanes_batched,
-                    )),
-                };
-                tags.push(tag);
-            }
-            plans.push(SitePlan {
-                rec,
-                patterns,
-                tags,
-            });
-        }
-        if !open.is_empty() {
-            batches.push(open);
-        }
-        let batch_walks = batches.len() as u64;
-
-        // First global lane index of each batch (lanes are numbered in
-        // scheduling order, batches hold contiguous ranges).
-        let mut offsets = Vec::with_capacity(batches.len());
-        let mut off = 0usize;
-        for b in &batches {
-            offsets.push(off);
-            off += b.len();
-        }
-
-        // Walk pass: workers claim whole batches.
-        let mut slots: Vec<Option<PropagationResult>> = vec![None; lanes_batched];
-        let workers = workers.max(1).min(batches.len().max(1));
-        if workers <= 1 {
-            let mut out = Vec::new();
-            for (b, &lo) in batches.iter().zip(&offsets) {
-                out.clear();
-                cursor.replay_batch(b, k, &mut out);
-                for (j, r) in out.iter().enumerate() {
-                    slots[lo + j] = Some(*r);
-                }
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            let mut shards: Vec<Vec<(usize, Vec<PropagationResult>)>> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        let batches = &batches;
-                        scope.spawn(move || {
-                            let mut cursor = BatchReplayCursor::new(self.trace);
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(b) = batches.get(i) else {
-                                    break;
-                                };
-                                let mut out = Vec::with_capacity(b.len());
-                                cursor.replay_batch(b, k, &mut out);
-                                local.push((i, out));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                shards = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("batched walk worker panicked"))
-                    .collect();
-            });
-            for local in shards {
-                for (i, out) in local {
-                    for (j, r) in out.into_iter().enumerate() {
-                        slots[offsets[i] + j] = Some(r);
-                    }
-                }
-            }
-        }
-        let lane_results: Vec<PropagationResult> = slots
-            .into_iter()
-            .map(|s| s.expect("every batch was claimed and walked"))
-            .collect();
-        let batch_fallback_lanes = lane_results.iter().filter(|r| !r.is_masked()).count() as u64;
-
-        // Fold pass: site order, no resolver (sharding is analytic-only).
-        let mut acc = AdvfAccumulator::new();
-        let mut tallies: Vec<PatternClassTally> = Vec::new();
-        for (site, plan) in sites.iter().zip(&plans) {
-            let (fractions, _) = self.fold_site(site, plan, &lane_results, None, &mut tallies);
-            acc.add_participation(&fractions);
-        }
-
-        let stats_after = self.cache.stats();
-        AdvfReport {
-            object: object_name.to_string(),
-            workload: workload.to_string(),
-            accumulator: acc,
-            sites_analyzed: sites.len() as u64,
-            dfi_runs: stats_after.injections - stats_before.injections,
-            dfi_cache_hits: stats_after.cache_hits - stats_before.cache_hits,
-            resolved_analytically: sites.len() as u64,
-            dfi_budget_exhausted: false,
-            patterns: self.config.patterns.canonical(),
-            pattern_tallies: tallies,
-            lanes_batched: lanes_batched as u64,
-            batch_walks,
-            batch_fallback_lanes,
-            config_fingerprint: self.config.fingerprint(),
-        }
-    }
-
-    /// Analyze one participation site across all configured error patterns.
-    /// Returns the per-class masked fractions and whether DFI was consulted.
-    /// A DFI budget applies to this call alone, as to every per-site entry
-    /// point below.
-    pub fn analyze_site(
-        &self,
-        site: &ParticipationSite,
-        resolver: Option<&dyn DfiResolver>,
-    ) -> (Vec<(Masking, f64)>, bool) {
-        self.analyze_site_in(&mut ReplayCursor::new(self.trace), site, resolver)
-    }
-
-    /// [`AdvfAnalyzer::analyze_site`] with a caller-supplied replay cursor
-    /// (reused across sites by the analysis loops).
-    pub fn analyze_site_in(
-        &self,
-        cursor: &mut ReplayCursor<'a>,
-        site: &ParticipationSite,
-        resolver: Option<&dyn DfiResolver>,
-    ) -> (Vec<(Masking, f64)>, bool) {
-        let mut tallies = Vec::new();
-        self.analyze_site_tallied(cursor, site, resolver, &mut tallies)
-    }
-
-    /// [`AdvfAnalyzer::analyze_site_in`] that additionally folds each
-    /// classified `(pattern, verdict)` into the per-pattern-class tallies
-    /// of the report being assembled.
-    pub fn analyze_site_tallied(
-        &self,
-        cursor: &mut ReplayCursor<'a>,
-        site: &ParticipationSite,
-        resolver: Option<&dyn DfiResolver>,
-        tallies: &mut Vec<PatternClassTally>,
-    ) -> (Vec<(Masking, f64)>, bool) {
-        let dfi = resolver.map(|r| DfiCall::new(r, self.cache.stats()));
-        self.site_tallied(cursor, site, dfi.as_ref(), tallies)
-    }
-
-    /// [`AdvfAnalyzer::analyze_site_tallied`] under the caller's DFI budget.
-    fn site_tallied(
-        &self,
-        cursor: &mut ReplayCursor<'a>,
-        site: &ParticipationSite,
-        dfi: Option<&DfiCall>,
-        tallies: &mut Vec<PatternClassTally>,
-    ) -> (Vec<(Masking, f64)>, bool) {
-        // Fetch through the cursor's warm reader: on the paged backend the
-        // site's segment is (or is about to be) in the replay LRU anyway.
-        let rec = cursor
-            .fetch(site.record_id)
-            .expect("site references a record in this trace");
-        let patterns = self.config.patterns.patterns_for(site.value.ty());
-        if patterns.is_empty() {
-            return (vec![], false);
-        }
-        let n = patterns.len() as f64;
-        let mut counts: Vec<(Masking, u64)> = Vec::new();
-        let mut used_dfi = false;
-        for pattern in &patterns {
-            let (class, dfi_used) = self.classify_with(cursor, &rec, site, pattern, dfi);
-            used_dfi |= dfi_used;
-            record_pattern_class(tallies, pattern.bits.len() as u32, class);
-            if class == Masking::NotMasked {
-                continue;
-            }
-            match counts.iter_mut().find(|(c, _)| *c == class) {
-                Some((_, k)) => *k += 1,
-                None => counts.push((class, 1)),
-            }
-        }
-        (
-            counts.into_iter().map(|(c, k)| (c, k as f64 / n)).collect(),
-            used_dfi,
-        )
-    }
-
-    /// Classify one (site, error pattern) through the full pipeline.
-    /// The second element reports whether DFI was consulted.
+    /// Classify one (site, error pattern) through the full pipeline: the
+    /// operation rules, a replay of this fault alone through a fresh
+    /// [`ReplayCursor`], and DFI under a budget of its own.  The second
+    /// element reports whether DFI was consulted.
     pub fn classify(
         &self,
         rec: &TraceRecord,
         site: &ParticipationSite,
-        pattern: crate::error_pattern::ErrorPattern,
-        resolver: Option<&dyn DfiResolver>,
-    ) -> (Masking, bool) {
-        self.classify_in(
-            &mut ReplayCursor::new(self.trace),
-            rec,
-            site,
-            pattern,
-            resolver,
-        )
-    }
-
-    /// [`AdvfAnalyzer::classify`] with a caller-supplied replay cursor.
-    pub fn classify_in(
-        &self,
-        cursor: &mut ReplayCursor<'a>,
-        rec: &TraceRecord,
-        site: &ParticipationSite,
-        pattern: crate::error_pattern::ErrorPattern,
+        pattern: ErrorPattern,
         resolver: Option<&dyn DfiResolver>,
     ) -> (Masking, bool) {
         let dfi = resolver.map(|r| DfiCall::new(r, self.cache.stats()));
-        self.classify_with(cursor, rec, site, &pattern, dfi.as_ref())
+        self.classify_with(
+            &mut ReplayCursor::new(self.trace),
+            rec,
+            site,
+            &pattern,
+            dfi.as_ref(),
+        )
     }
 
-    /// [`AdvfAnalyzer::classify_in`] under the caller's DFI budget.
+    /// [`AdvfAnalyzer::classify`] with a caller's cursor and DFI budget.
     fn classify_with(
         &self,
         cursor: &mut ReplayCursor<'a>,
@@ -1018,7 +579,7 @@ impl<'a> AdvfAnalyzer<'a> {
     }
 }
 
-/// Operation-level verdict of one (site, pattern) as recorded by the batched
+/// Operation-level verdict of one (site, pattern) as recorded by the
 /// scheduling pass.  Replay-dependent verdicts carry the global lane index
 /// of their batched walk; the fold pass resolves them (and any DFI) later.
 enum LaneTag {
@@ -1104,21 +665,19 @@ struct SitePlan {
 }
 
 /// Decides batch boundaries for the lane scheduler.  A batch closes when it
-/// holds `width` lanes or when the next lane would start more than
-/// `span_cap` records after the batch's first lane: lanes sharing a walk
-/// should overlap their windows, or the walk degenerates into disjoint
-/// segments with dead skip-ahead in between.
+/// holds [`MAX_REPLAY_LANES`] lanes or when the next lane would start more
+/// than `span_cap` records after the batch's first lane: lanes sharing a
+/// walk should overlap their windows, or the walk degenerates into
+/// disjoint segments with dead skip-ahead in between.
 struct BatchGrouper {
-    width: usize,
     span_cap: u64,
     len: usize,
     first_start: u64,
 }
 
 impl BatchGrouper {
-    fn new(width: usize, k: usize) -> Self {
+    fn new(k: usize) -> Self {
         BatchGrouper {
-            width,
             // k = 0 still allows grouping lanes at adjacent records: every
             // lane resolves on activation, so span hardly matters.
             span_cap: k.max(1) as u64,
@@ -1130,7 +689,7 @@ impl BatchGrouper {
     /// Must the open batch be flushed before a lane starting at `start`
     /// (a non-decreasing sequence) can be appended?
     fn must_flush(&self, start: u64) -> bool {
-        self.len == self.width || (self.len > 0 && start - self.first_start > self.span_cap)
+        self.len == MAX_REPLAY_LANES || (self.len > 0 && start - self.first_start > self.span_cap)
     }
 
     fn push(&mut self, start: u64) {
@@ -1145,35 +704,10 @@ impl BatchGrouper {
     }
 }
 
-/// Sharded-scheduling counterpart of [`AdvfAnalyzer::push_lane`]: append a
-/// lane to the open batch (sealing it first if the grouper says so) and
-/// return the lane's global index.
-fn schedule_lane(
-    batches: &mut Vec<Vec<BatchLane>>,
-    open: &mut Vec<BatchLane>,
-    grouper: &mut BatchGrouper,
-    site: &ParticipationSite,
-    corrupt: Vec<CorruptLoc>,
-    lanes: &mut usize,
-) -> usize {
-    let start = site.record_id + 1;
-    if grouper.must_flush(start) {
-        batches.push(std::mem::take(open));
-        grouper.reset();
-    }
-    grouper.push(start);
-    let lane = *lanes;
-    *lanes += 1;
-    open.push(BatchLane {
-        start: start as usize,
-        corrupt,
-    });
-    lane
-}
-
 /// Record one classified `(pattern, verdict)` into the tally keyed by its
 /// pattern class, keeping the vector sorted by `flipped_bits` (the same
-/// invariant [`merge_pattern_tallies`] maintains across shards).
+/// invariant [`crate::advf::merge_pattern_tallies`] maintains across
+/// shards).
 fn record_pattern_class(tallies: &mut Vec<PatternClassTally>, width: u32, class: Masking) {
     match tallies.iter_mut().find(|t| t.flipped_bits == width) {
         Some(t) => t.record(class),
@@ -1205,7 +739,9 @@ mod tests {
     use super::*;
     use crate::propagation::SamePathEnd;
     use moard_ir::prelude::*;
-    use moard_vm::{run_traced, run_with_fault, Vm};
+    use moard_vm::{run_traced, run_with_fault, TraceError, TraceIndex, TraceRead, TraceStats, Vm};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     /// The paper's Listing-1-like kernel:
     ///   par_a[0] = sqrt(2.0);                 // overwrite
@@ -1335,8 +871,11 @@ mod tests {
             .find(|s| s.slot == SiteSlot::StoreDest && s.element.1 == 0)
             .expect("store to par_a[0] participates");
         let analyzer = AdvfAnalyzer::new(&trace, AnalysisConfig::default());
-        let (fractions, _) = analyzer.analyze_site(store_dest_site, None);
-        assert!((site_masked_fraction(&fractions) - 1.0).abs() < 1e-12);
+        let rec = trace.record(store_dest_site.record_id).unwrap();
+        for pattern in ErrorPatternSet::SingleBit.patterns_for(store_dest_site.value.ty()) {
+            let (class, _) = analyzer.classify(rec, store_dest_site, pattern, None);
+            assert!(class.is_masked(), "{class:?}");
+        }
         // Cross-check with the injector.
         for bit in [0u32, 31, 63] {
             let outcome = run_with_fault(&m, &store_dest_site.fault_bit(bit)).unwrap();
@@ -1344,33 +883,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_analysis_is_bit_identical_to_sequential() {
-        let m = listing1_module();
-        let (_, trace) = run_traced(&m).unwrap();
-        let vm = Vm::with_defaults(&m).unwrap();
-        let obj = vm.objects().by_name("par_a").unwrap().id;
-        let analyzer = AdvfAnalyzer::new(&trace, AnalysisConfig::default());
-        let sequential = analyzer.analyze(obj, "par_a", "listing1", None);
-        for workers in [1usize, 2, 4, 64] {
-            let sharded = analyzer.analyze_sharded(obj, "par_a", "listing1", workers);
-            assert_eq!(sharded, sequential, "workers={workers}");
-            assert_eq!(
-                sharded.advf().to_bits(),
-                sequential.advf().to_bits(),
-                "workers={workers}"
-            );
+    /// The inline-DFI oracle that [`AdvfAnalyzer::analyze`] must match: each
+    /// (site, pattern) in fold order, replayed alone through one
+    /// [`ReplayCursor`] and, where the trace cannot settle it, injected on
+    /// the spot through `classify_with`, all under one `DfiCall` budget.
+    /// Writes no batch telemetry.
+    fn oracle(
+        analyzer: &AdvfAnalyzer,
+        object: ObjectId,
+        object_name: &str,
+        workload: &str,
+        resolver: Option<&dyn DfiResolver>,
+    ) -> AdvfReport {
+        let mut acc = AdvfAccumulator::new();
+        let mut tallies: Vec<PatternClassTally> = Vec::new();
+        let mut resolved_analytically = 0u64;
+        let sites = analyzer.pattern_sites(object);
+        let stats_before = analyzer.cache.stats();
+        let dfi = resolver.map(|r| DfiCall::new(r, stats_before));
+        let mut cursor = ReplayCursor::new(analyzer.trace);
+        for site in &sites {
+            let rec = cursor.fetch(site.record_id).unwrap();
+            let patterns = analyzer.config.patterns.patterns_for(site.value.ty());
+            let mut counts: Vec<(Masking, u64)> = Vec::new();
+            let mut used_dfi = false;
+            for pattern in &patterns {
+                let (class, dfi_used) =
+                    analyzer.classify_with(&mut cursor, &rec, site, pattern, dfi.as_ref());
+                used_dfi |= dfi_used;
+                record_pattern_class(&mut tallies, pattern.bits.len() as u32, class);
+                if class == Masking::NotMasked {
+                    continue;
+                }
+                match counts.iter_mut().find(|(c, _)| *c == class) {
+                    Some((_, k)) => *k += 1,
+                    None => counts.push((class, 1)),
+                }
+            }
+            if !used_dfi {
+                resolved_analytically += 1;
+            }
+            let n = patterns.len() as f64;
+            let fractions: Vec<(Masking, f64)> =
+                counts.into_iter().map(|(c, k)| (c, k as f64 / n)).collect();
+            acc.add_participation(&fractions);
         }
-        // Striding composes with sharding the same way it does sequentially.
-        let strided_config = AnalysisConfig {
-            site_stride: 3,
-            ..Default::default()
-        };
-        let analyzer = AdvfAnalyzer::new(&trace, strided_config);
-        assert_eq!(
-            analyzer.analyze_sharded(obj, "par_a", "listing1", 4),
-            analyzer.analyze(obj, "par_a", "listing1", None)
-        );
+        let stats_after = analyzer.cache.stats();
+        AdvfReport {
+            object: object_name.to_string(),
+            workload: workload.to_string(),
+            accumulator: acc,
+            sites_analyzed: sites.len() as u64,
+            dfi_runs: stats_after.injections - stats_before.injections,
+            dfi_cache_hits: stats_after.cache_hits - stats_before.cache_hits,
+            resolved_analytically,
+            dfi_budget_exhausted: dfi.is_some_and(|d| d.exhausted.get()),
+            patterns: analyzer.config.patterns.canonical(),
+            pattern_tallies: tallies,
+            lanes_batched: 0,
+            batch_walks: 0,
+            batch_fallback_lanes: 0,
+            config_fingerprint: analyzer.config.fingerprint(),
+        }
     }
 
     /// A DFI resolver comparing the `out` array and the return value, that
@@ -1467,73 +1041,96 @@ mod tests {
         }
     }
 
+    /// `t = x[0] + 1000.0`, read only by `t > 1.0`: most flips of `x[0]`
+    /// stay below 1000 in magnitude and change the sum, so they are
+    /// overshadowing candidates whose corrupted sum then dies unread — a
+    /// replay masks them, and they still count as overshadowing.
+    fn overshadow_module() -> Module {
+        let mut m = Module::new("overshadow");
+        let x = m.add_global(Global::from_f64("x", &[1.0]));
+        let out = m.add_global(Global::zeroed("out", Type::F64, 1));
+        let mut f = FunctionBuilder::new("main", &[], None);
+        let x0 = f.load_elem(Type::F64, x, Operand::const_i64(0));
+        let t = f.fadd(Operand::Reg(x0), Operand::const_f64(1000.0));
+        let c = f.cmp(CmpPred::FOgt, Operand::Reg(t), Operand::const_f64(1.0));
+        f.if_then(Operand::Reg(c), |f| {
+            f.store_elem(
+                Type::F64,
+                out,
+                Operand::const_i64(0),
+                Operand::const_f64(1.0),
+            );
+        });
+        f.ret(None);
+        m.add_function(f.finish());
+        moard_ir::verify::assert_verified(&m);
+        m
+    }
+
     #[test]
     fn batched_analysis_matches_sequential_engine_with_dfi() {
-        // Same object, same resolver, every batch width against `Off` (the
-        // inline-DFI engine): the whole report — verdict fractions, tallies,
-        // DFI run/hit counts, budget exhaustion — must match bit-for-bit;
-        // only the batch telemetry may differ.  Budgets cut the planned
-        // faults mid-object, and the resolvers prove the plan settles
-        // exactly what the fold consumes: one injection or reconstruction
-        // per counted run, no fault twice.  A reconstructing resolver must
+        // Same object, same resolver, `analyze` against the inline-DFI
+        // oracle: the whole report — verdict fractions, tallies, DFI
+        // run/hit counts, budget exhaustion — must match bit-for-bit; only
+        // the batch telemetry may differ.  Budgets cut the planned faults
+        // mid-object, and the resolvers prove the plan settles exactly
+        // what the fold consumes: one injection or reconstruction per
+        // counted run, no fault twice.  A reconstructing resolver must
         // change nothing in the report.
-        let m = listing1_module();
-        let (_, trace) = run_traced(&m).unwrap();
-        let vm = Vm::with_defaults(&m).unwrap();
-        let obj = vm.objects().by_name("par_a").unwrap().id;
         let pattern_sets = [
             ErrorPatternSet::SingleBit,
             ErrorPatternSet::AdjacentBits { width: 2 },
             ErrorPatternSet::SeparatedPair { gap: 5 },
         ];
         let mut reconstructed = 0;
-        for patterns in pattern_sets {
-            for budget in [Some(1u64), Some(3), Some(7), None] {
-                for k in [0usize, 2, 50] {
-                    let config = AnalysisConfig {
-                        propagation_window: k,
-                        patterns: patterns.clone(),
-                        max_dfi_per_object: budget,
-                        ..Default::default()
-                    };
-                    let case = format!("patterns={patterns:?} budget={budget:?} k={k}");
-                    let resolver = CountingResolver::new(&m);
-                    let off = AdvfAnalyzer::new(&trace, config.clone())
-                        .with_replay_batch(ReplayBatch::Off)
-                        .analyze(obj, "par_a", "listing1", Some(&resolver));
-                    assert_eq!(off.lanes_batched, 0);
-                    assert_eq!(off.batch_walks, 0);
-                    assert_eq!(resolver.calls(), off.dfi_runs, "{case}");
-                    if let Some(limit) = budget {
-                        assert!(off.dfi_runs <= limit, "{case}");
-                    }
-                    for width in [1usize, 7, 64] {
+        for (m, object) in [(listing1_module(), "par_a"), (overshadow_module(), "x")] {
+            let (_, trace) = run_traced(&m).unwrap();
+            let vm = Vm::with_defaults(&m).unwrap();
+            let obj = vm.objects().by_name(object).unwrap().id;
+            for patterns in &pattern_sets {
+                for budget in [Some(1u64), Some(3), Some(7), None] {
+                    for k in [0usize, 2, 50] {
+                        let config = AnalysisConfig {
+                            propagation_window: k,
+                            patterns: patterns.clone(),
+                            max_dfi_per_object: budget,
+                            ..Default::default()
+                        };
+                        let case =
+                            format!("{object} patterns={patterns:?} budget={budget:?} k={k}");
+                        let resolver = CountingResolver::new(&m);
+                        let analyzer = AdvfAnalyzer::new(&trace, config.clone());
+                        let expected = oracle(&analyzer, obj, object, "kernel", Some(&resolver));
+                        assert_eq!(resolver.calls(), expected.dfi_runs, "{case}");
+                        if let Some(limit) = budget {
+                            assert!(expected.dfi_runs <= limit, "{case}");
+                        }
                         for resolver in [
                             CountingResolver::new(&m),
                             CountingResolver::reconstructing(&m),
                         ] {
-                            let batched = AdvfAnalyzer::new(&trace, config.clone())
-                                .with_replay_batch(ReplayBatch::width(width))
-                                .analyze(obj, "par_a", "listing1", Some(&resolver));
-                            let case = format!(
-                                "{case} width={width} reconstructs={}",
-                                resolver.reconstructs
+                            let report = AdvfAnalyzer::new(&trace, config.clone()).analyze(
+                                obj,
+                                object,
+                                "kernel",
+                                Some(&resolver),
                             );
+                            let case = format!("{case} reconstructs={}", resolver.reconstructs);
                             assert_eq!(
                                 resolver.calls() + resolver.reconstructed(),
-                                batched.dfi_runs,
+                                report.dfi_runs,
                                 "{case}"
                             );
                             reconstructed += resolver.reconstructed();
-                            let mut normalized = batched.clone();
+                            let mut normalized = report.clone();
                             normalized.lanes_batched = 0;
                             normalized.batch_walks = 0;
                             normalized.batch_fallback_lanes = 0;
-                            assert_eq!(normalized, off, "{case}");
-                            assert_eq!(batched.advf().to_bits(), off.advf().to_bits());
+                            assert_eq!(normalized, expected, "{case}");
+                            assert_eq!(report.advf().to_bits(), expected.advf().to_bits());
                             if k > 0 {
-                                assert!(batched.lanes_batched > 0, "{case}");
-                                assert!(batched.batch_walks <= batched.lanes_batched, "{case}");
+                                assert!(report.lanes_batched > 0, "{case}");
+                                assert!(report.batch_walks <= report.lanes_batched, "{case}");
                             }
                         }
                     }
@@ -1587,28 +1184,133 @@ mod tests {
             max_dfi_per_object: Some(3),
             ..Default::default()
         };
-        for replay_batch in [ReplayBatch::default(), ReplayBatch::Off] {
-            let resolver = CountingResolver::new(&m);
-            let shared = AdvfAnalyzer::new(&trace, config.clone()).with_replay_batch(replay_batch);
-            let first = shared.analyze(a, "a", "two_objects", Some(&resolver));
-            let second = shared.analyze(b, "b", "two_objects", Some(&resolver));
-            let fresh = AdvfAnalyzer::new(&trace, config.clone())
-                .with_replay_batch(replay_batch)
-                .analyze(b, "b", "two_objects", Some(&CountingResolver::new(&m)));
-            for report in [&first, &second] {
-                assert_eq!(report.dfi_runs, 3, "{replay_batch:?}");
-                assert!(report.dfi_budget_exhausted, "{replay_batch:?}");
+        let resolver = CountingResolver::new(&m);
+        let shared = AdvfAnalyzer::new(&trace, config.clone());
+        let first = shared.analyze(a, "a", "two_objects", Some(&resolver));
+        let second = shared.analyze(b, "b", "two_objects", Some(&resolver));
+        let fresh = AdvfAnalyzer::new(&trace, config).analyze(
+            b,
+            "b",
+            "two_objects",
+            Some(&CountingResolver::new(&m)),
+        );
+        for report in [&first, &second] {
+            assert_eq!(report.dfi_runs, 3);
+            assert!(report.dfi_budget_exhausted);
+        }
+        assert_eq!(second, fresh);
+        assert_eq!(resolver.calls(), 6);
+        let again = shared.analyze(a, "a", "two_objects", Some(&resolver));
+        assert_eq!(again.dfi_runs, 3);
+        assert!(again.dfi_cache_hits >= first.dfi_cache_hits + 3);
+        assert_eq!(resolver.calls(), 9);
+        assert_eq!(shared.dfi_stats().injections, 9);
+    }
+
+    /// A trace whose readers, after the first, serve no record at or past
+    /// `fails_from` and poison the trace instead — as a paged trace does
+    /// when a segment stops decoding after site enumeration (the first
+    /// reader).
+    struct FailingReads<'t> {
+        trace: &'t moard_vm::Trace,
+        fails_from: u64,
+        readers: AtomicUsize,
+        poison: Mutex<Option<TraceError>>,
+    }
+
+    impl<'t> FailingReads<'t> {
+        fn new(trace: &'t moard_vm::Trace, fails_from: u64) -> Self {
+            FailingReads {
+                trace,
+                fails_from,
+                readers: AtomicUsize::new(0),
+                poison: Mutex::new(None),
             }
-            assert_eq!(second, fresh, "{replay_batch:?}");
-            assert_eq!(resolver.calls(), 6, "{replay_batch:?}");
-            let again = shared.analyze(a, "a", "two_objects", Some(&resolver));
-            assert_eq!(again.dfi_runs, 3, "{replay_batch:?}");
-            assert!(
-                again.dfi_cache_hits >= first.dfi_cache_hits + 3,
-                "{replay_batch:?}"
-            );
-            assert_eq!(resolver.calls(), 9, "{replay_batch:?}");
-            assert_eq!(shared.dfi_stats().injections, 9, "{replay_batch:?}");
+        }
+    }
+
+    impl TraceStorage for FailingReads<'_> {
+        fn len(&self) -> u64 {
+            TraceStorage::len(self.trace)
+        }
+
+        fn index(&self) -> &TraceIndex {
+            TraceStorage::index(self.trace)
+        }
+
+        fn stats(&self) -> TraceStats {
+            self.trace.stats()
+        }
+
+        fn backend_name(&self) -> &'static str {
+            "failing"
+        }
+
+        fn new_reader(&self) -> Box<dyn TraceRead + '_> {
+            if self.readers.fetch_add(1, Ordering::SeqCst) == 0 {
+                return self.trace.new_reader();
+            }
+            Box::new(FailingReader {
+                storage: self,
+                inner: self.trace.new_reader(),
+            })
+        }
+
+        fn poisoned(&self) -> Option<TraceError> {
+            self.poison.lock().unwrap().clone()
+        }
+    }
+
+    struct FailingReader<'s> {
+        storage: &'s FailingReads<'s>,
+        inner: Box<dyn TraceRead + 's>,
+    }
+
+    impl TraceRead for FailingReader<'_> {
+        fn run_from(&mut self, id: u64) -> &[TraceRecord] {
+            let fails_from = self.storage.fails_from;
+            if id >= fails_from {
+                self.storage
+                    .poison
+                    .lock()
+                    .unwrap()
+                    .get_or_insert(TraceError::Corrupt {
+                        path: "segment".into(),
+                        reason: "fails to decode".into(),
+                    });
+                return &[];
+            }
+            let run = self.inner.run_from(id);
+            &run[..run.len().min((fails_from - id) as usize)]
+        }
+    }
+
+    #[test]
+    fn unreadable_site_record_stops_the_analysis_without_panicking() {
+        // Every read after site enumeration fails, then only the reads past
+        // the middle site: `analyze` returns either way, with and without a
+        // resolver, covering exactly the sites before the first unreadable
+        // record, and leaves the poison for its caller to check.
+        let m = listing1_module();
+        let (_, trace) = run_traced(&m).unwrap();
+        let vm = Vm::with_defaults(&m).unwrap();
+        let obj = vm.objects().by_name("par_a").unwrap().id;
+        let config = AnalysisConfig::default();
+        let sites = AdvfAnalyzer::new(&trace, config.clone()).pattern_sites(obj);
+        for fails_from in [0, sites[sites.len() / 2].record_id] {
+            let scheduled = sites.iter().filter(|s| s.record_id < fails_from).count() as u64;
+            assert!(fails_from == 0 || scheduled > 0);
+            for use_dfi in [false, true] {
+                let failing = FailingReads::new(&trace, fails_from);
+                let resolver = CountingResolver::new(&m);
+                let resolver = use_dfi.then_some(&resolver as &dyn DfiResolver);
+                let report = AdvfAnalyzer::new(&failing, config.clone())
+                    .analyze(obj, "par_a", "listing1", resolver);
+                let case = format!("fails_from={fails_from} dfi={use_dfi}");
+                assert!(failing.poisoned().is_some(), "{case}");
+                assert_eq!(report.sites_analyzed, scheduled, "{case}");
+                assert_eq!(report.accumulator.participations, scheduled, "{case}");
+            }
         }
     }
 

@@ -84,8 +84,8 @@ pub use masking::{Masking, OpMaskKind};
 pub use op_rules::{analyze_operation, CorruptLoc, OpVerdict};
 pub use parallel::{available_workers, run_indexed};
 pub use propagation::{
-    replay, BatchLane, BatchReplayCursor, PropagationResult, ReplayBatch, ReplayCursor,
-    SamePathEnd, UnresolvedReason, MAX_REPLAY_LANES,
+    replay, BatchLane, BatchReplayCursor, PropagationResult, ReplayCursor, SamePathEnd,
+    UnresolvedReason, MAX_REPLAY_LANES,
 };
 pub use report::{
     check_schema_version, fingerprint_hex, fnv1a, parse_fingerprint, trace_stats_to_json,

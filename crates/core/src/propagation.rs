@@ -29,19 +29,23 @@
 //!   is simply the trace tail (the old `Trace::window` cursor); for the
 //!   paged backend it is the suffix of one decoded segment, so replay
 //!   streams segments without ever needing the full trace resident.
-//!   Sharded per-site replay across worker threads shares one immutable
-//!   trace with no cloning — each cursor owns its own reader;
-//! * the live corrupted state (`ShadowState`) is a pair of small linear
-//!   vectors, not hash maps: live sets are almost always a handful of
-//!   locations, where linear probing beats hashing by a wide margin;
-//! * a [`ReplayCursor`] owns the state buffers and is reusable across
-//!   replays, so a site loop performs no per-replay allocation.  The free
-//!   [`replay`] function remains as the one-shot convenience entry point;
-//! * up to 64 replays whose windows overlap can share **one** walk over the
-//!   decoded records through a [`BatchReplayCursor`]: its shadow state maps
-//!   each (frame, register) and memory word to a `u64` *lane mask* plus the
-//!   per-lane corrupted values, so a record is decoded (and its shadow
-//!   entries scanned) once for the whole batch instead of once per fault.
+//!   Walks on several threads (the analyzer's plan pass) share one
+//!   immutable trace with no cloning — each cursor owns its own reader;
+//! * a [`ReplayCursor`] replays one fault per walk.  It is the reference
+//!   engine the batched one is checked against, and
+//!   [`crate::AdvfAnalyzer::classify`] uses it to settle a single
+//!   (site, pattern).  Its live corrupted state (`ShadowState`) is a pair
+//!   of small linear vectors, not hash maps: live sets are almost always a
+//!   handful of locations, where linear probing beats hashing by a wide
+//!   margin.  The cursor owns the state buffers and is reusable across
+//!   replays; the free [`replay`] function is the one-shot convenience
+//!   entry point;
+//! * the analyzer replays through a [`BatchReplayCursor`]: up to 64
+//!   replays whose windows overlap share **one** walk over the decoded
+//!   records.  Its shadow state maps each (frame, register) and memory
+//!   word to a `u64` *lane mask* plus the per-lane corrupted values, so a
+//!   record is decoded (and its shadow entries scanned) once for the
+//!   whole batch instead of once per fault.
 //!   Lanes retire individually — `AllMasked`, window exhaustion, control or
 //!   address divergence — and every verdict is bit-identical to the
 //!   sequential [`ReplayCursor::replay`] because tainted lanes re-evaluate
@@ -207,14 +211,15 @@ impl ShadowState {
     }
 }
 
-/// A reusable replay cursor over one immutable trace (either backend).
+/// A reusable single-fault replay cursor over one immutable trace (either
+/// backend): the reference engine that [`BatchReplayCursor`] must agree
+/// with, and the replay behind [`crate::AdvfAnalyzer::classify`].
 ///
 /// The cursor owns the shadow-state buffers *and* a [`TraceRead`] reader, so
-/// a loop replaying many sites (the aDVF analyzer, a sharded worker)
-/// allocates nothing per replay and — on the paged backend — keeps a warm
-/// LRU of decoded segments across the whole site loop.  The trace itself is
-/// only borrowed: any number of cursors in any number of threads can walk
-/// the same trace concurrently.
+/// a loop replaying many sites allocates nothing per replay and — on the
+/// paged backend — keeps a warm LRU of decoded segments across the whole
+/// site loop.  The trace itself is only borrowed: any number of cursors in
+/// any number of threads can walk the same trace concurrently.
 pub struct ReplayCursor<'t> {
     trace: &'t dyn TraceStorage,
     len: u64,
@@ -329,67 +334,6 @@ pub fn replay(
 /// Maximum number of replays one [`BatchReplayCursor`] walk can carry: one
 /// bit of a `u64` lane mask per replay.
 pub const MAX_REPLAY_LANES: usize = 64;
-
-/// Batch width for the lane-batched replay engine.
-///
-/// This is an *engine* knob, not an analysis parameter: any width (and `Off`)
-/// produces bit-identical reports, so it is deliberately kept out of
-/// [`crate::AnalysisConfig`] and its fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayBatch {
-    /// Sequential replay only: one walk per (site, pattern), the
-    /// pre-batching engine.
-    Off,
-    /// Batch up to this many (1..=64) replays per trace walk.
-    Width(u8),
-}
-
-impl Default for ReplayBatch {
-    fn default() -> Self {
-        ReplayBatch::Width(MAX_REPLAY_LANES as u8)
-    }
-}
-
-impl ReplayBatch {
-    /// A clamped width: `0` means `Off`, anything above 64 saturates to 64.
-    pub fn width(n: usize) -> Self {
-        if n == 0 {
-            ReplayBatch::Off
-        } else {
-            ReplayBatch::Width(n.min(MAX_REPLAY_LANES) as u8)
-        }
-    }
-
-    /// Lanes per walk, or `None` when batching is off.
-    pub fn lanes(&self) -> Option<usize> {
-        match self {
-            ReplayBatch::Off => None,
-            ReplayBatch::Width(n) => Some((*n as usize).clamp(1, MAX_REPLAY_LANES)),
-        }
-    }
-
-    /// Parse a `--replay-batch` flag value: `off`, or a width in 1..=64.
-    pub fn parse_flag(s: &str) -> Result<Self, String> {
-        if s.eq_ignore_ascii_case("off") {
-            return Ok(ReplayBatch::Off);
-        }
-        match s.parse::<usize>() {
-            Ok(n) if (1..=MAX_REPLAY_LANES).contains(&n) => Ok(ReplayBatch::Width(n as u8)),
-            _ => Err(format!(
-                "invalid replay batch '{s}': expected 'off' or a width in 1..={MAX_REPLAY_LANES}"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ReplayBatch {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplayBatch::Off => write!(f, "off"),
-            ReplayBatch::Width(n) => write!(f, "{n}"),
-        }
-    }
-}
 
 /// One scheduled replay in a batch: where the walk starts for this lane and
 /// the corrupted locations it seeds.
@@ -2247,23 +2191,6 @@ mod tests {
             }
         }
         assert!(same_path > 0 && diverged > 0 && words > 0 && returns > 0);
-    }
-
-    #[test]
-    fn replay_batch_flag_parsing() {
-        assert_eq!(ReplayBatch::parse_flag("off"), Ok(ReplayBatch::Off));
-        assert_eq!(ReplayBatch::parse_flag("OFF"), Ok(ReplayBatch::Off));
-        assert_eq!(ReplayBatch::parse_flag("1"), Ok(ReplayBatch::Width(1)));
-        assert_eq!(ReplayBatch::parse_flag("64"), Ok(ReplayBatch::Width(64)));
-        assert!(ReplayBatch::parse_flag("0").is_err());
-        assert!(ReplayBatch::parse_flag("65").is_err());
-        assert!(ReplayBatch::parse_flag("fast").is_err());
-        assert_eq!(ReplayBatch::width(0), ReplayBatch::Off);
-        assert_eq!(ReplayBatch::width(200), ReplayBatch::Width(64));
-        assert_eq!(ReplayBatch::default().lanes(), Some(64));
-        assert_eq!(ReplayBatch::Off.lanes(), None);
-        assert_eq!(ReplayBatch::Width(7).to_string(), "7");
-        assert_eq!(ReplayBatch::Off.to_string(), "off");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::random::{run_rfi, RfiConfig};
 use crate::stats::CampaignStats;
 use moard_core::{
     enumerate_sites, run_indexed, AdvfAnalyzer, AdvfReport, AnalysisConfig, MoardError,
-    ParticipationSite, ReplayBatch,
+    ParticipationSite,
 };
 use moard_vm::{
     DataObjectRegistry, ExecOutcome, ObjectId, TraceBackendSpec, TraceData, Vm, VmConfig,
@@ -36,10 +36,6 @@ pub struct WorkloadHarness {
     injector: DeterministicInjector,
     trace: TraceData,
     traced_outcome: ExecOutcome,
-    /// Replay-engine selection applied to every analyzer this harness
-    /// constructs.  An execution-resource choice like the trace backend —
-    /// never an analysis input (reports are bit-identical either way).
-    replay_batch: ReplayBatch,
 }
 
 impl WorkloadHarness {
@@ -72,19 +68,7 @@ impl WorkloadHarness {
             injector,
             trace,
             traced_outcome,
-            replay_batch: ReplayBatch::default(),
         })
-    }
-
-    /// Select the replay engine (lane-batched width or `Off`) for every
-    /// analysis this harness runs.  Verdicts are bit-identical regardless.
-    pub fn set_replay_batch(&mut self, replay_batch: ReplayBatch) {
-        self.replay_batch = replay_batch;
-    }
-
-    /// The replay-engine selection in use.
-    pub fn replay_batch(&self) -> ReplayBatch {
-        self.replay_batch
     }
 
     /// Prepare the harness for a workload selected by name from the built-in
@@ -224,7 +208,7 @@ impl WorkloadHarness {
                 object: object.to_string(),
             });
         }
-        let analyzer = AdvfAnalyzer::new(&self.trace, config).with_replay_batch(self.replay_batch);
+        let analyzer = AdvfAnalyzer::new(&self.trace, config);
         let resolver = use_dfi.then_some(&self.injector as &dyn moard_core::DfiResolver);
         let report = analyzer.analyze(id, object, self.workload().name(), resolver);
         self.check_trace()?;
@@ -286,48 +270,15 @@ impl WorkloadHarness {
         for object in objects {
             self.object_id(object)?;
         }
-        let workers = parallelism.worker_count();
-        // A single analytic object offers no across-object parallelism;
-        // shard its participation sites across the workers instead.  The
-        // report stays bit-identical to a sequential run (ordered fold; see
-        // `AdvfAnalyzer::analyze_sharded`).  With DFI the objects fan out
-        // whole, and each object's analysis runs its own planned
-        // injections on every core (`AdvfAnalyzer::analyze`), so its
+        // One task per object, so a single object runs as one task.  With
+        // DFI, each object's analysis still runs its planned walks and
+        // injections on every core (`AdvfAnalyzer::analyze`), and its
         // run/hit tallies never depend on scheduling.
-        if !use_dfi && objects.len() == 1 && workers > 1 {
-            return Ok(vec![self.analyze_sharded_inner(
-                &objects[0],
-                config,
-                workers,
-            )?]);
-        }
-        run_indexed(workers, objects.len(), |i| {
+        run_indexed(parallelism.worker_count(), objects.len(), |i| {
             self.analyze_inner(&objects[i], config.clone(), use_dfi)
         })
         .into_iter()
         .collect()
-    }
-
-    fn analyze_sharded_inner(
-        &self,
-        object: &str,
-        config: &AnalysisConfig,
-        workers: usize,
-    ) -> Result<AdvfReport, MoardError> {
-        let id = self.object_id(object)?;
-        if !moard_core::has_sites(&self.trace, id) {
-            // See analyze_inner: a poisoned trace outranks an empty result.
-            self.check_trace()?;
-            return Err(MoardError::NoParticipationSites {
-                workload: self.workload().name().to_string(),
-                object: object.to_string(),
-            });
-        }
-        let analyzer =
-            AdvfAnalyzer::new(&self.trace, config.clone()).with_replay_batch(self.replay_batch);
-        let report = analyzer.analyze_sharded(id, object, self.workload().name(), workers);
-        self.check_trace()?;
-        Ok(report)
     }
 
     /// Exhaustive (or strided) fault-injection campaign over one object.
@@ -385,7 +336,6 @@ impl WorkloadHarness {
 pub struct HarnessCache {
     map: std::sync::RwLock<std::collections::HashMap<String, std::sync::Arc<WorkloadHarness>>>,
     backend: TraceBackendSpec,
-    replay_batch: ReplayBatch,
 }
 
 impl HarnessCache {
@@ -402,20 +352,9 @@ impl HarnessCache {
         }
     }
 
-    /// Select the replay engine every harness this cache prepares will use.
-    pub fn with_replay_batch(mut self, replay_batch: ReplayBatch) -> HarnessCache {
-        self.replay_batch = replay_batch;
-        self
-    }
-
     /// The trace backend this cache prepares harnesses with.
     pub fn backend(&self) -> &TraceBackendSpec {
         &self.backend
-    }
-
-    /// The replay engine this cache's harnesses analyze with.
-    pub fn replay_batch(&self) -> ReplayBatch {
-        self.replay_batch
     }
 
     /// The canonical cache key of a workload name or alias: aliases of the
@@ -444,9 +383,11 @@ impl HarnessCache {
         // preparers of the same workload build identical harnesses (the
         // pipeline is deterministic); the first insert wins and the loser's
         // copy is dropped.
-        let mut harness = WorkloadHarness::by_name_in_with(registry, name, &self.backend)?;
-        harness.set_replay_batch(self.replay_batch);
-        let harness = std::sync::Arc::new(harness);
+        let harness = std::sync::Arc::new(WorkloadHarness::by_name_in_with(
+            registry,
+            name,
+            &self.backend,
+        )?);
         let mut map = self.map.write().expect("harness cache poisoned");
         Ok(map.entry(key).or_insert(harness).clone())
     }
@@ -584,11 +525,11 @@ mod tests {
         let seq = h
             .analyze_objects_without_dfi(&objects, &config, Parallelism::Sequential)
             .unwrap();
-        let sharded = h
+        let parallel = h
             .analyze_objects_without_dfi(&objects, &config, Parallelism::Fixed(4))
             .unwrap();
-        assert_eq!(seq, sharded);
-        assert_eq!(sharded[0].dfi_runs, 0);
+        assert_eq!(seq, parallel);
+        assert_eq!(parallel[0].dfi_runs, 0);
     }
 
     #[test]

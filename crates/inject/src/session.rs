@@ -39,7 +39,6 @@ pub struct SessionBuilder {
     parallelism: Parallelism,
     use_dfi: bool,
     trace_backend: moard_vm::TraceBackendSpec,
-    replay_batch: moard_core::ReplayBatch,
 }
 
 impl SessionBuilder {
@@ -51,7 +50,6 @@ impl SessionBuilder {
             parallelism: Parallelism::Auto,
             use_dfi: true,
             trace_backend: moard_vm::TraceBackendSpec::Memory,
-            replay_batch: moard_core::ReplayBatch::default(),
         }
     }
 
@@ -124,21 +122,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Replay-engine selection: lane-batched at a given width (the default,
-    /// width 64) or [`moard_core::ReplayBatch::Off`] for the sequential
-    /// one-walk-per-fault engine.  Like the trace backend, this is an
-    /// execution-resource choice: verdicts are bit-identical either way.
-    pub fn replay_batch(mut self, replay_batch: moard_core::ReplayBatch) -> Self {
-        self.replay_batch = replay_batch;
-        self
-    }
-
     /// Validate the configuration and prepare the session (module build,
     /// golden run, trace, object table).
     pub fn build(self) -> Result<AnalysisSession, MoardError> {
         self.config.validate()?;
-        let mut harness = WorkloadHarness::new_with(self.workload, &self.trace_backend)?;
-        harness.set_replay_batch(self.replay_batch);
+        let harness = WorkloadHarness::new_with(self.workload, &self.trace_backend)?;
         // Unknown objects surface now, not after minutes of analysis.
         for object in &self.objects {
             harness.object_id(object)?;
@@ -427,8 +415,7 @@ mod tests {
 
     #[test]
     fn analytic_single_object_report_is_identical_across_parallelism() {
-        // The without-DFI single-object path shards participation sites
-        // across threads; the session report must not depend on it.
+        // The session report must not depend on the worker count.
         let run = |parallelism| {
             quick(Session::for_workload("mm").unwrap())
                 .object("C")

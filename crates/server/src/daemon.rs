@@ -64,10 +64,6 @@ pub struct DaemonConfig {
     /// with (in-memory by default; paged bounds resident trace memory).
     /// Reports are bit-identical across backends.
     pub trace_backend: moard_vm::TraceBackendSpec,
-    /// Replay-engine selection of the warm-harness cache (lane-batched
-    /// width 64 by default, `Off` for the sequential engine).  Verdicts are
-    /// bit-identical either way.
-    pub replay_batch: moard_core::ReplayBatch,
 }
 
 impl Default for DaemonConfig {
@@ -77,7 +73,6 @@ impl Default for DaemonConfig {
             threads: 0,
             store: None,
             trace_backend: moard_vm::TraceBackendSpec::Memory,
-            replay_batch: moard_core::ReplayBatch::default(),
         }
     }
 }
@@ -388,10 +383,7 @@ impl Daemon {
         };
         let shared = Arc::new(Shared {
             store,
-            harnesses: Arc::new(
-                HarnessCache::with_backend(config.trace_backend.clone())
-                    .with_replay_batch(config.replay_batch),
-            ),
+            harnesses: Arc::new(HarnessCache::with_backend(config.trace_backend.clone())),
             metrics: MetricsRegistry::new(),
             queue: Mutex::new(BinaryHeap::new()),
             queue_ready: Condvar::new(),

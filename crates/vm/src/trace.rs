@@ -20,8 +20,8 @@
 //!   returns an inline [`Operands`] view (small fixed array or a borrow of
 //!   the record's argument slice) instead of materializing a `Vec` per call;
 //! * **windowed views are zero-copy** — [`Trace::window`] hands the
-//!   propagation replay a borrowed slice cursor, so sharded per-site replay
-//!   across threads shares one immutable trace with no cloning.
+//!   propagation replay a borrowed slice cursor, so replays on several
+//!   threads share one immutable trace with no cloning.
 
 use crate::objects::ObjectId;
 use moard_ir::{BinOp, BlockId, CastKind, CmpPred, FuncId, Intrinsic, RegId, Type, Value};
@@ -568,7 +568,7 @@ impl Trace {
     /// Zero-copy cursor view of the records from `start_index` (clamped to
     /// the trace length) to the end — the windowed view the propagation
     /// replay walks.  Borrowing a slice instead of cloning records lets
-    /// sharded per-site replay across threads share one immutable trace.
+    /// replays on several threads share one immutable trace.
     pub fn window(&self, start_index: usize) -> &[TraceRecord] {
         &self.records[start_index.min(self.records.len())..]
     }
@@ -612,8 +612,8 @@ impl<'a> IntoIterator for &'a Trace {
 /// Record access goes through per-thread [`TraceRead`] readers
 /// ([`TraceStorage::new_reader`]) because the paged backend needs mutable
 /// decode state (a small LRU of decoded segments); the storage itself stays
-/// immutable and `Sync`, so sharded analysis shares one trace across worker
-/// threads exactly as before.
+/// immutable and `Sync`, so the analyzer's parallel walks share one trace
+/// across worker threads.
 pub trait TraceStorage: Send + Sync {
     /// Number of records in the trace.
     fn len(&self) -> u64;

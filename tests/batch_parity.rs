@@ -1,25 +1,23 @@
-//! Lane-batched ≡ sequential replay parity.
+//! Lane-batched ≡ single-fault replay parity, and analysis reports that
+//! do not depend on how they were computed.
 //!
-//! The batched engine is an execution-resource choice, never a semantic
-//! one: any batch width (and `off`) must produce bit-identical verdicts,
-//! cache statistics, and reports.  These property loops drive that claim
-//! from two directions with a deterministic RNG (the proptest dependency is
+//! These property loops use a deterministic RNG (the proptest dependency is
 //! unavailable in this offline build):
 //!
 //! * at the propagation layer, seeded lane sets drawn from real MM
 //!   participation sites under all three pattern families replay through a
-//!   [`BatchReplayCursor`] and must match the one-shot [`replay`] of every
-//!   lane, for windows from degenerate to default;
+//!   [`BatchReplayCursor`] and must match the one-shot [`replay`] (the
+//!   single-fault reference engine) of every lane, for windows from
+//!   degenerate to default;
 //! * at the session layer, full `SessionReport`s (verdict fractions, DFI
-//!   runs, cache hits, budget flags — everything `PartialEq` sees) must be
-//!   identical across batch widths {1, 7, 64, off}, both trace backends,
-//!   and any thread count, once the three additive batch-telemetry fields
-//!   are normalized away.
+//!   runs, cache hits, budget flags, batch telemetry — everything
+//!   `PartialEq` sees) must be identical across both trace backends and
+//!   any thread count, with and without DFI.
 
 use moard::inject::{Parallelism, Session, SessionReport};
 use moard::model::{
     analyze_operation, enumerate_sites, replay, BatchLane, BatchReplayCursor, CorruptLoc,
-    ErrorPatternSet, OpVerdict, ReplayBatch, MAX_REPLAY_LANES,
+    ErrorPatternSet, OpVerdict, MAX_REPLAY_LANES,
 };
 use moard::vm::{run_traced, TraceBackendSpec, Vm};
 use moard::workloads::{MatMul, Workload};
@@ -108,17 +106,6 @@ fn batched_replay_matches_one_shot_replay_for_seeded_lane_sets() {
     }
 }
 
-/// Zero the three additive batch-telemetry fields so reports from different
-/// engines compare on verdicts and DFI accounting alone.
-fn normalized(mut report: SessionReport) -> SessionReport {
-    for r in &mut report.reports {
-        r.lanes_batched = 0;
-        r.batch_walks = 0;
-        r.batch_fallback_lanes = 0;
-    }
-    report
-}
-
 /// Paged backend with tiny segments: a seam every 64 records, so batched
 /// walks constantly cross decoded-run boundaries.
 fn tiny_segments() -> TraceBackendSpec {
@@ -130,7 +117,6 @@ fn tiny_segments() -> TraceBackendSpec {
 
 fn session(
     set: &ErrorPatternSet,
-    batch: ReplayBatch,
     backend: &TraceBackendSpec,
     parallelism: Parallelism,
     use_dfi: bool,
@@ -142,7 +128,6 @@ fn session(
         .max_dfi(200)
         .window(50)
         .patterns(set.clone())
-        .replay_batch(batch)
         .trace_backend(backend.clone())
         .parallelism(parallelism);
     if !use_dfi {
@@ -155,58 +140,27 @@ fn session(
 fn session_reports_are_bit_identical_across_widths_backends_and_threads() {
     for set in pattern_families() {
         for use_dfi in [true, false] {
-            // Reference: the sequential engine, in-memory backend, one
-            // thread — the configuration every golden was minted under.
+            // Reference: in-memory backend, one thread — the configuration
+            // every golden was minted under.
             let reference = session(
                 &set,
-                ReplayBatch::Off,
                 &TraceBackendSpec::Memory,
                 Parallelism::Sequential,
                 use_dfi,
             );
-            for r in &reference.reports {
-                assert_eq!(r.lanes_batched, 0, "sequential engine batched lanes");
-                assert_eq!(r.batch_walks, 0);
-                assert_eq!(r.batch_fallback_lanes, 0);
-            }
-            let variants: Vec<(ReplayBatch, TraceBackendSpec, Parallelism)> = vec![
-                (
-                    ReplayBatch::width(1),
-                    TraceBackendSpec::Memory,
-                    Parallelism::Sequential,
-                ),
-                (
-                    ReplayBatch::width(7),
-                    tiny_segments(),
-                    Parallelism::Fixed(3),
-                ),
-                (
-                    ReplayBatch::width(64),
-                    TraceBackendSpec::Memory,
-                    Parallelism::Fixed(8),
-                ),
-                (
-                    ReplayBatch::width(64),
-                    tiny_segments(),
-                    Parallelism::Sequential,
-                ),
-                (ReplayBatch::Off, tiny_segments(), Parallelism::Fixed(2)),
+            let lanes: u64 = reference.reports.iter().map(|r| r.lanes_batched).sum();
+            assert!(lanes > 0, "{} batched no lanes", set.canonical());
+            let variants = [
+                (tiny_segments(), Parallelism::Sequential),
+                (tiny_segments(), Parallelism::Fixed(3)),
+                (TraceBackendSpec::Memory, Parallelism::Fixed(8)),
             ];
-            for (batch, backend, parallelism) in variants {
-                let report = session(&set, batch, &backend, parallelism, use_dfi);
-                if batch != ReplayBatch::Off {
-                    let lanes: u64 = report.reports.iter().map(|r| r.lanes_batched).sum();
-                    assert!(
-                        lanes > 0,
-                        "{} under {batch} on {backend:?} batched no lanes",
-                        set.canonical(),
-                    );
-                }
+            for (backend, parallelism) in variants {
                 assert_eq!(
-                    normalized(report),
+                    session(&set, &backend, parallelism, use_dfi),
                     reference,
-                    "{} under {batch} on {backend:?} (dfi={use_dfi}) diverged from the \
-                     sequential reference",
+                    "{} on {backend:?} under {parallelism:?} (dfi={use_dfi}) diverged from \
+                     the reference",
                     set.canonical(),
                 );
             }

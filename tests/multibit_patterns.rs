@@ -1,7 +1,7 @@
 //! Acceptance tests of the pattern-generalized fault engine: multi-bit
 //! error patterns behave as first-class citizens of the whole pipeline —
 //! degenerate multi-bit sets reduce exactly to the single-bit engine,
-//! sharded multi-bit analysis is bit-identical to sequential, and the
+//! multi-bit analysis is bit-identical at any worker count, and the
 //! validation engine's site × pattern RFI streams are invariant under the
 //! thread count.
 
@@ -49,8 +49,8 @@ fn adjacent_width_one_analysis_is_bit_identical_to_single_bit() {
     assert_eq!(explicit.reports[0].accumulator, s.accumulator);
 }
 
-/// (b) Sharded multi-bit analysis folds per-site fractions in site order
-/// and pattern-class tallies as exact integer sums, so any worker count
+/// (b) Multi-bit analysis folds per-site fractions in site order and
+/// pattern-class tallies as exact integer sums, so any worker count
 /// reproduces the sequential report bit-for-bit.
 #[test]
 fn multibit_sharded_analysis_is_bit_identical_to_sequential() {
@@ -74,9 +74,9 @@ fn multibit_sharded_analysis_is_bit_identical_to_sequential() {
                 .unwrap()
         };
         let seq = run(Parallelism::Sequential);
-        let sharded = run(Parallelism::Fixed(8));
-        assert_eq!(seq, sharded, "patterns {}", patterns.canonical());
-        assert_eq!(seq.to_json_string(), sharded.to_json_string());
+        let parallel = run(Parallelism::Fixed(8));
+        assert_eq!(seq, parallel, "patterns {}", patterns.canonical());
+        assert_eq!(seq.to_json_string(), parallel.to_json_string());
         assert!(!seq.reports[0].pattern_tallies.is_empty());
     }
 }
