@@ -18,7 +18,7 @@
 use crate::micro::{bench, black_box, BenchStats};
 use moard_core::{
     analyze_operation, enumerate_sites, fingerprint_hex, parse_fingerprint, replay,
-    trace_stats_to_json, AdvfAnalyzer, AnalysisConfig, CorruptLoc, ErrorPattern, OpVerdict,
+    trace_stats_to_json, AdvfAnalyzer, AnalysisConfig, CorruptSeeds, ErrorPattern, OpVerdict,
 };
 use moard_inject::{
     DeterministicInjector, Parallelism, StudyRunner, StudySpec, ValidationRunner, ValidationSpec,
@@ -206,7 +206,7 @@ pub fn propagation_seeds(
     trace: &Trace,
     object: moard_vm::ObjectId,
     cap: usize,
-) -> Vec<(usize, Vec<CorruptLoc>)> {
+) -> Vec<(usize, CorruptSeeds)> {
     let mut seeds = Vec::new();
     for site in enumerate_sites(trace, object) {
         let rec = trace.record(site.record_id).expect("site in trace");

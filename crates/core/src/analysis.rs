@@ -26,16 +26,18 @@
 use crate::advf::{AdvfAccumulator, AdvfReport, PatternClassTally};
 use crate::error_pattern::{ErrorPattern, ErrorPatternSet};
 use crate::masking::{Masking, OpMaskKind};
-use crate::op_rules::{analyze_operation, CorruptLoc, OpVerdict};
+use crate::op_rules::{analyze_operation, CorruptSeeds, OpVerdict};
 use crate::parallel::{available_workers, run_indexed};
 use crate::propagation::{
     BatchLane, BatchReplayCursor, PropagationResult, ReplayCursor, MAX_REPLAY_LANES,
 };
 use crate::resolver::{DfiResolver, EquivalenceCache, EquivalenceKey, ResolverStats};
-use crate::sites::{enumerate_strided_sites, sites_by_record, ParticipationSite, SiteSlot};
-use moard_vm::{FaultSpec, ObjectId, OutcomeClass, TraceRecord, TraceStorage};
+use crate::sites::{sites_by_record, strided_sites_through, ParticipationSite, SiteSlot};
+use moard_ir::Type;
+use moard_vm::{FaultSpec, ObjectId, OutcomeClass, TraceRead, TraceRecord, TraceStorage};
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,7 +170,10 @@ impl<'a> AdvfAnalyzer<'a> {
     /// is computed once; patterns that need a propagation replay become
     /// *lanes* grouped by record position into batches of up to
     /// [`MAX_REPLAY_LANES`], each batch walking the trace once through a
-    /// [`BatchReplayCursor`] as soon as it fills.
+    /// [`BatchReplayCursor`] as soon as it fills.  The sites are enumerated
+    /// through that cursor's reader, the configured patterns once per
+    /// element type, and the lanes' seeds are inline, so the pass
+    /// allocates nothing per pattern or per lane.
     ///
     /// *Plan pass* (only with a resolver) — lists, in fold order, every
     /// fault the fold will inject (same budget, same cache-hit rule) and
@@ -197,13 +202,15 @@ impl<'a> AdvfAnalyzer<'a> {
         workload: &str,
         resolver: Option<&dyn DfiResolver>,
     ) -> AdvfReport {
-        let sites = self.pattern_sites(object);
         let k = self.config.propagation_window;
         let stats_before = self.cache.stats();
         let mut cursor = BatchReplayCursor::new(self.trace);
+        let sites = self.pattern_sites_through(cursor.reader(), object);
+        let pattern_lists = PatternLists::new(&self.config.patterns, &sites);
 
         // Scheduling pass.
         let mut plans: Vec<SitePlan> = Vec::with_capacity(sites.len());
+        let mut tags: Vec<LaneTag> = Vec::new();
         let mut lane_results: Vec<PropagationResult> = Vec::new();
         let mut batch: Vec<BatchLane> = Vec::new();
         let mut grouper = BatchGrouper::new(k);
@@ -213,9 +220,9 @@ impl<'a> AdvfAnalyzer<'a> {
                 // The trace is poisoned: analyze the sites scheduled so far.
                 break;
             };
-            let patterns = self.config.patterns.patterns_for(site.value.ty());
-            let mut tags = Vec::with_capacity(patterns.len());
-            for pattern in &patterns {
+            let patterns = pattern_lists.get(site.value.ty());
+            let first_tag = tags.len();
+            for pattern in patterns {
                 let tag = match analyze_operation(&rec, site.slot, pattern) {
                     OpVerdict::Masked(kind) => LaneTag::Class(Masking::Operation(kind)),
                     OpVerdict::NotMasked => LaneTag::Class(Masking::NotMasked),
@@ -246,7 +253,7 @@ impl<'a> AdvfAnalyzer<'a> {
             plans.push(SitePlan {
                 rec,
                 patterns,
-                tags,
+                tags: first_tag..tags.len(),
             });
         }
         if !batch.is_empty() {
@@ -258,16 +265,24 @@ impl<'a> AdvfAnalyzer<'a> {
         let sites = &sites[..plans.len()];
 
         // Plan pass.
-        let planned = resolver.map(|r| self.run_planned(sites, &plans, &lane_results, r));
+        let planned = resolver.map(|r| self.run_planned(sites, &plans, &tags, &lane_results, r));
         let dfi = planned.as_ref().map(|p| DfiCall::new(p, stats_before));
 
         // Fold.
         let mut acc = AdvfAccumulator::new();
         let mut tallies: Vec<PatternClassTally> = Vec::new();
         let mut resolved_analytically = 0u64;
+        let mut fractions: Vec<(Masking, f64)> = Vec::new();
         for (site, plan) in sites.iter().zip(&plans) {
-            let (fractions, used_dfi) =
-                self.fold_site(site, plan, &lane_results, dfi.as_ref(), &mut tallies);
+            let used_dfi = self.fold_site(
+                site,
+                plan,
+                &tags[plan.tags.clone()],
+                &lane_results,
+                dfi.as_ref(),
+                &mut tallies,
+                &mut fractions,
+            );
             if !used_dfi {
                 resolved_analytically += 1;
             }
@@ -305,7 +320,7 @@ impl<'a> AdvfAnalyzer<'a> {
         lane_results: &mut Vec<PropagationResult>,
         batch_walks: &mut u64,
         site: &ParticipationSite,
-        corrupt: Vec<CorruptLoc>,
+        corrupt: CorruptSeeds,
     ) -> usize {
         let start = site.record_id + 1;
         if grouper.must_flush(start) {
@@ -347,6 +362,7 @@ impl<'a> AdvfAnalyzer<'a> {
         &self,
         sites: &[ParticipationSite],
         plans: &[SitePlan],
+        tags: &[LaneTag],
         lane_results: &[PropagationResult],
         resolver: &'r dyn DfiResolver,
     ) -> PlannedDfi<'r> {
@@ -359,7 +375,7 @@ impl<'a> AdvfAnalyzer<'a> {
         let mut lanes: Vec<BatchLane> = Vec::new();
         let mut lane_faults: Vec<usize> = Vec::new();
         'plan: for (site, plan) in sites.iter().zip(plans) {
-            for (pattern, tag) in plan.patterns.iter().zip(&plan.tags) {
+            for (pattern, tag) in plan.patterns.iter().zip(&tags[plan.tags.clone()]) {
                 if tag.settled(lane_results).is_some() {
                     continue;
                 }
@@ -426,21 +442,25 @@ impl<'a> AdvfAnalyzer<'a> {
         }
     }
 
-    /// Fold one site's per-pattern outcomes into fractions and tallies:
-    /// the scheduling pass's operation verdicts (`plan.tags`) and batched
-    /// replay results, and DFI for whatever they leave open.
+    /// Fold one site's per-pattern outcomes into tallies and, in
+    /// `fractions`, the masked fraction of each class: the scheduling
+    /// pass's operation verdicts (`tags`, one per pattern) and batched
+    /// replay results, and DFI for whatever they leave open.  Returns
+    /// whether DFI was consulted.
+    #[allow(clippy::too_many_arguments)]
     fn fold_site(
         &self,
         site: &ParticipationSite,
         plan: &SitePlan,
+        tags: &[LaneTag],
         lane_results: &[PropagationResult],
         dfi: Option<&DfiCall>,
         tallies: &mut Vec<PatternClassTally>,
-    ) -> (Vec<(Masking, f64)>, bool) {
-        let n = plan.patterns.len() as f64;
-        let mut counts: Vec<(Masking, u64)> = Vec::new();
+        fractions: &mut Vec<(Masking, f64)>,
+    ) -> bool {
+        fractions.clear();
         let mut used_dfi = false;
-        for (pattern, tag) in plan.patterns.iter().zip(&plan.tags) {
+        for (pattern, tag) in plan.patterns.iter().zip(tags) {
             let (class, dfi_used) = match tag.settled(lane_results) {
                 Some(class) => (class, false),
                 None => {
@@ -453,15 +473,18 @@ impl<'a> AdvfAnalyzer<'a> {
             if class == Masking::NotMasked {
                 continue;
             }
-            match counts.iter_mut().find(|(c, _)| *c == class) {
-                Some((_, k)) => *k += 1,
-                None => counts.push((class, 1)),
+            // Counts stay exact integers in f64, so dividing once below
+            // gives the same fraction as `count as f64 / n`.
+            match fractions.iter_mut().find(|(c, _)| *c == class) {
+                Some((_, k)) => *k += 1.0,
+                None => fractions.push((class, 1.0)),
             }
         }
-        (
-            counts.into_iter().map(|(c, k)| (c, k as f64 / n)).collect(),
-            used_dfi,
-        )
+        let n = plan.patterns.len() as f64;
+        for (_, k) in fractions.iter_mut() {
+            *k /= n;
+        }
+        used_dfi
     }
 
     /// The site population of this analysis: the strided participation
@@ -472,7 +495,16 @@ impl<'a> AdvfAnalyzer<'a> {
     /// different fault populations.  (Under `SingleBit` no site is ever
     /// filtered — every type has at least one bit.)
     pub fn pattern_sites(&self, object: ObjectId) -> Vec<ParticipationSite> {
-        let mut sites = enumerate_strided_sites(self.trace, object, self.config.site_stride);
+        self.pattern_sites_through(self.trace.new_reader().as_mut(), object)
+    }
+
+    /// [`AdvfAnalyzer::pattern_sites`] through a caller's reader.
+    fn pattern_sites_through(
+        &self,
+        reader: &mut dyn TraceRead,
+        object: ObjectId,
+    ) -> Vec<ParticipationSite> {
+        let mut sites = strided_sites_through(self.trace, reader, object, self.config.site_stride);
         sites.retain(|s| s.pattern_count(&self.config.patterns) > 0);
         // Enumeration is already ascending by record; normalize anyway so the
         // lane scheduler's non-decreasing-start invariant never depends on
@@ -656,12 +688,43 @@ fn equivalence_key(
     EquivalenceKey::new(rec, site.slot, site.value.to_bits(), pattern.mask())
 }
 
-/// One site's scheduled work: its trace record, the enumerated error
-/// patterns, and one [`LaneTag`] per pattern.
-struct SitePlan {
+/// One site's scheduled work: its trace record, the error patterns of its
+/// element type (shared with every site of that type), and where its
+/// [`LaneTag`]s, one per pattern, lie in the analysis's tag list.
+struct SitePlan<'p> {
     rec: TraceRecord,
-    patterns: Vec<ErrorPattern>,
-    tags: Vec<LaneTag>,
+    patterns: &'p [ErrorPattern],
+    tags: Range<usize>,
+}
+
+/// The configured error patterns, enumerated once per element type for
+/// one analysis; every site of a type shares its list.
+struct PatternLists {
+    lists: Vec<(Type, Vec<ErrorPattern>)>,
+}
+
+impl PatternLists {
+    /// Enumerate the patterns of every element type among `sites`.
+    fn new(set: &ErrorPatternSet, sites: &[ParticipationSite]) -> Self {
+        let mut lists: Vec<(Type, Vec<ErrorPattern>)> = Vec::new();
+        for site in sites {
+            let ty = site.value.ty();
+            if !lists.iter().any(|(t, _)| *t == ty) {
+                lists.push((ty, set.patterns_for(ty)));
+            }
+        }
+        PatternLists { lists }
+    }
+
+    /// The patterns of element type `ty`, which must be among the sites'.
+    fn get(&self, ty: Type) -> &[ErrorPattern] {
+        let (_, list) = self
+            .lists
+            .iter()
+            .find(|(t, _)| *t == ty)
+            .expect("patterns enumerated for every site's type");
+        list
+    }
 }
 
 /// Decides batch boundaries for the lane scheduler.  A batch closes when it
@@ -1207,23 +1270,25 @@ mod tests {
         assert_eq!(shared.dfi_stats().injections, 9);
     }
 
-    /// A trace whose readers, after the first, serve no record at or past
-    /// `fails_from` and poison the trace instead — as a paged trace does
-    /// when a segment stops decoding after site enumeration (the first
-    /// reader).
+    /// A trace whose reads, after the first `healthy` (site enumeration's),
+    /// serve no record at or past `fails_from` and poison the trace instead
+    /// — as a paged trace does when a segment stops decoding after site
+    /// enumeration.  The count spans every reader of the trace.
     struct FailingReads<'t> {
         trace: &'t moard_vm::Trace,
         fails_from: u64,
-        readers: AtomicUsize,
+        healthy: usize,
+        reads: AtomicUsize,
         poison: Mutex<Option<TraceError>>,
     }
 
     impl<'t> FailingReads<'t> {
-        fn new(trace: &'t moard_vm::Trace, fails_from: u64) -> Self {
+        fn new(trace: &'t moard_vm::Trace, fails_from: u64, healthy: usize) -> Self {
             FailingReads {
                 trace,
                 fails_from,
-                readers: AtomicUsize::new(0),
+                healthy,
+                reads: AtomicUsize::new(0),
                 poison: Mutex::new(None),
             }
         }
@@ -1247,9 +1312,6 @@ mod tests {
         }
 
         fn new_reader(&self) -> Box<dyn TraceRead + '_> {
-            if self.readers.fetch_add(1, Ordering::SeqCst) == 0 {
-                return self.trace.new_reader();
-            }
             Box::new(FailingReader {
                 storage: self,
                 inner: self.trace.new_reader(),
@@ -1268,6 +1330,9 @@ mod tests {
 
     impl TraceRead for FailingReader<'_> {
         fn run_from(&mut self, id: u64) -> &[TraceRecord] {
+            if self.storage.reads.fetch_add(1, Ordering::SeqCst) < self.storage.healthy {
+                return self.inner.run_from(id);
+            }
             let fails_from = self.storage.fails_from;
             if id >= fails_from {
                 self.storage
@@ -1297,11 +1362,13 @@ mod tests {
         let obj = vm.objects().by_name("par_a").unwrap().id;
         let config = AnalysisConfig::default();
         let sites = AdvfAnalyzer::new(&trace, config.clone()).pattern_sites(obj);
+        // Enumeration reads each record the object's index lists, once.
+        let enumeration_reads = TraceStorage::index(&trace).ids(obj).len();
         for fails_from in [0, sites[sites.len() / 2].record_id] {
             let scheduled = sites.iter().filter(|s| s.record_id < fails_from).count() as u64;
             assert!(fails_from == 0 || scheduled > 0);
             for use_dfi in [false, true] {
-                let failing = FailingReads::new(&trace, fails_from);
+                let failing = FailingReads::new(&trace, fails_from, enumeration_reads);
                 let resolver = CountingResolver::new(&m);
                 let resolver = use_dfi.then_some(&resolver as &dyn DfiResolver);
                 let report = AdvfAnalyzer::new(&failing, config.clone())

@@ -18,10 +18,12 @@ use crate::masking::OpMaskKind;
 use crate::sites::SiteSlot;
 use moard_ir::{eval_binop, eval_cast, eval_cmp, eval_intrinsic, BinOp, CastKind, RegId, Value};
 use moard_vm::{TraceOp, TraceRecord, TracedVal, ValueSource};
+use std::ops::Deref;
 
 /// A corrupted architecturally visible location left behind by an unmasked
-/// error, used to seed the propagation replay.
-#[derive(Debug, Clone, PartialEq)]
+/// error, used to seed the propagation replay; a [`CorruptSeeds`] holds up
+/// to two of them inline.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CorruptLoc {
     /// A virtual register of a specific frame holds `value` instead of the
     /// clean value recorded in the trace.
@@ -32,6 +34,83 @@ pub enum CorruptLoc {
     },
     /// A memory word holds `value` instead of the clean value.
     Mem { addr: u64, value: Value },
+}
+
+/// The corrupted locations one error leaves behind when the operation does
+/// not mask it: the seed of its propagation replay.
+///
+/// The list is stored inline, with room for [`CorruptSeeds::CAPACITY`]
+/// locations, so an operation verdict or a replay lane
+/// ([`crate::BatchLane`]) never allocates.  No operation rule leaves more
+/// than two: the corrupted source register, and the destination register,
+/// memory word or callee parameter it flows into.  It derefs to
+/// `[CorruptLoc]`, so code that reads a seed as a slice (`&seed[..]`,
+/// `seed.iter()`, `replay(trace, start, &seed, k)`) works unchanged.
+#[derive(Clone, Copy)]
+pub struct CorruptSeeds {
+    len: u8,
+    locs: [CorruptLoc; CorruptSeeds::CAPACITY],
+}
+
+impl CorruptSeeds {
+    /// Most locations a seed holds.
+    pub const CAPACITY: usize = 2;
+
+    /// An empty seed: nothing corrupted, trivially masked.
+    pub fn new() -> Self {
+        // Filler for unused slots; never observable (reads go through
+        // `Deref`, which stops at `len`).
+        const UNUSED: CorruptLoc = CorruptLoc::Mem {
+            addr: 0,
+            value: Value::I1(false),
+        };
+        CorruptSeeds {
+            len: 0,
+            locs: [UNUSED; CorruptSeeds::CAPACITY],
+        }
+    }
+
+    /// Append a location.
+    ///
+    /// # Panics
+    ///
+    /// If the seed already holds [`CorruptSeeds::CAPACITY`] locations.
+    pub fn push(&mut self, loc: CorruptLoc) {
+        let len = self.len as usize;
+        assert!(
+            len < Self::CAPACITY,
+            "a seed holds at most {} corrupted locations",
+            Self::CAPACITY
+        );
+        self.locs[len] = loc;
+        self.len += 1;
+    }
+}
+
+impl Default for CorruptSeeds {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Deref for CorruptSeeds {
+    type Target = [CorruptLoc];
+
+    fn deref(&self) -> &[CorruptLoc] {
+        &self.locs[..self.len as usize]
+    }
+}
+
+impl PartialEq for CorruptSeeds {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl std::fmt::Debug for CorruptSeeds {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// Verdict of the operation-level analysis for one (record, slot, pattern).
@@ -46,12 +125,14 @@ pub enum OpVerdict {
     /// operation-level overshadowing.
     OvershadowCandidate {
         /// Corrupted state in case the caller wants to fall back to
-        /// propagation replay instead of DFI.
-        corrupt: Vec<CorruptLoc>,
+        /// propagation replay instead of DFI (inline, see
+        /// [`CorruptSeeds`]).
+        corrupt: CorruptSeeds,
     },
     /// Not masked here; the listed locations are corrupted afterwards and the
-    /// error-propagation analysis should continue from the next record.
-    Propagate { corrupt: Vec<CorruptLoc> },
+    /// error-propagation analysis should continue from the next record
+    /// (inline, see [`CorruptSeeds`]).
+    Propagate { corrupt: CorruptSeeds },
     /// The analysis cannot compute the corrupted successor state (the error
     /// feeds control flow, an address, the program's final return value, or a
     /// callee we cannot replay): only deterministic fault injection can
@@ -78,12 +159,27 @@ fn src_loc(rec: &TraceRecord, operand: &TracedVal, corrupted: Value) -> Option<C
     }
 }
 
-fn dst_loc(rec: &TraceRecord, corrupted_result: Value) -> Option<CorruptLoc> {
-    rec.dst.map(|d| CorruptLoc::Reg {
-        frame: rec.frame,
-        reg: d,
-        value: corrupted_result,
-    })
+/// The seed of an error in `operand` that changes the record's result to
+/// `corrupted_result`: the operand's source register, if any, and the
+/// record's destination register.
+fn src_and_dst(
+    rec: &TraceRecord,
+    operand: &TracedVal,
+    corrupted: Value,
+    corrupted_result: Value,
+) -> CorruptSeeds {
+    let mut corrupt = CorruptSeeds::new();
+    if let Some(l) = src_loc(rec, operand, corrupted) {
+        corrupt.push(l);
+    }
+    if let Some(d) = rec.dst {
+        corrupt.push(CorruptLoc::Reg {
+            frame: rec.frame,
+            reg: d,
+            value: corrupted_result,
+        });
+    }
+    corrupt
 }
 
 fn masked_kind_for_binop(op: BinOp) -> OpMaskKind {
@@ -163,13 +259,7 @@ fn analyze_operand(rec: &TraceRecord, idx: usize, pattern: &ErrorPattern) -> OpV
                 Err(_) => OpVerdict::NotMasked,
                 Ok(r) if r.bits_eq(result) => OpVerdict::Masked(masked_kind_for_binop(*op)),
                 Ok(r) => {
-                    let mut corrupt = Vec::new();
-                    if let Some(l) = src_loc(rec, operand, corrupted) {
-                        corrupt.push(l);
-                    }
-                    if let Some(l) = dst_loc(rec, r) {
-                        corrupt.push(l);
-                    }
+                    let corrupt = src_and_dst(rec, operand, corrupted, r);
                     // Paper §IV: a corrupted addend whose magnitude stays
                     // below the other operand's magnitude is an
                     // overshadowing candidate, to be confirmed by DFI.
@@ -195,16 +285,9 @@ fn analyze_operand(rec: &TraceRecord, idx: usize, pattern: &ErrorPattern) -> OpV
             };
             match eval_cmp(*pred, &a, &b) {
                 Ok(r) if r.bits_eq(result) => OpVerdict::Masked(OpMaskKind::LogicCompare),
-                Ok(r) => {
-                    let mut corrupt = Vec::new();
-                    if let Some(l) = src_loc(rec, operand, corrupted) {
-                        corrupt.push(l);
-                    }
-                    if let Some(l) = dst_loc(rec, r) {
-                        corrupt.push(l);
-                    }
-                    OpVerdict::Propagate { corrupt }
-                }
+                Ok(r) => OpVerdict::Propagate {
+                    corrupt: src_and_dst(rec, operand, corrupted, r),
+                },
                 Err(_) => OpVerdict::NotMasked,
             }
         }
@@ -213,22 +296,15 @@ fn analyze_operand(rec: &TraceRecord, idx: usize, pattern: &ErrorPattern) -> OpV
         } => match eval_cast(*kind, *to, &corrupted) {
             Err(_) => OpVerdict::NotMasked,
             Ok(r) if r.bits_eq(result) => OpVerdict::Masked(masked_kind_for_cast(*kind)),
-            Ok(r) => {
-                let mut corrupt = Vec::new();
-                if let Some(l) = src_loc(rec, operand, corrupted) {
-                    corrupt.push(l);
-                }
-                if let Some(l) = dst_loc(rec, r) {
-                    corrupt.push(l);
-                }
-                OpVerdict::Propagate { corrupt }
-            }
+            Ok(r) => OpVerdict::Propagate {
+                corrupt: src_and_dst(rec, operand, corrupted, r),
+            },
         },
         TraceOp::Store { addr, value, .. } => {
             // idx == 0 is the stored value; a corrupted value lands in memory
             // and, if it came from a register, stays there too.
             debug_assert_eq!(idx, 0);
-            let mut corrupt = Vec::new();
+            let mut corrupt = CorruptSeeds::new();
             if let Some(l) = src_loc(rec, value, corrupted) {
                 corrupt.push(l);
             }
@@ -256,14 +332,9 @@ fn analyze_operand(rec: &TraceRecord, idx: usize, pattern: &ErrorPattern) -> OpV
             if r.bits_eq(result) {
                 OpVerdict::Masked(OpMaskKind::Overwriting)
             } else {
-                let mut corrupt = Vec::new();
-                if let Some(l) = src_loc(rec, operand, corrupted) {
-                    corrupt.push(l);
+                OpVerdict::Propagate {
+                    corrupt: src_and_dst(rec, operand, corrupted, r),
                 }
-                if let Some(l) = dst_loc(rec, r) {
-                    corrupt.push(l);
-                }
-                OpVerdict::Propagate { corrupt }
             }
         }
         TraceOp::Select {
@@ -301,22 +372,20 @@ fn analyze_operand(rec: &TraceRecord, idx: usize, pattern: &ErrorPattern) -> OpV
             if new_result.bits_eq(result) {
                 OpVerdict::Masked(OpMaskKind::LogicCompare)
             } else {
-                let mut corrupt = Vec::new();
-                if let Some(l) = src_loc(rec, operand, corrupted) {
-                    corrupt.push(l);
+                OpVerdict::Propagate {
+                    corrupt: src_and_dst(rec, operand, corrupted, new_result),
                 }
-                if let Some(l) = dst_loc(rec, new_result) {
-                    corrupt.push(l);
-                }
-                OpVerdict::Propagate { corrupt }
             }
         }
         TraceOp::Intrinsic { intr, args, result } => {
-            let mut vals: Vec<Value> = args.iter().map(|a| a.value).collect();
-            if idx < vals.len() {
-                vals[idx] = corrupted;
+            // `eval_intrinsic` reads at most its first two arguments (see
+            // `intrinsics_read_at_most_two_arguments`), so they decide the
+            // result and fit on the stack.
+            let mut vals = [Value::I1(false); 2];
+            for (i, (v, a)) in vals.iter_mut().zip(args).enumerate() {
+                *v = if i == idx { corrupted } else { a.value };
             }
-            match eval_intrinsic(*intr, &vals) {
+            match eval_intrinsic(*intr, &vals[..args.len().min(2)]) {
                 Err(_) => OpVerdict::NotMasked,
                 Ok(r) if r.bits_eq(result) => {
                     let kind = if result.ty().is_float() {
@@ -326,35 +395,21 @@ fn analyze_operand(rec: &TraceRecord, idx: usize, pattern: &ErrorPattern) -> OpV
                     };
                     OpVerdict::Masked(kind)
                 }
-                Ok(r) => {
-                    let mut corrupt = Vec::new();
-                    if let Some(l) = src_loc(rec, operand, corrupted) {
-                        corrupt.push(l);
-                    }
-                    if let Some(l) = dst_loc(rec, r) {
-                        corrupt.push(l);
-                    }
-                    OpVerdict::Propagate { corrupt }
-                }
+                Ok(r) => OpVerdict::Propagate {
+                    corrupt: src_and_dst(rec, operand, corrupted, r),
+                },
             }
         }
-        TraceOp::Mov { .. } => {
-            let mut corrupt = Vec::new();
-            if let Some(l) = src_loc(rec, operand, corrupted) {
-                corrupt.push(l);
-            }
-            if let Some(l) = dst_loc(rec, corrupted) {
-                corrupt.push(l);
-            }
-            OpVerdict::Propagate { corrupt }
-        }
+        TraceOp::Mov { .. } => OpVerdict::Propagate {
+            corrupt: src_and_dst(rec, operand, corrupted, corrupted),
+        },
         TraceOp::Call {
             args,
             callee_frame,
             param_regs,
             ..
         } => {
-            let mut corrupt = Vec::new();
+            let mut corrupt = CorruptSeeds::new();
             if let Some(operand) = args.get(idx) {
                 if let Some(l) = src_loc(rec, operand, corrupted) {
                     corrupt.push(l);
@@ -375,7 +430,7 @@ fn analyze_operand(rec: &TraceRecord, idx: usize, pattern: &ErrorPattern) -> OpV
             ..
         } => match (caller_frame, dst_in_caller) {
             (Some(cf), Some(dst)) => {
-                let mut corrupt = Vec::new();
+                let mut corrupt = CorruptSeeds::new();
                 if let Some(l) = src_loc(rec, operand, corrupted) {
                     corrupt.push(l);
                 }
@@ -686,6 +741,80 @@ mod tests {
                     .any(|c| matches!(c, CorruptLoc::Reg { frame: 7, .. })));
             }
             other => panic!("expected Propagate, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn intrinsics_read_at_most_two_arguments() {
+        // The intrinsic rule evaluates on the first two arguments only.
+        use moard_ir::Intrinsic::*;
+        for intr in [
+            Sqrt, Fabs, Sin, Cos, Exp, Log, Pow, Floor, Ceil, FMin, FMax, SMin, SMax,
+        ] {
+            for (a, b) in [
+                (Value::F64(2.5), Value::F64(-1.5)),
+                (Value::I64(7), Value::I64(-3)),
+            ] {
+                let two = eval_intrinsic(intr, &[a, b]).unwrap();
+                let three = eval_intrinsic(intr, &[a, b, Value::F64(9.0)]).unwrap();
+                assert!(two.bits_eq(&three), "{intr:?}");
+            }
+        }
+        // A corrupted third argument is therefore masked.
+        let r = rec(
+            TraceOp::Intrinsic {
+                intr: FMin,
+                args: vec![
+                    reg_val(Value::F64(1.0), 1),
+                    reg_val(Value::F64(2.0), 2),
+                    reg_val(Value::F64(3.0), 3),
+                ],
+                result: Value::F64(1.0),
+            },
+            Some(RegId(4)),
+        );
+        assert_eq!(
+            analyze_operation(&r, SiteSlot::Operand(2), &ErrorPattern::single(62)),
+            OpVerdict::Masked(OpMaskKind::Overshadowing)
+        );
+    }
+
+    #[test]
+    fn seeds_hold_two_locations_inline() {
+        let reg = CorruptLoc::Reg {
+            frame: 1,
+            reg: RegId(2),
+            value: Value::I64(3),
+        };
+        let mem = CorruptLoc::Mem {
+            addr: 0x1000,
+            value: Value::F64(4.0),
+        };
+        let mut seeds = CorruptSeeds::new();
+        assert!(seeds.is_empty());
+        seeds.push(reg);
+        let one = seeds;
+        seeds.push(mem);
+        assert_eq!(&seeds[..], &[reg, mem]);
+        assert_eq!(&one[..], &[reg]);
+        assert_ne!(seeds, one);
+        // Equality and `Debug` see the held locations only.
+        let mut other = CorruptSeeds::new();
+        other.push(reg);
+        assert_eq!(other, one);
+        assert_eq!(format!("{seeds:?}"), format!("{:?}", [reg, mem]));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2 corrupted locations")]
+    fn a_third_seed_location_panics() {
+        let loc = CorruptLoc::Mem {
+            addr: 0x1000,
+            value: Value::F64(4.0),
+        };
+        let mut seeds = CorruptSeeds::new();
+        for _ in 0..3 {
+            seeds.push(loc);
         }
     }
 

@@ -60,7 +60,7 @@
 //!   from key to entry, and per-lane live counts replace any per-record
 //!   fold over the tables.
 
-use crate::op_rules::CorruptLoc;
+use crate::op_rules::{CorruptLoc, CorruptSeeds};
 use moard_ir::{eval_binop, eval_cast, eval_cmp, eval_intrinsic, RegId, Value};
 use moard_vm::{TraceOp, TraceRead, TraceRecord, TraceStorage, TracedVal, ValueSource};
 use std::collections::HashMap;
@@ -336,13 +336,15 @@ pub fn replay(
 pub const MAX_REPLAY_LANES: usize = 64;
 
 /// One scheduled replay in a batch: where the walk starts for this lane and
-/// the corrupted locations it seeds.
+/// the corrupted locations it seeds.  The seed is stored inline (see
+/// [`CorruptSeeds`]), so scheduling a lane allocates nothing.
 #[derive(Debug, Clone)]
 pub struct BatchLane {
     /// First record position this lane examines (usually `record id + 1`).
     pub start: usize,
-    /// Initial corrupted locations; an empty seed is trivially masked.
-    pub corrupt: Vec<CorruptLoc>,
+    /// Initial corrupted locations, as an operation verdict leaves them;
+    /// an empty seed is trivially masked.
+    pub corrupt: CorruptSeeds,
 }
 
 /// Filler for unoccupied lane slots; never observable (reads are guarded by
@@ -1385,6 +1387,12 @@ impl<'t> BatchReplayCursor<'t> {
         self.reader.fetch(id)
     }
 
+    /// This cursor's reader, for a caller that reads the trace before the
+    /// walks (the analyzer enumerates its sites through it).
+    pub(crate) fn reader(&mut self) -> &mut (dyn TraceRead + 't) {
+        self.reader.as_mut()
+    }
+
     /// Replay every lane of `batch` (each at most `k` records from its own
     /// `start`) in one walk, appending one [`PropagationResult`] per lane to
     /// `out` in lane order.
@@ -1402,8 +1410,9 @@ impl<'t> BatchReplayCursor<'t> {
         k: usize,
         out: &mut Vec<PropagationResult>,
     ) {
-        let mut results: Vec<Option<PropagationResult>> = vec![None; batch.len()];
-        let stop = self.walk(batch, k as u64, false, &mut results);
+        let mut results = [None; MAX_REPLAY_LANES];
+        let results = &mut results[..batch.len()];
+        let stop = self.walk(batch, k as u64, false, results);
         // Trace ended (or the backend poisoned itself) with lanes still
         // live: same verdict rule as the sequential engine — only corrupted
         // *memory* survives the end of the trace.
@@ -1428,7 +1437,7 @@ impl<'t> BatchReplayCursor<'t> {
                 results[i] = Some(replay(self.trace, lane.start, &lane.corrupt, k));
             }
         }
-        out.extend(results.into_iter().map(|r| r.expect("lane resolved")));
+        out.extend(results.iter().map(|r| r.expect("lane resolved")));
     }
 
     /// Follow every lane of `batch` to the end of the trace, appending one
@@ -1458,8 +1467,9 @@ impl<'t> BatchReplayCursor<'t> {
     /// [`MAX_REPLAY_LANES`] of them, as for
     /// [`BatchReplayCursor::replay_batch`].
     pub fn walk_to_end(&mut self, batch: &[BatchLane], out: &mut Vec<Option<SamePathEnd>>) {
-        let mut results: Vec<Option<PropagationResult>> = vec![None; batch.len()];
-        let stop = self.walk(batch, u64::MAX, true, &mut results);
+        let mut results = [None; MAX_REPLAY_LANES];
+        let results = &mut results[..batch.len()];
+        let stop = self.walk(batch, u64::MAX, true, results);
         let mut ends: Vec<Option<SamePathEnd>> = results
             .iter()
             .map(|r| r.filter(|r| r.is_masked()).map(|_| SamePathEnd::default()))
@@ -1961,33 +1971,43 @@ mod tests {
         }
     }
 
+    /// A replay seed of the listed locations.
+    fn seed<const N: usize>(locs: [CorruptLoc; N]) -> CorruptSeeds {
+        let mut seed = CorruptSeeds::new();
+        for loc in locs {
+            seed.push(loc);
+        }
+        seed
+    }
+
     /// Lanes from every record of `trace`, sorted by start: a type-correct
     /// bit flip of each destination register, periodic multi-location
-    /// memory seeds, a mixed reg+mem seed, one seed of 32 registers and 32
-    /// words (many index moves on removal), tail starts at and past the
-    /// trace end, and a trivially-masked empty seed.
+    /// memory seeds, a mixed reg+mem seed, 32 lanes seeding 32 registers
+    /// and 32 words into one walk's tables (many index moves on removal),
+    /// tail starts at and past the trace end, and a trivially-masked empty
+    /// seed.
     fn parity_lanes(trace: &Trace) -> Vec<BatchLane> {
         let mut lanes: Vec<BatchLane> = Vec::new();
         lanes.push(BatchLane {
             start: 0,
-            corrupt: vec![],
+            corrupt: CorruptSeeds::new(),
         });
         for rec in trace.iter() {
             let start = rec.id as usize + 1;
             if let (Some(dst), Some(clean)) = (rec.dst, dst_result(rec)) {
                 lanes.push(BatchLane {
                     start,
-                    corrupt: vec![CorruptLoc::Reg {
+                    corrupt: seed([CorruptLoc::Reg {
                         frame: rec.frame,
                         reg: dst,
                         value: clean.flip_bit(0),
-                    }],
+                    }]),
                 });
             }
             if rec.id % 3 == 0 {
                 lanes.push(BatchLane {
                     start,
-                    corrupt: vec![
+                    corrupt: seed([
                         CorruptLoc::Mem {
                             addr: 0x1000,
                             value: Value::F64(99.5),
@@ -1996,14 +2016,14 @@ mod tests {
                             addr: 0x1008,
                             value: Value::F64(-7.0),
                         },
-                    ],
+                    ]),
                 });
             }
             if rec.id % 4 == 1 {
                 if let (Some(dst), Some(clean)) = (rec.dst, dst_result(rec)) {
                     lanes.push(BatchLane {
                         start,
-                        corrupt: vec![
+                        corrupt: seed([
                             CorruptLoc::Reg {
                                 frame: rec.frame,
                                 reg: dst,
@@ -2013,42 +2033,44 @@ mod tests {
                                 addr: 0x1000,
                                 value: Value::F64(3.25),
                             },
-                        ],
+                        ]),
                     });
                 }
             }
             if rec.id % 9 == 2 {
-                let n = 32;
-                let regs = (0..n).map(|r| CorruptLoc::Reg {
-                    frame: rec.frame,
-                    reg: moard_ir::RegId(r as u32),
-                    value: Value::I64(r as i64 - 5),
-                });
-                let words = (0..n).map(|w| CorruptLoc::Mem {
-                    addr: 0x1000 + 8 * w,
-                    value: Value::F64(w as f64 + 0.5),
-                });
-                lanes.push(BatchLane {
-                    start,
-                    corrupt: regs.chain(words).collect(),
-                });
+                for r in 0..32u64 {
+                    lanes.push(BatchLane {
+                        start,
+                        corrupt: seed([
+                            CorruptLoc::Reg {
+                                frame: rec.frame,
+                                reg: moard_ir::RegId(r as u32),
+                                value: Value::I64(r as i64 - 5),
+                            },
+                            CorruptLoc::Mem {
+                                addr: 0x1000 + 8 * r,
+                                value: Value::F64(r as f64 + 0.5),
+                            },
+                        ]),
+                    });
+                }
             }
         }
         let len = trace.len();
         lanes.push(BatchLane {
             start: len,
-            corrupt: vec![CorruptLoc::Mem {
+            corrupt: seed([CorruptLoc::Mem {
                 addr: 0x1000,
                 value: Value::F64(1.5),
-            }],
+            }]),
         });
         lanes.push(BatchLane {
             start: len + 9,
-            corrupt: vec![CorruptLoc::Reg {
+            corrupt: seed([CorruptLoc::Reg {
                 frame: 0,
                 reg: moard_ir::RegId(0),
                 value: Value::I64(7),
-            }],
+            }]),
         });
         lanes.sort_by_key(|l| l.start);
         lanes
@@ -2160,11 +2182,11 @@ mod tests {
                     let mask = 1u64 << (bit % clean.ty().bit_width());
                     lanes.push(BatchLane {
                         start: rec.id as usize + 1,
-                        corrupt: vec![CorruptLoc::Reg {
+                        corrupt: seed([CorruptLoc::Reg {
                             frame: rec.frame,
                             reg: dst,
                             value: clean.flip_mask(mask),
-                        }],
+                        }]),
                     });
                     faults.push(FaultSpec::masked(rec.id, FaultTarget::Result, mask));
                 }

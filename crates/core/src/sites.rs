@@ -10,7 +10,7 @@
 
 use crate::error_pattern::{ErrorPattern, ErrorPatternSet};
 use moard_ir::Value;
-use moard_vm::{FaultSpec, FaultTarget, ObjectId, TraceOp, TraceRecord, TraceStorage};
+use moard_vm::{FaultSpec, FaultTarget, ObjectId, TraceOp, TraceRead, TraceRecord, TraceStorage};
 
 /// Which value of the operation holds the target data object's element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -91,14 +91,7 @@ impl ParticipationSite {
 /// reader streams the touched segments through its LRU — the enumeration
 /// never needs the full trace resident.
 pub fn enumerate_sites(trace: &dyn TraceStorage, obj: ObjectId) -> Vec<ParticipationSite> {
-    let mut out = Vec::new();
-    let mut reader = trace.new_reader();
-    for &id in trace.index().ids(obj) {
-        if let Some(rec) = reader.run_from(id).first() {
-            collect_sites_for_record(rec, obj, &mut out);
-        }
-    }
-    out
+    strided_sites_through(trace, trace.new_reader().as_mut(), obj, 1)
 }
 
 /// The strided subset of [`enumerate_sites`]: every `stride`-th
@@ -114,7 +107,25 @@ pub fn enumerate_strided_sites(
     obj: ObjectId,
     stride: usize,
 ) -> Vec<ParticipationSite> {
-    let mut sites = enumerate_sites(trace, obj);
+    strided_sites_through(trace, trace.new_reader().as_mut(), obj, stride)
+}
+
+/// [`enumerate_strided_sites`] through a caller's reader.  A caller that
+/// goes on to read the same records through it (the analyzer's scheduling
+/// pass) finds the segments enumeration decoded still in the reader's LRU
+/// on the paged backend, instead of decoding them again in a second reader.
+pub(crate) fn strided_sites_through(
+    trace: &dyn TraceStorage,
+    reader: &mut dyn TraceRead,
+    obj: ObjectId,
+    stride: usize,
+) -> Vec<ParticipationSite> {
+    let mut sites = Vec::new();
+    for &id in trace.index().ids(obj) {
+        if let Some(rec) = reader.run_from(id).first() {
+            collect_sites_for_record(rec, obj, &mut sites);
+        }
+    }
     let stride = stride.max(1);
     if stride > 1 {
         let mut kept = 0;

@@ -178,7 +178,14 @@ impl Shared {
 
     /// Set the shutdown flag, cancel every live job, and wake the workers.
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        {
+            // Set under the queue lock: a worker holds that lock from its
+            // flag check until it sleeps on `queue_ready`, so the wake-up
+            // below cannot slip in between and leave it asleep (and
+            // `Daemon::join` hung) for good.
+            let _queue = self.queue.lock().expect("job queue poisoned");
+            self.shutdown.store(true, Ordering::SeqCst);
+        }
         for job in self.jobs.lock().expect("job table poisoned").values() {
             job.cancel.cancel();
         }

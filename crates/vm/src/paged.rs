@@ -848,7 +848,7 @@ fn decode_record(r: &mut ByteReader<'_>, id: u64) -> Result<TraceRecord, String>
         code => return Err(format!("unknown option tag {code}")),
     };
     let op = decode_op(r)?;
-    Ok(TraceRecord {
+    let rec = TraceRecord {
         id,
         frame,
         func,
@@ -856,7 +856,17 @@ fn decode_record(r: &mut ByteReader<'_>, id: u64) -> Result<TraceRecord, String>
         inst,
         dst,
         op,
-    })
+    };
+    // The tracer gives every register-writing record its destination, and
+    // replay relies on it; a segment whose checksum holds without it was
+    // not written by the tracer.
+    if rec.dst.is_none() && rec.result().is_some() {
+        return Err(format!(
+            "{} record has no destination register",
+            rec.mnemonic()
+        ));
+    }
+    Ok(rec)
 }
 
 // ---------------------------------------------------------------------------
@@ -1729,19 +1739,21 @@ mod tests {
                         dst_in_caller: Some(RegId(9)),
                     },
                 };
-                TraceRecord {
+                let mut rec = TraceRecord {
                     id,
                     frame: id / 3,
                     func: FuncId(1),
                     block: BlockId(2),
                     inst: id as u32,
-                    dst: if id % 2 == 0 {
-                        Some(RegId(id as u32))
-                    } else {
-                        None
-                    },
+                    dst: (id % 2 == 0).then_some(RegId(id as u32)),
                     op,
+                };
+                // A register-writing record always has its destination (the
+                // decoder rejects one without); the others alternate.
+                if rec.result().is_some() {
+                    rec.dst = Some(RegId(id as u32));
                 }
+                rec
             })
             .collect()
     }
@@ -1770,6 +1782,28 @@ mod tests {
             let back = decode_record(&mut r, rec.id).unwrap();
             assert_eq!(back, rec);
             assert_eq!(r.remaining(), 0);
+        }
+    }
+
+    #[test]
+    fn register_writing_record_without_destination_is_corrupt() {
+        // Bin, Load and Intrinsic records need their destination register;
+        // Store and Ret records decode with or without one.
+        for mut rec in sample_records(5) {
+            let writes = rec.result().is_some();
+            rec.dst = None;
+            let mut buf = Vec::new();
+            encode_record(&mut buf, &rec);
+            match decode_record(&mut ByteReader::new(&buf), rec.id) {
+                Err(e) => {
+                    assert!(writes, "{} rejected: {e}", rec.mnemonic());
+                    assert!(e.contains("no destination register"), "{e}");
+                }
+                Ok(back) => {
+                    assert!(!writes, "{} accepted without dst", rec.mnemonic());
+                    assert_eq!(back, rec);
+                }
+            }
         }
     }
 

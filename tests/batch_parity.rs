@@ -16,7 +16,7 @@
 
 use moard::inject::{Parallelism, Session, SessionReport};
 use moard::model::{
-    analyze_operation, enumerate_sites, replay, BatchLane, BatchReplayCursor, CorruptLoc,
+    analyze_operation, enumerate_sites, replay, BatchLane, BatchReplayCursor, CorruptSeeds,
     ErrorPatternSet, OpVerdict, MAX_REPLAY_LANES,
 };
 use moard::vm::{run_traced, TraceBackendSpec, Vm};
@@ -35,7 +35,7 @@ fn pattern_families() -> Vec<ErrorPatternSet> {
 }
 
 /// Replay-needing (start, corrupt) seeds of MM's C under one pattern set.
-fn lane_seeds(set: &ErrorPatternSet) -> Vec<(usize, Vec<CorruptLoc>)> {
+fn lane_seeds(set: &ErrorPatternSet) -> Vec<(usize, CorruptSeeds)> {
     let module = MatMul::default().build();
     let (_, trace) = run_traced(&module).expect("MM builds and runs");
     let vm = Vm::with_defaults(&module).expect("MM loads");
@@ -81,7 +81,7 @@ fn batched_replay_matches_one_shot_replay_for_seeded_lane_sets() {
                         let (start, corrupt) = &seeds[rng.gen_range(0..seeds.len())];
                         BatchLane {
                             start: *start,
-                            corrupt: corrupt.clone(),
+                            corrupt: *corrupt,
                         }
                     })
                     .collect();

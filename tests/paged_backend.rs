@@ -151,6 +151,114 @@ fn corrupt_segment_surfaces_a_typed_error_through_the_harness() {
     }
 }
 
+fn le_u32(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+}
+
+/// FNV-1a, the segment files' checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rewrite every segment file so no record keeps its destination register,
+/// with offsets, payload length and checksum recomputed: the segments pass
+/// every integrity check yet hold register-writing records that no tracer
+/// writes.
+fn strip_destination_registers(dir: &std::path::Path) {
+    // Segment: magic (8) | version u32 | meta u64 | first_id u64 |
+    // count u32 | payload_len u32 | offsets (count x u32) | payload |
+    // FNV-1a u64 of everything before it.
+    // Record: frame u64 | func u32 | block u32 | inst u32 |
+    // dst tag u8 (1: a u32 register follows) | operation.
+    const COUNT_AT: usize = 28;
+    const DST_TAG_AT: usize = 20;
+    let mut stripped = 0;
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !(name.starts_with("seg-") && name.ends_with(".bin")) {
+            continue;
+        }
+        let bytes = std::fs::read(&path).unwrap();
+        let body = &bytes[..bytes.len() - 8];
+        assert_eq!(le_u32(body, 8), moard::vm::PAGED_FORMAT_VERSION as usize);
+        let count = le_u32(body, COUNT_AT);
+        let payload_at = COUNT_AT + 8 + 4 * count;
+        let payload = &body[payload_at..];
+        let mut offsets = Vec::with_capacity(count);
+        let mut records = Vec::with_capacity(payload.len());
+        for i in 0..count {
+            let start = le_u32(body, COUNT_AT + 8 + 4 * i);
+            let end = if i + 1 < count {
+                le_u32(body, COUNT_AT + 12 + 4 * i)
+            } else {
+                payload.len()
+            };
+            let rec = &payload[start..end];
+            offsets.push(records.len() as u32);
+            if rec[DST_TAG_AT] == 1 {
+                records.extend_from_slice(&rec[..DST_TAG_AT]);
+                records.push(0);
+                records.extend_from_slice(&rec[DST_TAG_AT + 5..]);
+                stripped += 1;
+            } else {
+                records.extend_from_slice(rec);
+            }
+        }
+        let mut out = body[..COUNT_AT + 4].to_vec();
+        out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+        for offset in offsets {
+            out.extend_from_slice(&offset.to_le_bytes());
+        }
+        out.extend_from_slice(&records);
+        let checksum = fnv1a(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, out).unwrap();
+    }
+    assert!(
+        stripped > 0,
+        "no record with a destination under {}",
+        dir.display()
+    );
+}
+
+#[test]
+fn record_without_its_destination_register_is_a_typed_error_not_a_panic() {
+    // Replay needs the destination of every register-writing record.  The
+    // checksums of the rewritten segments hold, so only the decoder can
+    // refuse such a record, and the harness must surface that refusal.
+    let h = mm_harness(&tiny_segments());
+    let dir = h
+        .trace()
+        .as_paged()
+        .expect("paged backend")
+        .dir()
+        .to_path_buf();
+    strip_destination_registers(&dir);
+    let config = moard::model::AnalysisConfig {
+        site_stride: 16,
+        ..Default::default()
+    };
+    for result in [
+        h.analyze_without_dfi("C", config.clone()),
+        h.analyze("C", config),
+    ] {
+        match result {
+            Err(MoardError::Vm(VmError::Trace(moard::vm::TraceError::Corrupt {
+                reason, ..
+            }))) => {
+                assert!(
+                    reason.contains("no destination register"),
+                    "expected a missing-destination failure, got: {reason}"
+                );
+            }
+            other => panic!("expected a typed Corrupt trace error, got {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn truncated_segment_surfaces_a_typed_error_through_the_harness() {
     let h = mm_harness(&tiny_segments());
