@@ -15,10 +15,11 @@
 //!    memoized by error equivalence.
 //!
 //! [`AdvfAnalyzer::analyze`] is the one whole-object path: it replays up to
-//! 64 faults per trace walk, plans the object's injections and runs them on
-//! every core, settles every planned fault whose run stays on the golden
-//! path from the trace instead of re-running the program, and then folds
-//! the verdicts in (site, pattern) order.  The per-class masking fractions
+//! 64 faults per trace walk, on every core while it goes on scheduling,
+//! plans the object's injections and runs them on every core, settles every
+//! planned fault whose run stays on the golden path from the trace instead
+//! of re-running the program, and then folds the verdicts in (site,
+//! pattern) order.  The per-class masking fractions
 //! accumulate into an [`AdvfAccumulator`] exactly as Equation 1 prescribes.
 //! [`AdvfAnalyzer::classify`] runs the same pipeline for a single
 //! (site, pattern), replaying it alone through a [`ReplayCursor`].
@@ -38,6 +39,9 @@ use moard_vm::{FaultSpec, ObjectId, OutcomeClass, TraceRead, TraceRecord, TraceS
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
+use std::thread::Scope;
 
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -134,11 +138,12 @@ impl AnalysisConfig {
 /// resident).
 ///
 /// The analyzer is `Sync`: the trace is immutable and the equivalence cache
-/// is internally locked, so the plan pass of [`AdvfAnalyzer::analyze`]
-/// settles one object's faults on several threads, each walking the trace
-/// with its own cursor (and thus its own segment reader on the paged
-/// backend).  The cache, and with it its DFI verdicts, lives as long as the
-/// analyzer; the DFI budget is per call.
+/// is internally locked, so [`AdvfAnalyzer::analyze`] walks one object's
+/// replay batches, and settles its faults, on several threads, each
+/// walking the trace with its own cursor (and thus its own segment reader
+/// on the paged backend, sharing decoded segments with the others).  The
+/// cache, and with it its DFI verdicts, lives as long as the analyzer; the
+/// DFI budget is per call.
 pub struct AdvfAnalyzer<'a> {
     trace: &'a dyn TraceStorage,
     config: AnalysisConfig,
@@ -170,14 +175,17 @@ impl<'a> AdvfAnalyzer<'a> {
     /// is computed once; patterns that need a propagation replay become
     /// *lanes* grouped by record position into batches of up to
     /// [`MAX_REPLAY_LANES`], each batch walking the trace once through a
-    /// [`BatchReplayCursor`] as soon as it fills.  The sites are enumerated
-    /// through that cursor's reader, the configured patterns once per
+    /// [`BatchReplayCursor`].  Closed batches are walked in chunks while
+    /// scheduling goes on, by helper threads once the first chunk fills
+    /// and by the calling thread whenever they are all busy; the results
+    /// are stored by lane index.  The sites are enumerated through the
+    /// calling thread's cursor's reader, the configured patterns once per
     /// element type, and the lanes' seeds are inline, so the pass
-    /// allocates nothing per pattern or per lane.
+    /// allocates nothing per pattern, lane or batch.
     ///
     /// *Plan pass* (only with a resolver) — lists, in fold order, every
     /// fault the fold will inject (same budget, same cache-hit rule) and
-    /// settles that list on every available core, the calling thread
+    /// settles that list on the same workers, the calling thread
     /// included.  Faults whose run stays on the golden path are followed
     /// to the end of the trace and, if the resolver reconstructs their
     /// outcome ([`DfiResolver::classify_same_path`]), never re-run; the
@@ -185,10 +193,12 @@ impl<'a> AdvfAnalyzer<'a> {
     ///
     /// *Fold* — sites fold into the accumulator in site order, and every
     /// DFI consult happens here in (site, pattern) order, reading the
-    /// planned verdicts.  The report — DFI run/hit counts and budget
-    /// exhaustion included — therefore depends neither on the core count
-    /// nor on how a verdict was computed.  `max_dfi_per_object` counts the
-    /// DFI verdicts of this call only.
+    /// planned verdicts.  The report — batch telemetry, DFI run/hit counts
+    /// and budget exhaustion included — therefore depends neither on the
+    /// core count nor on how or where a verdict was computed.  The call
+    /// uses every available core: `available_parallelism()` workers, read
+    /// once.  `max_dfi_per_object` counts the DFI verdicts of this call
+    /// only.
     ///
     /// The call never fails: on the paged backend a segment that fails to
     /// decode poisons the trace, and scheduling stops at the first site
@@ -197,6 +207,19 @@ impl<'a> AdvfAnalyzer<'a> {
     /// check [`TraceStorage::poisoned`] afterwards, as the harness does.
     pub fn analyze(
         &self,
+        object: ObjectId,
+        object_name: &str,
+        workload: &str,
+        resolver: Option<&dyn DfiResolver>,
+    ) -> AdvfReport {
+        self.analyze_on(available_workers(), object, object_name, workload, resolver)
+    }
+
+    /// [`AdvfAnalyzer::analyze`] on at most `workers` threads, the calling
+    /// thread included.
+    fn analyze_on(
+        &self,
+        workers: usize,
         object: ObjectId,
         object_name: &str,
         workload: &str,
@@ -211,61 +234,44 @@ impl<'a> AdvfAnalyzer<'a> {
         // Scheduling pass.
         let mut plans: Vec<SitePlan> = Vec::with_capacity(sites.len());
         let mut tags: Vec<LaneTag> = Vec::new();
-        let mut lane_results: Vec<PropagationResult> = Vec::new();
-        let mut batch: Vec<BatchLane> = Vec::new();
-        let mut grouper = BatchGrouper::new(k);
-        let mut batch_walks = 0u64;
-        for site in &sites {
-            let Some(rec) = cursor.fetch(site.record_id) else {
-                // The trace is poisoned: analyze the sites scheduled so far.
-                break;
-            };
-            let patterns = pattern_lists.get(site.value.ty());
-            let first_tag = tags.len();
-            for pattern in patterns {
-                let tag = match analyze_operation(&rec, site.slot, pattern) {
-                    OpVerdict::Masked(kind) => LaneTag::Class(Masking::Operation(kind)),
-                    OpVerdict::NotMasked => LaneTag::Class(Masking::NotMasked),
-                    OpVerdict::NeedsDfi => LaneTag::NeedsDfi,
-                    OpVerdict::OvershadowCandidate { corrupt } => {
-                        LaneTag::Overshadow(self.push_lane(
-                            &mut cursor,
-                            &mut grouper,
-                            &mut batch,
-                            &mut lane_results,
-                            &mut batch_walks,
-                            site,
-                            corrupt,
-                        ))
-                    }
-                    OpVerdict::Propagate { corrupt } => LaneTag::Propagate(self.push_lane(
-                        &mut cursor,
-                        &mut grouper,
-                        &mut batch,
-                        &mut lane_results,
-                        &mut batch_walks,
-                        site,
-                        corrupt,
-                    )),
+        let (lane_results, batch_walks) = std::thread::scope(|scope| {
+            let mut lanes = LaneScheduler::new(scope, workers, cursor, k);
+            for site in &sites {
+                let Some(rec) = lanes.cursor.fetch(site.record_id) else {
+                    // The trace is poisoned: analyze the sites scheduled so far.
+                    break;
                 };
-                tags.push(tag);
+                let patterns = pattern_lists.get(site.value.ty());
+                let first_tag = tags.len();
+                for pattern in patterns {
+                    let tag = match analyze_operation(&rec, site.slot, pattern) {
+                        OpVerdict::Masked(kind) => LaneTag::Class(Masking::Operation(kind)),
+                        OpVerdict::NotMasked => LaneTag::Class(Masking::NotMasked),
+                        OpVerdict::NeedsDfi => LaneTag::NeedsDfi,
+                        OpVerdict::OvershadowCandidate { corrupt } => {
+                            LaneTag::Overshadow(lanes.push(site, corrupt))
+                        }
+                        OpVerdict::Propagate { corrupt } => {
+                            LaneTag::Propagate(lanes.push(site, corrupt))
+                        }
+                    };
+                    tags.push(tag);
+                }
+                plans.push(SitePlan {
+                    rec,
+                    patterns,
+                    tags: first_tag..tags.len(),
+                });
             }
-            plans.push(SitePlan {
-                rec,
-                patterns,
-                tags: first_tag..tags.len(),
-            });
-        }
-        if !batch.is_empty() {
-            cursor.replay_batch(&batch, k, &mut lane_results);
-            batch_walks += 1;
-        }
+            lanes.finish()
+        });
         let lanes_batched = lane_results.len() as u64;
         let batch_fallback_lanes = lane_results.iter().filter(|r| !r.is_masked()).count() as u64;
         let sites = &sites[..plans.len()];
 
         // Plan pass.
-        let planned = resolver.map(|r| self.run_planned(sites, &plans, &tags, &lane_results, r));
+        let planned =
+            resolver.map(|r| self.run_planned(workers, sites, &plans, &tags, &lane_results, r));
         let dfi = planned.as_ref().map(|p| DfiCall::new(p, stats_before));
 
         // Fold.
@@ -308,36 +314,6 @@ impl<'a> AdvfAnalyzer<'a> {
         }
     }
 
-    /// Append one replay lane to the open batch (flushing it through the
-    /// cursor first if full or spanning too far) and return its global lane
-    /// index.
-    #[allow(clippy::too_many_arguments)]
-    fn push_lane(
-        &self,
-        cursor: &mut BatchReplayCursor<'a>,
-        grouper: &mut BatchGrouper,
-        batch: &mut Vec<BatchLane>,
-        lane_results: &mut Vec<PropagationResult>,
-        batch_walks: &mut u64,
-        site: &ParticipationSite,
-        corrupt: CorruptSeeds,
-    ) -> usize {
-        let start = site.record_id + 1;
-        if grouper.must_flush(start) {
-            cursor.replay_batch(batch, self.config.propagation_window, lane_results);
-            batch.clear();
-            grouper.reset();
-            *batch_walks += 1;
-        }
-        grouper.push(start);
-        let lane = lane_results.len() + batch.len();
-        batch.push(BatchLane {
-            start: start as usize,
-            corrupt,
-        });
-        lane
-    }
-
     /// Plan pass of [`AdvfAnalyzer::analyze`]: walk every DFI consult of
     /// the fold in fold order, apply [`AdvfAnalyzer::resolve_dfi`]'s
     /// budget rule and the [`EquivalenceCache`]'s hit rule, and settle the
@@ -360,6 +336,7 @@ impl<'a> AdvfAnalyzer<'a> {
     #[inline(never)]
     fn run_planned<'r>(
         &self,
+        workers: usize,
         sites: &[ParticipationSite],
         plans: &[SitePlan],
         tags: &[LaneTag],
@@ -403,7 +380,7 @@ impl<'a> AdvfAnalyzer<'a> {
         let mut verdicts: Vec<Option<OutcomeClass>> = vec![None; faults.len()];
         if !lanes.is_empty() {
             let walks = lanes.len().div_ceil(MAX_REPLAY_LANES);
-            let settled = run_indexed(available_workers(), walks, |w| {
+            let settled = run_indexed(workers, walks, |w| {
                 let lo = w * MAX_REPLAY_LANES;
                 let hi = (lo + MAX_REPLAY_LANES).min(lanes.len());
                 let mut ends = Vec::new();
@@ -423,7 +400,7 @@ impl<'a> AdvfAnalyzer<'a> {
         let pending: Vec<usize> = (0..faults.len())
             .filter(|&f| verdicts[f].is_none())
             .collect();
-        let injected = run_indexed(available_workers(), pending.len(), |i| {
+        let injected = run_indexed(workers, pending.len(), |i| {
             resolver.classify(&faults[pending[i]])
         });
         for (&f, verdict) in pending.iter().zip(injected) {
@@ -767,6 +744,258 @@ impl BatchGrouper {
     }
 }
 
+/// Closed replay batches per [`LaneChunk`]: the unit of work the scheduling
+/// pass hands to a walker thread.
+const CHUNK_BATCHES: usize = 16;
+
+/// Up to [`CHUNK_BATCHES`] closed replay batches in lane order, and their
+/// results once walked.  Chunks are recycled, so their buffers are
+/// allocated once per analysis, not per batch.
+#[derive(Default)]
+struct LaneChunk {
+    /// Global lane index of `lanes[0]`.
+    first_lane: usize,
+    lanes: Vec<BatchLane>,
+    /// End of each closed batch in `lanes`; the lanes after the last end
+    /// form the open batch.
+    ends: Vec<usize>,
+    /// One result per lane, in lane order, once walked.
+    results: Vec<PropagationResult>,
+}
+
+impl LaneChunk {
+    /// A chunk with room for [`CHUNK_BATCHES`] full batches.
+    fn allocate() -> Self {
+        let lanes = CHUNK_BATCHES * MAX_REPLAY_LANES;
+        LaneChunk {
+            first_lane: 0,
+            lanes: Vec::with_capacity(lanes),
+            ends: Vec::with_capacity(CHUNK_BATCHES),
+            results: Vec::with_capacity(lanes),
+        }
+    }
+
+    /// Walk every closed batch through `cursor`.
+    fn walk(&mut self, cursor: &mut BatchReplayCursor<'_>, k: usize) {
+        self.results.clear();
+        let mut lo = 0;
+        for &hi in &self.ends {
+            cursor.replay_batch(&self.lanes[lo..hi], k, &mut self.results);
+            lo = hi;
+        }
+    }
+}
+
+/// The scheduling thread's channels to its helper threads.
+struct Helpers {
+    /// Full chunks for the helpers, at most two per helper waiting.
+    queue: SyncSender<LaneChunk>,
+    /// The queue's receiving end, shared by the helpers; the scheduling
+    /// thread takes the chunks no helper has started when scheduling ends.
+    unstarted: Arc<Mutex<Receiver<LaneChunk>>>,
+    /// Chunks the helpers have walked.
+    walked: Receiver<LaneChunk>,
+}
+
+impl Helpers {
+    /// Spawn `count` helpers in `scope`, each walking queued chunks through
+    /// its own cursor until the queue is closed and empty.
+    fn spawn<'s>(
+        scope: &'s Scope<'s, '_>,
+        trace: &'s dyn TraceStorage,
+        k: usize,
+        count: usize,
+    ) -> Self {
+        let (queue, unstarted) = sync_channel::<LaneChunk>(2 * count);
+        let unstarted = Arc::new(Mutex::new(unstarted));
+        // Room for every chunk in circulation, so a helper never waits to
+        // hand one back.
+        let (done, walked) = sync_channel(3 * count);
+        for _ in 0..count {
+            let (unstarted, done) = (Arc::clone(&unstarted), done.clone());
+            scope.spawn(move || {
+                let mut cursor = BatchReplayCursor::new(trace);
+                loop {
+                    // Not `while let`: the lock must not be held during the
+                    // walk.
+                    let next = unstarted.lock().expect("chunk queue lock").recv();
+                    let Ok(mut chunk) = next else { break };
+                    chunk.walk(&mut cursor, k);
+                    if done.send(chunk).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        Helpers {
+            queue,
+            unstarted,
+            walked,
+        }
+    }
+}
+
+/// The scheduling pass's lane bookkeeping: it groups lanes into batches
+/// ([`BatchGrouper`]) and closed batches into chunks, and has each full
+/// chunk walked, by a helper thread when one is free and by the calling
+/// thread otherwise, while the calling thread goes on scheduling.
+///
+/// Helpers are spawned when the first chunk fills, and never with one
+/// worker.  Results are stored by lane index, so which thread walked a
+/// batch never shows: the results, the batch boundaries and the walk count
+/// are those of walking every batch on the calling thread as it closes.
+/// If the calling thread unwinds, dropping the queue lets the helpers
+/// exit; a helper that panics loses its chunk, and the scope then panics.
+struct LaneScheduler<'s, 'e, 't> {
+    scope: &'s Scope<'s, 'e>,
+    workers: usize,
+    /// Fetches the sites' records, and walks what no helper takes.
+    cursor: BatchReplayCursor<'t>,
+    k: usize,
+    grouper: BatchGrouper,
+    /// The chunk being filled; its last batch is open.
+    chunk: LaneChunk,
+    /// Emptied chunks, for reuse.
+    spare: Vec<LaneChunk>,
+    /// One result per lane scheduled so far, by lane index.
+    results: Vec<PropagationResult>,
+    batch_walks: u64,
+    /// Spawned when the first chunk fills.
+    helpers: Option<Helpers>,
+}
+
+/// Placeholder of a lane whose chunk is still being walked; every one is
+/// overwritten before the scheduling pass ends.
+const UNWALKED: PropagationResult = PropagationResult::AllMasked { ops_examined: 0 };
+
+impl<'s, 'e, 't: 's> LaneScheduler<'s, 'e, 't> {
+    fn new(
+        scope: &'s Scope<'s, 'e>,
+        workers: usize,
+        cursor: BatchReplayCursor<'t>,
+        k: usize,
+    ) -> Self {
+        LaneScheduler {
+            scope,
+            workers,
+            cursor,
+            k,
+            grouper: BatchGrouper::new(k),
+            chunk: LaneChunk::allocate(),
+            spare: Vec::new(),
+            results: Vec::new(),
+            batch_walks: 0,
+            helpers: None,
+        }
+    }
+
+    /// Append one replay lane starting after `site`'s record (closing the
+    /// open batch first if it is full or would span too far) and return
+    /// its global lane index.
+    fn push(&mut self, site: &ParticipationSite, corrupt: CorruptSeeds) -> usize {
+        let start = site.record_id + 1;
+        if self.grouper.must_flush(start) {
+            self.close_batch();
+        }
+        self.grouper.push(start);
+        let lane = self.chunk.first_lane + self.chunk.lanes.len();
+        self.chunk.lanes.push(BatchLane {
+            start: start as usize,
+            corrupt,
+        });
+        lane
+    }
+
+    /// Close the open batch; a chunk holding [`CHUNK_BATCHES`] of them goes
+    /// to a walker.
+    fn close_batch(&mut self) {
+        self.chunk.ends.push(self.chunk.lanes.len());
+        self.grouper.reset();
+        self.batch_walks += 1;
+        if self.chunk.ends.len() == CHUNK_BATCHES {
+            let next = self.chunk.first_lane + self.chunk.lanes.len();
+            let mut fresh = self.spare.pop().unwrap_or_else(LaneChunk::allocate);
+            fresh.first_lane = next;
+            let full = std::mem::replace(&mut self.chunk, fresh);
+            self.dispatch(full);
+        }
+    }
+
+    /// Queue a full chunk for the helpers (spawning them the first time),
+    /// or walk it here if the queue is full or there are none, and store
+    /// whatever the helpers have walked meanwhile.
+    fn dispatch(&mut self, chunk: LaneChunk) {
+        if self.workers <= 1 {
+            self.walk_here(chunk);
+            return;
+        }
+        let (scope, trace, k, count) = (self.scope, self.cursor.trace(), self.k, self.workers - 1);
+        let helpers = self
+            .helpers
+            .get_or_insert_with(|| Helpers::spawn(scope, trace, k, count));
+        let overflow = match helpers.queue.try_send(chunk) {
+            Ok(()) => None,
+            Err(TrySendError::Full(chunk) | TrySendError::Disconnected(chunk)) => Some(chunk),
+        };
+        while let Some(walked) = self.helpers.as_ref().and_then(|h| h.walked.try_recv().ok()) {
+            self.store(walked);
+        }
+        if let Some(chunk) = overflow {
+            self.walk_here(chunk);
+        }
+    }
+
+    /// Walk `chunk` on the calling thread and store its results.
+    fn walk_here(&mut self, mut chunk: LaneChunk) {
+        chunk.walk(&mut self.cursor, self.k);
+        self.store(chunk);
+    }
+
+    /// Write a walked chunk's results at its lanes' indices and recycle it.
+    fn store(&mut self, mut chunk: LaneChunk) {
+        let end = chunk.first_lane + chunk.results.len();
+        if self.results.len() < end {
+            self.results.resize(end, UNWALKED);
+        }
+        self.results[chunk.first_lane..end].copy_from_slice(&chunk.results);
+        chunk.lanes.clear();
+        chunk.ends.clear();
+        self.spare.push(chunk);
+    }
+
+    /// End scheduling: close the open batch, walk every chunk no helper has
+    /// started, wait for those in flight, and return every lane's result
+    /// with the number of batch walks.
+    fn finish(mut self) -> (Vec<PropagationResult>, u64) {
+        if self.grouper.len > 0 {
+            self.close_batch();
+        }
+        if !self.chunk.ends.is_empty() {
+            let last = std::mem::take(&mut self.chunk);
+            self.walk_here(last);
+        }
+        if let Some(Helpers {
+            queue,
+            unstarted,
+            walked,
+        }) = self.helpers.take()
+        {
+            // Closing the queue lets each helper exit once it is empty.
+            drop(queue);
+            loop {
+                let next = unstarted.lock().expect("chunk queue lock").try_recv();
+                let Ok(chunk) = next else { break };
+                self.walk_here(chunk);
+            }
+            // Ends when every helper has exited.
+            for chunk in walked {
+                self.store(chunk);
+            }
+        }
+        (std::mem::take(&mut self.results), self.batch_walks)
+    }
+}
+
 /// Record one classified `(pattern, verdict)` into the tally keyed by its
 /// pattern class, keeping the vector sorted by `flipped_bits` (the same
 /// invariant [`crate::advf::merge_pattern_tallies`] maintains across
@@ -1010,6 +1239,16 @@ mod tests {
         }
     }
 
+    /// `report` without the batch telemetry, which the oracle does not write.
+    fn without_telemetry(report: &AdvfReport) -> AdvfReport {
+        AdvfReport {
+            lanes_batched: 0,
+            batch_walks: 0,
+            batch_fallback_lanes: 0,
+            ..report.clone()
+        }
+    }
+
     /// A DFI resolver comparing the `out` array and the return value, that
     /// counts its injections and remembers every fault it settled.  A
     /// reconstructing one also settles same-path faults from their end
@@ -1185,11 +1424,7 @@ mod tests {
                                 "{case}"
                             );
                             reconstructed += resolver.reconstructed();
-                            let mut normalized = report.clone();
-                            normalized.lanes_batched = 0;
-                            normalized.batch_walks = 0;
-                            normalized.batch_fallback_lanes = 0;
-                            assert_eq!(normalized, expected, "{case}");
+                            assert_eq!(without_telemetry(&report), expected, "{case}");
                             assert_eq!(report.advf().to_bits(), expected.advf().to_bits());
                             if k > 0 {
                                 assert!(report.lanes_batched > 0, "{case}");
@@ -1271,36 +1506,56 @@ mod tests {
     }
 
     /// A trace whose reads, after the first `healthy` (site enumeration's),
-    /// serve no record at or past `fails_from` and poison the trace instead
-    /// — as a paged trace does when a segment stops decoding after site
-    /// enumeration.  The count spans every reader of the trace.
+    /// serve each record listed in `served` alone and no other record at or
+    /// past `fails_from`, poisoning the trace instead — as a paged trace
+    /// does when a segment stops decoding after site enumeration.  The
+    /// count spans every reader of the trace.  It also records the threads
+    /// that open readers, and a `home` thread, if set, is the only one that
+    /// may open one without a panic.
     struct FailingReads<'t> {
-        trace: &'t moard_vm::Trace,
+        trace: &'t dyn TraceStorage,
         fails_from: u64,
         healthy: usize,
+        served: HashSet<u64>,
+        home: Option<std::thread::ThreadId>,
         reads: AtomicUsize,
         poison: Mutex<Option<TraceError>>,
+        readers: Mutex<HashSet<std::thread::ThreadId>>,
     }
 
     impl<'t> FailingReads<'t> {
-        fn new(trace: &'t moard_vm::Trace, fails_from: u64, healthy: usize) -> Self {
+        fn new(trace: &'t dyn TraceStorage, fails_from: u64, healthy: usize) -> Self {
             FailingReads {
                 trace,
                 fails_from,
                 healthy,
+                served: HashSet::new(),
+                home: None,
                 reads: AtomicUsize::new(0),
                 poison: Mutex::new(None),
+                readers: Mutex::new(HashSet::new()),
             }
+        }
+
+        /// A wrapper that serves every read.
+        fn healthy(trace: &'t dyn TraceStorage) -> Self {
+            Self::new(trace, u64::MAX, 0)
+        }
+
+        /// Whether every reader was opened on the calling thread.
+        fn read_on_this_thread_only(&self) -> bool {
+            let readers = self.readers.lock().unwrap();
+            readers.len() == 1 && readers.contains(&std::thread::current().id())
         }
     }
 
     impl TraceStorage for FailingReads<'_> {
         fn len(&self) -> u64 {
-            TraceStorage::len(self.trace)
+            self.trace.len()
         }
 
         fn index(&self) -> &TraceIndex {
-            TraceStorage::index(self.trace)
+            self.trace.index()
         }
 
         fn stats(&self) -> TraceStats {
@@ -1312,6 +1567,12 @@ mod tests {
         }
 
         fn new_reader(&self) -> Box<dyn TraceRead + '_> {
+            let thread = std::thread::current().id();
+            assert!(
+                self.home.is_none_or(|home| home == thread),
+                "reader off home"
+            );
+            self.readers.lock().unwrap().insert(thread);
             Box::new(FailingReader {
                 storage: self,
                 inner: self.trace.new_reader(),
@@ -1330,12 +1591,15 @@ mod tests {
 
     impl TraceRead for FailingReader<'_> {
         fn run_from(&mut self, id: u64) -> &[TraceRecord] {
-            if self.storage.reads.fetch_add(1, Ordering::SeqCst) < self.storage.healthy {
+            let storage = self.storage;
+            if storage.reads.fetch_add(1, Ordering::SeqCst) < storage.healthy {
                 return self.inner.run_from(id);
             }
-            let fails_from = self.storage.fails_from;
-            if id >= fails_from {
-                self.storage
+            if storage.served.contains(&id) {
+                return &self.inner.run_from(id)[..1];
+            }
+            if id >= storage.fails_from {
+                storage
                     .poison
                     .lock()
                     .unwrap()
@@ -1346,8 +1610,178 @@ mod tests {
                 return &[];
             }
             let run = self.inner.run_from(id);
-            &run[..run.len().min((fails_from - id) as usize)]
+            &run[..run.len().min((storage.fails_from - id) as usize)]
         }
+    }
+
+    /// `y = v[i] * 3.0; if y > 0.0 { out[i] = 1.0 } if y > 300.0 { out[i] =
+    /// 2.0 }` over 200 elements: every flip of a `v[i]` load is a replay
+    /// lane, masked unless it turns a branch, so a site's lowest bit is
+    /// always masked and its sign bit never.  Each site's lanes make about
+    /// one replay batch, so an analysis of `v` fills several lane chunks.
+    fn loop_module() -> Module {
+        const N: i64 = 200;
+        let mut m = Module::new("loop");
+        let init: Vec<f64> = (0..N).map(|i| 0.5 + i as f64).collect();
+        let v = m.add_global(Global::from_f64("v", &init));
+        let out = m.add_global(Global::zeroed("out", Type::F64, N as u64));
+        let mut f = FunctionBuilder::new("main", &[], None);
+        f.for_loop(Operand::const_i64(0), Operand::const_i64(N), |f, i| {
+            let x = f.load_elem(Type::F64, v, Operand::Reg(i));
+            let y = f.fmul(Operand::Reg(x), Operand::const_f64(3.0));
+            for (threshold, mark) in [(0.0, 1.0), (300.0, 2.0)] {
+                let threshold = Operand::const_f64(threshold);
+                let c = f.cmp(CmpPred::FOgt, Operand::Reg(y), threshold);
+                f.if_then(Operand::Reg(c), |f| {
+                    let mark = Operand::const_f64(mark);
+                    f.store_elem(Type::F64, out, Operand::Reg(i), mark);
+                });
+            }
+        });
+        f.ret(None);
+        m.add_function(f.finish());
+        moard_ir::verify::assert_verified(&m);
+        m
+    }
+
+    /// The same trace on the paged backend, with segments of 16 records.
+    fn paged_copy(trace: &moard_vm::Trace) -> moard_vm::TraceData {
+        let mut builder = moard_vm::TraceBuilder::for_spec(&moard_vm::TraceBackendSpec::Paged {
+            dir: None,
+            segment_records: 16,
+        })
+        .unwrap();
+        for rec in trace.iter() {
+            builder.push(rec.clone());
+        }
+        builder.finish().unwrap()
+    }
+
+    #[test]
+    fn reports_do_not_depend_on_the_worker_count() {
+        // Whole reports, batch telemetry included, are equal on 1, 2 and 3
+        // workers: on both backends, without a resolver and with a
+        // reconstructing one.  One worker, or fewer lanes than one chunk,
+        // starts no thread; the loop kernel's many chunks do.
+        let mut multi_chunk = 0;
+        for (m, object) in [
+            (listing1_module(), "par_a"),
+            (overshadow_module(), "x"),
+            (loop_module(), "v"),
+        ] {
+            let (_, memory) = run_traced(&m).unwrap();
+            let paged = paged_copy(&memory);
+            let obj = Vm::with_defaults(&m)
+                .unwrap()
+                .objects()
+                .by_name(object)
+                .unwrap()
+                .id;
+            let config = AnalysisConfig {
+                max_dfi_per_object: Some(40),
+                ..Default::default()
+            };
+            for (backend, trace) in [("memory", &memory as &dyn TraceStorage), ("paged", &paged)] {
+                for reconstructs in [false, true] {
+                    let reports: Vec<AdvfReport> = [1, 2, 3]
+                        .into_iter()
+                        .map(|workers| {
+                            let resolver = CountingResolver::reconstructing(&m);
+                            let resolver = reconstructs.then_some(&resolver as &dyn DfiResolver);
+                            let probe = FailingReads::healthy(trace);
+                            let report = AdvfAnalyzer::new(&probe, config.clone())
+                                .analyze_on(workers, obj, object, "kernel", resolver);
+                            let walks = report.batch_walks as usize;
+                            // The plan pass's threads open readers too.
+                            if resolver.is_none() && (workers == 1 || walks < CHUNK_BATCHES) {
+                                assert!(probe.read_on_this_thread_only(), "{object} {workers}");
+                            }
+                            if resolver.is_none() && workers > 1 && walks > 3 * CHUNK_BATCHES {
+                                assert!(!probe.read_on_this_thread_only(), "{object} {workers}");
+                                multi_chunk += 1;
+                            }
+                            report
+                        })
+                        .collect();
+                    let case = format!("{object} {backend} reconstructs={reconstructs}");
+                    assert!(reports[0].lanes_batched > 0, "{case}");
+                    assert!(reports[0].batch_fallback_lanes < reports[0].lanes_batched);
+                    assert_eq!(reports[1], reports[0], "{case}: 2 workers");
+                    assert_eq!(reports[2], reports[0], "{case}: 3 workers");
+                    // And every lane's result is stored at its own index.
+                    let resolver = CountingResolver::new(&m);
+                    let resolver = reconstructs.then_some(&resolver as &dyn DfiResolver);
+                    let analyzer = AdvfAnalyzer::new(trace, config.clone());
+                    let expected = oracle(&analyzer, obj, object, "kernel", resolver);
+                    assert_eq!(without_telemetry(&reports[0]), expected, "{case}");
+                }
+            }
+        }
+        assert_eq!(multi_chunk, 4, "the loop kernel fills several chunks");
+    }
+
+    #[test]
+    fn failing_walks_give_the_same_report_at_every_worker_count() {
+        // Scheduling fetches every site's record, then every other read
+        // fails: the walks, on whichever thread, are cut short the same
+        // way, the trace is poisoned, and every site is still analyzed.
+        let m = loop_module();
+        let (_, trace) = run_traced(&m).unwrap();
+        let obj = Vm::with_defaults(&m)
+            .unwrap()
+            .objects()
+            .by_name("v")
+            .unwrap()
+            .id;
+        let config = AnalysisConfig::default();
+        let sites = AdvfAnalyzer::new(&trace, config.clone()).pattern_sites(obj);
+        let enumeration_reads = TraceStorage::index(&trace).ids(obj).len();
+        for use_dfi in [false, true] {
+            let reports: Vec<AdvfReport> = [1, 2, 3]
+                .into_iter()
+                .map(|workers| {
+                    let resolver = CountingResolver::new(&m);
+                    let resolver = use_dfi.then_some(&resolver as &dyn DfiResolver);
+                    let mut failing = FailingReads::new(&trace, 0, enumeration_reads);
+                    failing.served = sites.iter().map(|s| s.record_id).collect();
+                    let report = AdvfAnalyzer::new(&failing, config.clone())
+                        .analyze_on(workers, obj, "v", "loop", resolver);
+                    assert!(failing.poisoned().is_some(), "workers={workers}");
+                    assert_eq!(report.sites_analyzed, sites.len() as u64);
+                    report
+                })
+                .collect();
+            assert!(reports[0].batch_walks as usize > 3 * CHUNK_BATCHES);
+            assert_eq!(reports[1], reports[0], "dfi={use_dfi}: 2 workers");
+            assert_eq!(reports[2], reports[0], "dfi={use_dfi}: 3 workers");
+        }
+    }
+
+    #[test]
+    fn a_helper_panic_is_a_panic_of_analyze() {
+        // Readers opened off the calling thread panic: with one worker the
+        // analysis completes; with two, the helper's panic comes out of
+        // `analyze` instead of leaving it waiting for the helper.
+        let m = loop_module();
+        let (_, trace) = run_traced(&m).unwrap();
+        let obj = Vm::with_defaults(&m)
+            .unwrap()
+            .objects()
+            .by_name("v")
+            .unwrap()
+            .id;
+        let mut probe = FailingReads::healthy(&trace);
+        probe.home = Some(std::thread::current().id());
+        let analyzer = AdvfAnalyzer::new(&probe, AnalysisConfig::default());
+        let alone = analyzer.analyze_on(1, obj, "v", "loop", None);
+        assert_eq!(
+            alone,
+            AdvfAnalyzer::new(&trace, AnalysisConfig::default()).analyze(obj, "v", "loop", None)
+        );
+        let helped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            analyzer.analyze_on(2, obj, "v", "loop", None)
+        }));
+        assert!(helped.is_err());
     }
 
     #[test]

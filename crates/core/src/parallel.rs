@@ -1,7 +1,8 @@
 //! Index-ordered fan-out over scoped worker threads.
 //!
-//! The one parallel helper shared by the analyzer (planned DFI walks and
-//! injections, see [`crate::AdvfAnalyzer::analyze`]) and `moard-inject`
+//! The parallel helper shared by the analyzer (planned DFI walks and
+//! injections, see [`crate::AdvfAnalyzer::analyze`], whose replay batches
+//! go to helper threads through a queue of their own) and `moard-inject`
 //! (campaigns, multi-object analysis, study and validation task pools).
 //! Workers pull task indices off a shared atomic counter and results are
 //! assembled by index, so the output never depends on the thread count.

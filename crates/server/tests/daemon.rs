@@ -41,18 +41,29 @@ fn quick_analyze(workload: &str) -> Request {
     analyze_at(workload, Priority::Normal)
 }
 
-/// A validate job big enough to still be running when we cancel it.
-fn slow_validate() -> Request {
+/// A validate job of MM whose margin is out of reach, so it runs until it
+/// has injected `max_trials` faults (or is cancelled).
+fn validate_trials(max_trials: u64) -> Request {
     use moard_inject::{ValidationSpec, WorkloadSelector};
     Request::Validate {
         spec: ValidationSpec::default()
             .workloads(WorkloadSelector::Named(vec!["mm".into()]))
             .stride(4)
             .target_margin(0.005)
-            .max_trials(2_000_000)
+            .max_trials(max_trials)
             .shards(8, 1),
         priority: Priority::Normal,
     }
+}
+
+/// Trials of the long normal-priority job in
+/// `high_priority_jobs_overtake_queued_normal_jobs`: about 0.2 s of work in
+/// a release build, against a few milliseconds for a quick analysis.
+const LONG_TRIALS: u64 = 500;
+
+/// A validate job big enough to still be running when we cancel it.
+fn slow_validate() -> Request {
+    validate_trials(2_000_000)
 }
 
 fn shutdown_and_join(daemon: Daemon) {
@@ -263,10 +274,12 @@ fn high_priority_jobs_overtake_queued_normal_jobs() {
     let mut blocker = Client::connect(addr).unwrap();
     let blocking_job = blocker.submit_nowait(&slow_validate()).unwrap();
 
-    // Queue a normal job, then a high-priority one.
+    // Queue a long normal job, then a quick high-priority one: whichever
+    // leaves the queue first finishes a whole long job before the other,
+    // far more than the two client threads' wake-up times can differ.
     let normal = std::thread::spawn(move || {
         let mut client = Client::connect(addr).unwrap();
-        client.submit(&quick_analyze("mm")).unwrap();
+        client.submit(&validate_trials(LONG_TRIALS)).unwrap();
         std::time::Instant::now()
     });
     // Give the normal job time to enter the queue first.

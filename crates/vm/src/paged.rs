@@ -5,9 +5,10 @@
 //! module stores the same records in **segments** of a fixed record count
 //! (default [`DEFAULT_SEGMENT_RECORDS`]), written to disk *while the VM
 //! traces*, with the per-object index persisted in a manifest alongside.
-//! Analysis then streams: a [`PagedReader`] decodes at most a small LRU of
-//! segments at a time, so the propagation replay's bounded window (`k`) and
-//! the index-driven site enumeration never need the full trace in memory.
+//! Analysis then streams: a [`PagedReader`] holds at most a small LRU of
+//! decoded segments at a time, shared with the trace's other live readers,
+//! so the propagation replay's bounded window (`k`) and the index-driven
+//! site enumeration never need the full trace in memory.
 //!
 //! ## File layout (one directory per trace)
 //!
@@ -45,7 +46,7 @@ use moard_ir::{BinOp, BlockId, CastKind, CmpPred, FuncId, Intrinsic, RegId, Type
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, Weak};
 
 /// Format version of segment and manifest files.  Bump on any layout or
 /// codec change: a reader refuses (typed [`TraceError::SchemaMismatch`])
@@ -1288,6 +1289,8 @@ pub struct PagedTrace {
     segments: Vec<SegmentMeta>,
     index: TraceIndex,
     poison: Mutex<Option<TraceError>>,
+    /// Per segment, the decoded copy some live reader holds, if any.
+    decoded: Mutex<Vec<Weak<Vec<TraceRecord>>>>,
 }
 
 impl std::fmt::Debug for PagedTrace {
@@ -1316,6 +1319,7 @@ impl PagedTrace {
             meta: manifest.meta,
             segment_records: manifest.segment_records,
             total: manifest.total,
+            decoded: Mutex::new(manifest.segments.iter().map(|_| Weak::new()).collect()),
             segments: manifest.segments,
             index: manifest.index,
             poison: Mutex::new(None),
@@ -1340,6 +1344,33 @@ impl PagedTrace {
     /// Segment index covering dynamic id `id` (which must be `< total`).
     fn segment_of(&self, id: u64) -> usize {
         (id / self.segment_records as u64) as usize
+    }
+
+    /// The records of segment `seg`: the decoded copy a live reader already
+    /// holds, or else a fresh decode that later readers then share.  `None`
+    /// if the segment fails to decode (the trace is then poisoned).
+    fn segment(&self, seg: usize) -> Option<Arc<Vec<TraceRecord>>> {
+        let decoded = || self.decoded.lock().expect("decoded segment table");
+        if let Some(records) = decoded()[seg].upgrade() {
+            return Some(records);
+        }
+        let records =
+            match decode_segment(&segment_file(&self.dir, seg), self.meta, self.segments[seg]) {
+                Ok(records) => Arc::new(records),
+                Err(e) => {
+                    self.poison_with(e);
+                    return None;
+                }
+            };
+        // Another reader may have decoded it meanwhile: keep one copy.
+        let mut table = decoded();
+        match table[seg].upgrade() {
+            Some(theirs) => Some(theirs),
+            None => {
+                table[seg] = Arc::downgrade(&records);
+                Some(records)
+            }
+        }
     }
 
     fn poison_with(&self, e: TraceError) {
@@ -1397,12 +1428,16 @@ impl TraceStorage for PagedTrace {
 struct CachedSegment {
     seg: usize,
     tick: u64,
-    records: Vec<TraceRecord>,
+    records: Arc<Vec<TraceRecord>>,
 }
 
-/// A reader over a [`PagedTrace`]: a small LRU of decoded segments.  Not
-/// shared across threads — each cursor/worker creates its own, all borrowing
-/// the same immutable trace.
+/// A reader over a [`PagedTrace`]: a small LRU of decoded segments.  Each
+/// cursor or worker thread creates its own reader, all borrowing the same
+/// immutable trace, and the readers share decoded segments: a reader that
+/// needs a segment another live reader holds takes that copy instead of
+/// decoding it again, and a segment is dropped once no reader's LRU holds
+/// it.  So several threads walking the same stretch of the trace keep one
+/// decoded copy of it resident, not one each.
 ///
 /// Decode amortization is what makes this backend pay off under lane-batched
 /// replay: a `BatchReplayCursor` walking up to 64 fault lanes issues one
@@ -1423,15 +1458,7 @@ impl PagedReader<'_> {
             self.cache[slot].tick = self.tick;
             return Some(slot);
         }
-        let meta = self.trace.segments[seg];
-        let records =
-            match decode_segment(&segment_file(&self.trace.dir, seg), self.trace.meta, meta) {
-                Ok(records) => records,
-                Err(e) => {
-                    self.trace.poison_with(e);
-                    return None;
-                }
-            };
+        let records = self.trace.segment(seg)?;
         let entry = CachedSegment {
             seg,
             tick: self.tick,
@@ -1885,16 +1912,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn corrupt_segment_is_a_typed_error_and_poisons_readers() {
-        let records = sample_records(48);
-        let paged = build_paged(&records, 16);
-        // Flip one payload byte of the middle segment.
-        let path = segment_file(paged.dir(), 1);
+    /// Flip one payload byte of segment `seg`.
+    fn corrupt_segment(paged: &PagedTrace, seg: usize) {
+        let path = segment_file(paged.dir(), seg);
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
+    }
+
+    #[test]
+    fn corrupt_segment_is_a_typed_error_and_poisons_readers() {
+        let records = sample_records(48);
+        let paged = build_paged(&records, 16);
+        corrupt_segment(&paged, 1);
         // verify() surfaces the typed error directly…
         match paged.verify() {
             Err(TraceError::Corrupt { path: p, .. }) => assert!(p.contains("seg-000001")),
@@ -1905,6 +1936,33 @@ mod tests {
         assert_eq!(reader.run_from(0).len(), 16, "first segment is intact");
         assert!(reader.run_from(16).is_empty());
         assert!(matches!(paged.poisoned(), Some(TraceError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn readers_share_decoded_segments_while_one_holds_them() {
+        let records = sample_records(48);
+        let paged = build_paged(&records, 16);
+        // Two live readers asking for the same record get the same decoded
+        // copy, and a third shares it even after its file went bad.
+        let mut first = paged.new_reader();
+        let mut second = paged.new_reader();
+        let a = first.run_from(20).as_ptr();
+        assert_eq!(second.run_from(20).as_ptr(), a);
+        corrupt_segment(&paged, 1);
+        let mut third = paged.new_reader();
+        assert_eq!(third.run_from(17).as_ptr(), a.wrapping_sub(3));
+        assert_eq!(third.fetch(20).unwrap(), records[20]);
+        assert!(paged.poisoned().is_none());
+        // Once every reader has dropped it, the next reader decodes the
+        // segment again, and the corrupt file poisons the trace.
+        drop((first, second, third));
+        let mut fresh = paged.new_reader();
+        assert_eq!(fresh.run_from(0).len(), 16, "segment 0 is intact");
+        assert!(fresh.run_from(20).is_empty());
+        assert!(matches!(
+            paged.poisoned(),
+            Some(TraceError::Corrupt { path, .. }) if path.contains("seg-000001")
+        ));
     }
 
     #[test]

@@ -5,28 +5,27 @@
 //! The pass schedules every (site, error pattern) of an object.  Error
 //! patterns are enumerated once per element type and shared by every site,
 //! and the operation rules' corrupted-location seeds are stored inline, so
-//! nothing is allocated per pattern or per replay lane.  A counting global
-//! allocator measures the calling thread only: without a resolver the
-//! analysis runs on that thread alone.
+//! nothing is allocated per pattern or per replay lane.  Replay batches are
+//! walked in recycled chunks, partly on helper threads, so a counting
+//! global allocator counts the allocations of every thread while a global
+//! switch is on around the measured call; this file has one test, so no
+//! other test allocates meanwhile.
 
 use moard::inject::WorkloadHarness;
 use moard::model::{AdvfAnalyzer, AnalysisConfig, ErrorPatternSet};
 use moard::vm::TraceBackendSpec;
 use moard::workloads::workload_by_name;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct Counting;
 
-thread_local! {
-    /// Allocations made on this thread while `COUNTING` is set.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
+/// Allocations made on any thread while `COUNTING` is set.
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static COUNTING: AtomicBool = AtomicBool::new(false);
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// bookkeeping touches only const-initialized thread-local cells, which
-// never allocate.
+// bookkeeping touches only two atomics, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count();
@@ -49,32 +48,30 @@ unsafe impl GlobalAlloc for Counting {
 }
 
 fn count() {
-    // `try_with`: the thread's cells may already be gone while it exits.
-    let _ = COUNTING.try_with(|on| {
-        if on.get() {
-            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        }
-    });
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
 /// Run `f` and return its result with the number of allocations (and
-/// reallocations) it made on the calling thread.
+/// reallocations) made on any thread while it ran.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCATIONS.with(|n| n.set(0));
-    COUNTING.with(|on| on.set(true));
+    ALLOCATIONS.store(0, Ordering::SeqCst);
+    COUNTING.store(true, Ordering::SeqCst);
     let out = f();
-    COUNTING.with(|on| on.set(false));
-    (out, ALLOCATIONS.with(|n| n.get()))
+    COUNTING.store(false, Ordering::SeqCst);
+    (out, ALLOCATIONS.load(Ordering::SeqCst))
 }
 
 /// Most allocations one analyzed site may cost on average, whatever the
 /// pattern set: less than one.  The pass allocates per call (site list,
-/// pattern lists, plan and tag lists, lane results, growing as they fill),
-/// not per site; one allocation per site, let alone a pattern list per site
-/// or a corrupted-location list per lane, exceeds it.
+/// pattern lists, plan and tag lists, lane results, growing as they fill)
+/// and per walker thread (its spawn, cursor and lane chunks), not per site;
+/// one allocation per site, let alone a pattern list per site, a
+/// corrupted-location list per lane or a buffer per batch, exceeds it.
 const MAX_ALLOCATIONS_PER_SITE: f64 = 1.0;
 
 #[test]
