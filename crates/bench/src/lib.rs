@@ -188,9 +188,6 @@ mod tests {
             dfi_budget_exhausted: false,
             patterns: "single-bit".into(),
             pattern_tallies: vec![],
-            lanes_batched: 0,
-            batch_walks: 0,
-            batch_fallback_lanes: 0,
             config_fingerprint: 0,
         };
         assert!(level_row(&report).contains("CG"));

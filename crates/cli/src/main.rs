@@ -57,6 +57,7 @@ use moard_inject::{
 };
 use moard_json::{Json, ToJson};
 use moard_workloads::{Registry, WorkloadRegistry};
+use std::sync::Arc;
 
 /// `println!` that ignores a closed stdout (e.g. `moard list | head -1`)
 /// instead of panicking on the broken pipe.
@@ -106,8 +107,8 @@ options:
                        separated-pair:N (two bits N apart), or
                        explicit:b+b,b,... (sweep accepts a comma list grid)
   --no-dfi             purely analytical lower bound (no fault injection)
-  --seq                run objects/tasks one at a time (an analysis with DFI
-                       still walks and injects on every core)
+  --seq                run objects/tasks one at a time (each analysis still
+                       schedules, replays and injects on every core)
   --trace-backend B    trace storage: memory (default) or paged[:DIR] — paged
                        streams fixed-size on-disk segments so traces never
                        need to fit in RAM; reports are bit-identical
@@ -808,17 +809,21 @@ fn store_flags(args: &[String]) -> Result<(Option<&str>, bool), MoardError> {
     }
 }
 
+/// The harness cache of a `sweep` or `validate` run: every workload is
+/// prepared once, on the `--trace-backend` the command line selects.
+fn harness_cache(args: &[String]) -> Result<Arc<moard_inject::HarnessCache>, MoardError> {
+    let backend = trace_backend_flag(args)?.unwrap_or_default();
+    Ok(Arc::new(moard_inject::HarnessCache::with_backend(backend)))
+}
+
 fn cmd_sweep(cli: &Cli) -> Result<(), CliError> {
     let spec = sweep_spec(&cli.args)?;
-    let mut runner = StudyRunner::new(spec);
+    let mut runner = StudyRunner::new(spec).harness_cache(harness_cache(&cli.args)?);
     if let Some(parallelism) = parallelism_flags(&cli.args)? {
         runner = runner.parallelism(parallelism);
     }
     if let (Some(dir), resume) = store_flags(&cli.args)? {
         runner = runner.store(dir)?.resume(resume);
-    }
-    if let Some(backend) = trace_backend_flag(&cli.args)? {
-        runner = runner.trace_backend(backend);
     }
     let (report, stats) = runner.run_detailed_in(&cli.registry)?;
     match cli.format {
@@ -951,16 +956,14 @@ fn validate_spec(args: &[String]) -> Result<ValidationSpec, MoardError> {
 
 fn cmd_validate(cli: &Cli) -> Result<(), CliError> {
     let spec = validate_spec(&cli.args)?;
-    let mut runner = ValidationRunner::new(spec);
+    // Emission below minimizes on the harnesses the campaign prepared.
+    let cache = harness_cache(&cli.args)?;
+    let mut runner = ValidationRunner::new(spec).harness_cache(cache.clone());
     if let Some(parallelism) = parallelism_flags(&cli.args)? {
         runner = runner.parallelism(parallelism);
     }
     if let (Some(dir), resume) = store_flags(&cli.args)? {
         runner = runner.store(dir)?.resume(resume);
-    }
-    let backend = trace_backend_flag(&cli.args)?;
-    if let Some(backend) = &backend {
-        runner = runner.trace_backend(backend.clone());
     }
     let (report, stats) = runner.run_detailed_in(&cli.registry)?;
     match cli.format {
@@ -968,10 +971,6 @@ fn cmd_validate(cli: &Cli) -> Result<(), CliError> {
         Format::Text => print_validation(&report, &stats, &cli.registry),
     }
     if let Some(dir) = str_flag_value(&cli.args, "--emit-scenarios")? {
-        let cache = match backend {
-            Some(backend) => moard_inject::HarnessCache::with_backend(backend),
-            None => moard_inject::HarnessCache::new(),
-        };
         let cancel = moard_inject::CancelToken::new();
         let outcome = moard_inject::emit_validation_scenarios(
             &report,

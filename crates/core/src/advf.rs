@@ -274,17 +274,6 @@ pub struct AdvfReport {
     /// each class of enumerated patterns — 1-bit flips, 2-bit bursts, … —
     /// fared across the analyzed sites.
     pub pattern_tallies: Vec<PatternClassTally>,
-    /// Replay lanes scheduled through the lane-batched engine (one lane per
-    /// (site, pattern) that needed a propagation replay).  These three
-    /// counters are engine telemetry: they describe how the replays ran,
-    /// never a verdict.
-    pub lanes_batched: u64,
-    /// Number of batched trace walks those lanes shared.
-    pub batch_walks: u64,
-    /// Lanes whose batched replay stayed unresolved and therefore fell back
-    /// to DFI (or to conservative not-masked accounting without a
-    /// resolver).
-    pub batch_fallback_lanes: u64,
     /// Fingerprint of the [`crate::AnalysisConfig`] that produced this report
     /// (see `AnalysisConfig::fingerprint`); lets consumers of serialized
     /// reports tell apart results computed under different settings.
@@ -424,9 +413,6 @@ mod tests {
             dfi_budget_exhausted: false,
             patterns: "single-bit".into(),
             pattern_tallies: vec![],
-            lanes_batched: 0,
-            batch_walks: 0,
-            batch_fallback_lanes: 0,
             config_fingerprint: 0,
         };
         let s = r.to_string();

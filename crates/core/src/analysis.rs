@@ -14,12 +14,12 @@
 //!    classify the outcome (identical / acceptable / incorrect / crashed),
 //!    memoized by error equivalence.
 //!
-//! [`AdvfAnalyzer::analyze`] is the one whole-object path: it replays up to
-//! 64 faults per trace walk, on every core while it goes on scheduling,
-//! plans the object's injections and runs them on every core, settles every
-//! planned fault whose run stays on the golden path from the trace instead
-//! of re-running the program, and then folds the verdicts in (site,
-//! pattern) order.  The per-class masking fractions
+//! [`AdvfAnalyzer::analyze`] is the one whole-object path: it schedules
+//! contiguous ranges of sites on every core, each replaying up to 64 faults
+//! per trace walk, plans the object's injections and runs them on every
+//! core, settles every planned fault whose run stays on the golden path
+//! from the trace instead of re-running the program, and then folds the
+//! verdicts in (site, pattern) order.  The per-class masking fractions
 //! accumulate into an [`AdvfAccumulator`] exactly as Equation 1 prescribes.
 //! [`AdvfAnalyzer::classify`] runs the same pipeline for a single
 //! (site, pattern), replaying it alone through a [`ReplayCursor`].
@@ -28,7 +28,7 @@ use crate::advf::{AdvfAccumulator, AdvfReport, PatternClassTally};
 use crate::error_pattern::{ErrorPattern, ErrorPatternSet};
 use crate::masking::{Masking, OpMaskKind};
 use crate::op_rules::{analyze_operation, CorruptSeeds, OpVerdict};
-use crate::parallel::{available_workers, run_indexed};
+use crate::parallel::{available_workers, run_indexed, run_indexed_with};
 use crate::propagation::{
     BatchLane, BatchReplayCursor, PropagationResult, ReplayCursor, MAX_REPLAY_LANES,
 };
@@ -39,9 +39,6 @@ use moard_vm::{FaultSpec, ObjectId, OutcomeClass, TraceRead, TraceRecord, TraceS
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet};
 use std::ops::Range;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::Scope;
 
 /// Analyzer configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,8 +135,8 @@ impl AnalysisConfig {
 /// resident).
 ///
 /// The analyzer is `Sync`: the trace is immutable and the equivalence cache
-/// is internally locked, so [`AdvfAnalyzer::analyze`] walks one object's
-/// replay batches, and settles its faults, on several threads, each
+/// is internally locked, so [`AdvfAnalyzer::analyze`] schedules one
+/// object's site ranges, and settles its faults, on several threads, each
 /// walking the trace with its own cursor (and thus its own segment reader
 /// on the paged backend, sharing decoded segments with the others).  The
 /// cache, and with it its DFI verdicts, lives as long as the analyzer; the
@@ -171,40 +168,42 @@ impl<'a> AdvfAnalyzer<'a> {
     /// purely analytical mode, in which unresolved sites count as not masked
     /// (a conservative lower bound on aDVF).
     ///
-    /// *Scheduling pass* — per (site, pattern), the operation-level verdict
-    /// is computed once; patterns that need a propagation replay become
-    /// *lanes* grouped by record position into batches of up to
-    /// [`MAX_REPLAY_LANES`], each batch walking the trace once through a
-    /// [`BatchReplayCursor`].  Closed batches are walked in chunks while
-    /// scheduling goes on, by helper threads once the first chunk fills
-    /// and by the calling thread whenever they are all busy; the results
-    /// are stored by lane index.  The sites are enumerated through the
-    /// calling thread's cursor's reader, the configured patterns once per
-    /// element type, and the lanes' seeds are inline, so the pass
-    /// allocates nothing per pattern, lane or batch.
+    /// *Scheduling pass* — the sites are cut into contiguous ranges of 64,
+    /// and the workers, the calling thread included, claim the ranges one
+    /// at a time.  Per (site, pattern) of a range, the
+    /// operation-level verdict is computed once; patterns that need a
+    /// propagation replay become *lanes* grouped by record position into
+    /// batches of up to [`MAX_REPLAY_LANES`], each walking the trace once
+    /// through the worker's [`BatchReplayCursor`] as soon as it closes.
+    /// Lanes are indexed within their range.  The sites are enumerated
+    /// through the calling thread's cursor, which then schedules its share
+    /// of the ranges; each helper opens a cursor of its own.  The
+    /// configured patterns are enumerated once per element type and the
+    /// lanes' seeds are inline, so the pass allocates per range and per
+    /// worker, never per pattern, lane or batch.
     ///
     /// *Plan pass* (only with a resolver) — lists, in fold order, every
     /// fault the fold will inject (same budget, same cache-hit rule) and
-    /// settles that list on the same workers, the calling thread
-    /// included.  Faults whose run stays on the golden path are followed
-    /// to the end of the trace and, if the resolver reconstructs their
-    /// outcome ([`DfiResolver::classify_same_path`]), never re-run; the
-    /// rest are injected.
+    /// settles that list on the same workers.  Faults whose run stays on
+    /// the golden path are followed to the end of the trace and, if the
+    /// resolver reconstructs their outcome
+    /// ([`DfiResolver::classify_same_path`]), never re-run; the rest are
+    /// injected.
     ///
-    /// *Fold* — sites fold into the accumulator in site order, and every
-    /// DFI consult happens here in (site, pattern) order, reading the
-    /// planned verdicts.  The report — batch telemetry, DFI run/hit counts
-    /// and budget exhaustion included — therefore depends neither on the
-    /// core count nor on how or where a verdict was computed.  The call
-    /// uses every available core: `available_parallelism()` workers, read
-    /// once.  `max_dfi_per_object` counts the DFI verdicts of this call
-    /// only.
+    /// *Fold* — the plan pass and the fold visit the ranges in order, and
+    /// sites fold into the accumulator in site order; every DFI consult
+    /// happens here in (site, pattern) order, reading the planned
+    /// verdicts.  The report — DFI run/hit counts and budget exhaustion
+    /// included — therefore depends neither on the core count nor on how
+    /// or where a verdict was computed.  The call uses every available
+    /// core: `available_parallelism()` workers, read once.
+    /// `max_dfi_per_object` counts the DFI verdicts of this call only.
     ///
     /// The call never fails: on the paged backend a segment that fails to
-    /// decode poisons the trace, and scheduling stops at the first site
-    /// whose record it cannot read.  The report then covers only the sites
-    /// before it (`sites_analyzed` says how many), so a direct caller must
-    /// check [`TraceStorage::poisoned`] afterwards, as the harness does.
+    /// decode poisons the trace, and a range stops at the first site whose
+    /// record it cannot read.  The report then covers only the sites before
+    /// it (`sites_analyzed` says how many), so a direct caller must check
+    /// [`TraceStorage::poisoned`] afterwards, as the harness does.
     pub fn analyze(
         &self,
         object: ObjectId,
@@ -232,46 +231,22 @@ impl<'a> AdvfAnalyzer<'a> {
         let pattern_lists = PatternLists::new(&self.config.patterns, &sites);
 
         // Scheduling pass.
-        let mut plans: Vec<SitePlan> = Vec::with_capacity(sites.len());
-        let mut tags: Vec<LaneTag> = Vec::new();
-        let (lane_results, batch_walks) = std::thread::scope(|scope| {
-            let mut lanes = LaneScheduler::new(scope, workers, cursor, k);
-            for site in &sites {
-                let Some(rec) = lanes.cursor.fetch(site.record_id) else {
-                    // The trace is poisoned: analyze the sites scheduled so far.
-                    break;
-                };
-                let patterns = pattern_lists.get(site.value.ty());
-                let first_tag = tags.len();
-                for pattern in patterns {
-                    let tag = match analyze_operation(&rec, site.slot, pattern) {
-                        OpVerdict::Masked(kind) => LaneTag::Class(Masking::Operation(kind)),
-                        OpVerdict::NotMasked => LaneTag::Class(Masking::NotMasked),
-                        OpVerdict::NeedsDfi => LaneTag::NeedsDfi,
-                        OpVerdict::OvershadowCandidate { corrupt } => {
-                            LaneTag::Overshadow(lanes.push(site, corrupt))
-                        }
-                        OpVerdict::Propagate { corrupt } => {
-                            LaneTag::Propagate(lanes.push(site, corrupt))
-                        }
-                    };
-                    tags.push(tag);
-                }
-                plans.push(SitePlan {
-                    rec,
-                    patterns,
-                    tags: first_tag..tags.len(),
-                });
-            }
-            lanes.finish()
-        });
-        let lanes_batched = lane_results.len() as u64;
-        let batch_fallback_lanes = lane_results.iter().filter(|r| !r.is_masked()).count() as u64;
-        let sites = &sites[..plans.len()];
+        let site_ranges: Vec<&[ParticipationSite]> = sites.chunks(RANGE_SITES).collect();
+        let mut ranges = run_indexed_with(
+            workers,
+            site_ranges.len(),
+            RangeWalker::new(cursor, k),
+            || RangeWalker::new(BatchReplayCursor::new(self.trace), k),
+            |walker, r| walker.schedule(site_ranges[r], &pattern_lists),
+        );
+        // A range stops at its first unreadable record (the trace is
+        // poisoned): analyze the sites before it.
+        if let Some(cut) = ranges.iter().position(|r| r.plans.len() < RANGE_SITES) {
+            ranges.truncate(cut + 1);
+        }
 
         // Plan pass.
-        let planned =
-            resolver.map(|r| self.run_planned(workers, sites, &plans, &tags, &lane_results, r));
+        let planned = resolver.map(|r| self.run_planned(workers, &ranges, r));
         let dfi = planned.as_ref().map(|p| DfiCall::new(p, stats_before));
 
         // Fold.
@@ -279,20 +254,21 @@ impl<'a> AdvfAnalyzer<'a> {
         let mut tallies: Vec<PatternClassTally> = Vec::new();
         let mut resolved_analytically = 0u64;
         let mut fractions: Vec<(Masking, f64)> = Vec::new();
-        for (site, plan) in sites.iter().zip(&plans) {
-            let used_dfi = self.fold_site(
-                site,
-                plan,
-                &tags[plan.tags.clone()],
-                &lane_results,
-                dfi.as_ref(),
-                &mut tallies,
-                &mut fractions,
-            );
-            if !used_dfi {
-                resolved_analytically += 1;
+        for range in &ranges {
+            for plan in &range.plans {
+                let used_dfi = self.fold_site(
+                    plan,
+                    &range.tags[plan.tags.clone()],
+                    &range.lanes,
+                    dfi.as_ref(),
+                    &mut tallies,
+                    &mut fractions,
+                );
+                if !used_dfi {
+                    resolved_analytically += 1;
+                }
+                acc.add_participation(&fractions);
             }
-            acc.add_participation(&fractions);
         }
 
         let stats_after = self.cache.stats();
@@ -300,16 +276,13 @@ impl<'a> AdvfAnalyzer<'a> {
             object: object_name.to_string(),
             workload: workload.to_string(),
             accumulator: acc,
-            sites_analyzed: sites.len() as u64,
+            sites_analyzed: ranges.iter().map(|r| r.plans.len() as u64).sum(),
             dfi_runs: stats_after.injections - stats_before.injections,
             dfi_cache_hits: stats_after.cache_hits - stats_before.cache_hits,
             resolved_analytically,
             dfi_budget_exhausted: dfi.is_some_and(|d| d.exhausted.get()),
             patterns: self.config.patterns.canonical(),
             pattern_tallies: tallies,
-            lanes_batched,
-            batch_walks,
-            batch_fallback_lanes,
             config_fingerprint: self.config.fingerprint(),
         }
     }
@@ -329,18 +302,10 @@ impl<'a> AdvfAnalyzer<'a> {
     /// hands anything else to `resolver`, so the cache still counts every
     /// DFI verdict and hit in the fold, and a gap in the plan costs time,
     /// never correctness.
-    // Kept out of line: inlined into `analyze`, it slowed that
-    // function's scheduling loop, and with it every analytic analysis, by
-    // about 2.5% on a 2-core Xeon (`analytic-memory` `op_p50_ms` 13.6 ->
-    // 14.0 ms).
-    #[inline(never)]
     fn run_planned<'r>(
         &self,
         workers: usize,
-        sites: &[ParticipationSite],
-        plans: &[SitePlan],
-        tags: &[LaneTag],
-        lane_results: &[PropagationResult],
+        ranges: &[ScheduledRange],
         resolver: &'r dyn DfiResolver,
     ) -> PlannedDfi<'r> {
         let limit = self.config.max_dfi_per_object.unwrap_or(u64::MAX);
@@ -351,29 +316,32 @@ impl<'a> AdvfAnalyzer<'a> {
         // index in `faults`.
         let mut lanes: Vec<BatchLane> = Vec::new();
         let mut lane_faults: Vec<usize> = Vec::new();
-        'plan: for (site, plan) in sites.iter().zip(plans) {
-            for (pattern, tag) in plan.patterns.iter().zip(&tags[plan.tags.clone()]) {
-                if tag.settled(lane_results).is_some() {
-                    continue;
-                }
-                if faults.len() as u64 >= limit {
-                    break 'plan;
-                }
-                let key = equivalence_key(&plan.rec, site, pattern);
-                if !self.cache.contains(&key) && misses.insert(key) {
-                    if reconstructs {
-                        if let OpVerdict::Propagate { corrupt }
-                        | OpVerdict::OvershadowCandidate { corrupt } =
-                            analyze_operation(&plan.rec, site.slot, pattern)
-                        {
-                            lane_faults.push(faults.len());
-                            lanes.push(BatchLane {
-                                start: site.record_id as usize + 1,
-                                corrupt,
-                            });
-                        }
+        'plan: for range in ranges {
+            for plan in &range.plans {
+                let site = plan.site;
+                for (pattern, tag) in plan.patterns.iter().zip(&range.tags[plan.tags.clone()]) {
+                    if tag.settled(&range.lanes).is_some() {
+                        continue;
                     }
-                    faults.push(site.fault(pattern));
+                    if faults.len() as u64 >= limit {
+                        break 'plan;
+                    }
+                    let key = equivalence_key(&plan.rec, site, pattern);
+                    if !self.cache.contains(&key) && misses.insert(key) {
+                        if reconstructs {
+                            if let OpVerdict::Propagate { corrupt }
+                            | OpVerdict::OvershadowCandidate { corrupt } =
+                                analyze_operation(&plan.rec, site.slot, pattern)
+                            {
+                                lane_faults.push(faults.len());
+                                lanes.push(BatchLane {
+                                    start: site.record_id as usize + 1,
+                                    corrupt,
+                                });
+                            }
+                        }
+                        faults.push(site.fault(pattern));
+                    }
                 }
             }
         }
@@ -422,12 +390,10 @@ impl<'a> AdvfAnalyzer<'a> {
     /// Fold one site's per-pattern outcomes into tallies and, in
     /// `fractions`, the masked fraction of each class: the scheduling
     /// pass's operation verdicts (`tags`, one per pattern) and batched
-    /// replay results, and DFI for whatever they leave open.  Returns
-    /// whether DFI was consulted.
-    #[allow(clippy::too_many_arguments)]
+    /// replay results (`lane_results`, its range's), and DFI for whatever
+    /// they leave open.  Returns whether DFI was consulted.
     fn fold_site(
         &self,
-        site: &ParticipationSite,
         plan: &SitePlan,
         tags: &[LaneTag],
         lane_results: &[PropagationResult],
@@ -442,7 +408,7 @@ impl<'a> AdvfAnalyzer<'a> {
                 Some(class) => (class, false),
                 None => {
                     let overshadow = matches!(tag, LaneTag::Overshadow(_));
-                    self.resolve_dfi(&plan.rec, site, pattern, overshadow, dfi)
+                    self.resolve_dfi(&plan.rec, plan.site, pattern, overshadow, dfi)
                 }
             };
             used_dfi |= dfi_used;
@@ -484,7 +450,7 @@ impl<'a> AdvfAnalyzer<'a> {
         let mut sites = strided_sites_through(self.trace, reader, object, self.config.site_stride);
         sites.retain(|s| s.pattern_count(&self.config.patterns) > 0);
         // Enumeration is already ascending by record; normalize anyway so the
-        // lane scheduler's non-decreasing-start invariant never depends on
+        // batch grouper's non-decreasing-start invariant never depends on
         // the enumeration implementation.
         sites_by_record(&mut sites);
         sites
@@ -589,8 +555,9 @@ impl<'a> AdvfAnalyzer<'a> {
 }
 
 /// Operation-level verdict of one (site, pattern) as recorded by the
-/// scheduling pass.  Replay-dependent verdicts carry the global lane index
-/// of their batched walk; the fold pass resolves them (and any DFI) later.
+/// scheduling pass.  Replay-dependent verdicts carry the index of their
+/// lane within the site's range; the fold pass resolves them (and any DFI)
+/// later.
 enum LaneTag {
     /// Fully decided by the operation rules (including analytically
     /// not-masked).
@@ -665,13 +632,26 @@ fn equivalence_key(
     EquivalenceKey::new(rec, site.slot, site.value.to_bits(), pattern.mask())
 }
 
-/// One site's scheduled work: its trace record, the error patterns of its
-/// element type (shared with every site of that type), and where its
-/// [`LaneTag`]s, one per pattern, lie in the analysis's tag list.
-struct SitePlan<'p> {
+/// Participation sites per scheduling range: the unit of work a worker
+/// claims in the scheduling pass of [`AdvfAnalyzer::analyze`].
+const RANGE_SITES: usize = 64;
+
+/// One site's scheduled work: the site, its trace record, the error
+/// patterns of its element type (shared with every site of that type), and
+/// where its [`LaneTag`]s, one per pattern, lie in its range's tag list.
+struct SitePlan<'s> {
+    site: &'s ParticipationSite,
     rec: TraceRecord,
-    patterns: &'p [ErrorPattern],
+    patterns: &'s [ErrorPattern],
     tags: Range<usize>,
+}
+
+/// The scheduled sites of one range, in site order: their plans, their
+/// tags, and one replay result per lane, by lane index within the range.
+struct ScheduledRange<'s> {
+    plans: Vec<SitePlan<'s>>,
+    tags: Vec<LaneTag>,
+    lanes: Vec<PropagationResult>,
 }
 
 /// The configured error patterns, enumerated once per element type for
@@ -744,255 +724,98 @@ impl BatchGrouper {
     }
 }
 
-/// Closed replay batches per [`LaneChunk`]: the unit of work the scheduling
-/// pass hands to a walker thread.
-const CHUNK_BATCHES: usize = 16;
-
-/// Up to [`CHUNK_BATCHES`] closed replay batches in lane order, and their
-/// results once walked.  Chunks are recycled, so their buffers are
-/// allocated once per analysis, not per batch.
-#[derive(Default)]
-struct LaneChunk {
-    /// Global lane index of `lanes[0]`.
-    first_lane: usize,
-    lanes: Vec<BatchLane>,
-    /// End of each closed batch in `lanes`; the lanes after the last end
-    /// form the open batch.
-    ends: Vec<usize>,
-    /// One result per lane, in lane order, once walked.
-    results: Vec<PropagationResult>,
-}
-
-impl LaneChunk {
-    /// A chunk with room for [`CHUNK_BATCHES`] full batches.
-    fn allocate() -> Self {
-        let lanes = CHUNK_BATCHES * MAX_REPLAY_LANES;
-        LaneChunk {
-            first_lane: 0,
-            lanes: Vec::with_capacity(lanes),
-            ends: Vec::with_capacity(CHUNK_BATCHES),
-            results: Vec::with_capacity(lanes),
-        }
-    }
-
-    /// Walk every closed batch through `cursor`.
-    fn walk(&mut self, cursor: &mut BatchReplayCursor<'_>, k: usize) {
-        self.results.clear();
-        let mut lo = 0;
-        for &hi in &self.ends {
-            cursor.replay_batch(&self.lanes[lo..hi], k, &mut self.results);
-            lo = hi;
-        }
-    }
-}
-
-/// The scheduling thread's channels to its helper threads.
-struct Helpers {
-    /// Full chunks for the helpers, at most two per helper waiting.
-    queue: SyncSender<LaneChunk>,
-    /// The queue's receiving end, shared by the helpers; the scheduling
-    /// thread takes the chunks no helper has started when scheduling ends.
-    unstarted: Arc<Mutex<Receiver<LaneChunk>>>,
-    /// Chunks the helpers have walked.
-    walked: Receiver<LaneChunk>,
-}
-
-impl Helpers {
-    /// Spawn `count` helpers in `scope`, each walking queued chunks through
-    /// its own cursor until the queue is closed and empty.
-    fn spawn<'s>(
-        scope: &'s Scope<'s, '_>,
-        trace: &'s dyn TraceStorage,
-        k: usize,
-        count: usize,
-    ) -> Self {
-        let (queue, unstarted) = sync_channel::<LaneChunk>(2 * count);
-        let unstarted = Arc::new(Mutex::new(unstarted));
-        // Room for every chunk in circulation, so a helper never waits to
-        // hand one back.
-        let (done, walked) = sync_channel(3 * count);
-        for _ in 0..count {
-            let (unstarted, done) = (Arc::clone(&unstarted), done.clone());
-            scope.spawn(move || {
-                let mut cursor = BatchReplayCursor::new(trace);
-                loop {
-                    // Not `while let`: the lock must not be held during the
-                    // walk.
-                    let next = unstarted.lock().expect("chunk queue lock").recv();
-                    let Ok(mut chunk) = next else { break };
-                    chunk.walk(&mut cursor, k);
-                    if done.send(chunk).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        Helpers {
-            queue,
-            unstarted,
-            walked,
-        }
-    }
-}
-
-/// The scheduling pass's lane bookkeeping: it groups lanes into batches
-/// ([`BatchGrouper`]) and closed batches into chunks, and has each full
-/// chunk walked, by a helper thread when one is free and by the calling
-/// thread otherwise, while the calling thread goes on scheduling.
-///
-/// Helpers are spawned when the first chunk fills, and never with one
-/// worker.  Results are stored by lane index, so which thread walked a
-/// batch never shows: the results, the batch boundaries and the walk count
-/// are those of walking every batch on the calling thread as it closes.
-/// If the calling thread unwinds, dropping the queue lets the helpers
-/// exit; a helper that panics loses its chunk, and the scope then panics.
-struct LaneScheduler<'s, 'e, 't> {
-    scope: &'s Scope<'s, 'e>,
-    workers: usize,
-    /// Fetches the sites' records, and walks what no helper takes.
+/// One scheduling worker: its trace cursor, the batch grouping of the range
+/// it schedules, and buffers it reuses from range to range.
+struct RangeWalker<'t> {
     cursor: BatchReplayCursor<'t>,
     k: usize,
     grouper: BatchGrouper,
-    /// The chunk being filled; its last batch is open.
-    chunk: LaneChunk,
-    /// Emptied chunks, for reuse.
-    spare: Vec<LaneChunk>,
-    /// One result per lane scheduled so far, by lane index.
+    /// The open batch.
+    batch: Vec<BatchLane>,
+    /// One result per lane of the range, once its batch is walked.
     results: Vec<PropagationResult>,
-    batch_walks: u64,
-    /// Spawned when the first chunk fills.
-    helpers: Option<Helpers>,
 }
 
-/// Placeholder of a lane whose chunk is still being walked; every one is
-/// overwritten before the scheduling pass ends.
-const UNWALKED: PropagationResult = PropagationResult::AllMasked { ops_examined: 0 };
-
-impl<'s, 'e, 't: 's> LaneScheduler<'s, 'e, 't> {
-    fn new(
-        scope: &'s Scope<'s, 'e>,
-        workers: usize,
-        cursor: BatchReplayCursor<'t>,
-        k: usize,
-    ) -> Self {
-        LaneScheduler {
-            scope,
-            workers,
+impl<'t> RangeWalker<'t> {
+    fn new(cursor: BatchReplayCursor<'t>, k: usize) -> Self {
+        RangeWalker {
             cursor,
             k,
             grouper: BatchGrouper::new(k),
-            chunk: LaneChunk::allocate(),
-            spare: Vec::new(),
+            batch: Vec::with_capacity(MAX_REPLAY_LANES),
             results: Vec::new(),
-            batch_walks: 0,
-            helpers: None,
         }
     }
 
-    /// Append one replay lane starting after `site`'s record (closing the
+    /// Schedule one range of sites: fetch each site's record, evaluate the
+    /// operation rules for each of its patterns, and walk the replay lanes
+    /// in batches, each as soon as it closes.  Stops at the first site
+    /// whose record cannot be read.
+    fn schedule<'s>(
+        &mut self,
+        sites: &'s [ParticipationSite],
+        pattern_lists: &'s PatternLists,
+    ) -> ScheduledRange<'s> {
+        let patterns_of = |site: &ParticipationSite| pattern_lists.get(site.value.ty());
+        let mut plans = Vec::with_capacity(sites.len());
+        let mut tags = Vec::with_capacity(sites.iter().map(|s| patterns_of(s).len()).sum());
+        for site in sites {
+            let Some(rec) = self.cursor.fetch(site.record_id) else {
+                // The trace is poisoned: the range ends here.
+                break;
+            };
+            let patterns = patterns_of(site);
+            let first_tag = tags.len();
+            for pattern in patterns {
+                tags.push(match analyze_operation(&rec, site.slot, pattern) {
+                    OpVerdict::Masked(kind) => LaneTag::Class(Masking::Operation(kind)),
+                    OpVerdict::NotMasked => LaneTag::Class(Masking::NotMasked),
+                    OpVerdict::NeedsDfi => LaneTag::NeedsDfi,
+                    OpVerdict::OvershadowCandidate { corrupt } => {
+                        LaneTag::Overshadow(self.push(site, corrupt))
+                    }
+                    OpVerdict::Propagate { corrupt } => {
+                        LaneTag::Propagate(self.push(site, corrupt))
+                    }
+                });
+            }
+            plans.push(SitePlan {
+                site,
+                rec,
+                patterns,
+                tags: first_tag..tags.len(),
+            });
+        }
+        if !self.batch.is_empty() {
+            self.walk_batch();
+        }
+        let lanes = self.results.to_vec();
+        self.results.clear();
+        ScheduledRange { plans, tags, lanes }
+    }
+
+    /// Append one replay lane starting after `site`'s record (walking the
     /// open batch first if it is full or would span too far) and return
-    /// its global lane index.
+    /// its index within the range.
     fn push(&mut self, site: &ParticipationSite, corrupt: CorruptSeeds) -> usize {
         let start = site.record_id + 1;
         if self.grouper.must_flush(start) {
-            self.close_batch();
+            self.walk_batch();
         }
         self.grouper.push(start);
-        let lane = self.chunk.first_lane + self.chunk.lanes.len();
-        self.chunk.lanes.push(BatchLane {
+        self.batch.push(BatchLane {
             start: start as usize,
             corrupt,
         });
-        lane
+        self.results.len() + self.batch.len() - 1
     }
 
-    /// Close the open batch; a chunk holding [`CHUNK_BATCHES`] of them goes
-    /// to a walker.
-    fn close_batch(&mut self) {
-        self.chunk.ends.push(self.chunk.lanes.len());
+    /// Walk the open batch and close it.
+    fn walk_batch(&mut self) {
+        self.cursor
+            .replay_batch(&self.batch, self.k, &mut self.results);
+        self.batch.clear();
         self.grouper.reset();
-        self.batch_walks += 1;
-        if self.chunk.ends.len() == CHUNK_BATCHES {
-            let next = self.chunk.first_lane + self.chunk.lanes.len();
-            let mut fresh = self.spare.pop().unwrap_or_else(LaneChunk::allocate);
-            fresh.first_lane = next;
-            let full = std::mem::replace(&mut self.chunk, fresh);
-            self.dispatch(full);
-        }
-    }
-
-    /// Queue a full chunk for the helpers (spawning them the first time),
-    /// or walk it here if the queue is full or there are none, and store
-    /// whatever the helpers have walked meanwhile.
-    fn dispatch(&mut self, chunk: LaneChunk) {
-        if self.workers <= 1 {
-            self.walk_here(chunk);
-            return;
-        }
-        let (scope, trace, k, count) = (self.scope, self.cursor.trace(), self.k, self.workers - 1);
-        let helpers = self
-            .helpers
-            .get_or_insert_with(|| Helpers::spawn(scope, trace, k, count));
-        let overflow = match helpers.queue.try_send(chunk) {
-            Ok(()) => None,
-            Err(TrySendError::Full(chunk) | TrySendError::Disconnected(chunk)) => Some(chunk),
-        };
-        while let Some(walked) = self.helpers.as_ref().and_then(|h| h.walked.try_recv().ok()) {
-            self.store(walked);
-        }
-        if let Some(chunk) = overflow {
-            self.walk_here(chunk);
-        }
-    }
-
-    /// Walk `chunk` on the calling thread and store its results.
-    fn walk_here(&mut self, mut chunk: LaneChunk) {
-        chunk.walk(&mut self.cursor, self.k);
-        self.store(chunk);
-    }
-
-    /// Write a walked chunk's results at its lanes' indices and recycle it.
-    fn store(&mut self, mut chunk: LaneChunk) {
-        let end = chunk.first_lane + chunk.results.len();
-        if self.results.len() < end {
-            self.results.resize(end, UNWALKED);
-        }
-        self.results[chunk.first_lane..end].copy_from_slice(&chunk.results);
-        chunk.lanes.clear();
-        chunk.ends.clear();
-        self.spare.push(chunk);
-    }
-
-    /// End scheduling: close the open batch, walk every chunk no helper has
-    /// started, wait for those in flight, and return every lane's result
-    /// with the number of batch walks.
-    fn finish(mut self) -> (Vec<PropagationResult>, u64) {
-        if self.grouper.len > 0 {
-            self.close_batch();
-        }
-        if !self.chunk.ends.is_empty() {
-            let last = std::mem::take(&mut self.chunk);
-            self.walk_here(last);
-        }
-        if let Some(Helpers {
-            queue,
-            unstarted,
-            walked,
-        }) = self.helpers.take()
-        {
-            // Closing the queue lets each helper exit once it is empty.
-            drop(queue);
-            loop {
-                let next = unstarted.lock().expect("chunk queue lock").try_recv();
-                let Ok(chunk) = next else { break };
-                self.walk_here(chunk);
-            }
-            // Ends when every helper has exited.
-            for chunk in walked {
-                self.store(chunk);
-            }
-        }
-        (std::mem::take(&mut self.results), self.batch_walks)
     }
 }
 
@@ -1179,7 +1002,6 @@ mod tests {
     /// (site, pattern) in fold order, replayed alone through one
     /// [`ReplayCursor`] and, where the trace cannot settle it, injected on
     /// the spot through `classify_with`, all under one `DfiCall` budget.
-    /// Writes no batch telemetry.
     fn oracle(
         analyzer: &AdvfAnalyzer,
         object: ObjectId,
@@ -1232,21 +1054,58 @@ mod tests {
             dfi_budget_exhausted: dfi.is_some_and(|d| d.exhausted.get()),
             patterns: analyzer.config.patterns.canonical(),
             pattern_tallies: tallies,
-            lanes_batched: 0,
-            batch_walks: 0,
-            batch_fallback_lanes: 0,
             config_fingerprint: analyzer.config.fingerprint(),
         }
     }
 
-    /// `report` without the batch telemetry, which the oracle does not write.
-    fn without_telemetry(report: &AdvfReport) -> AdvfReport {
-        AdvfReport {
-            lanes_batched: 0,
-            batch_walks: 0,
-            batch_fallback_lanes: 0,
-            ..report.clone()
+    /// The replay lanes of an analysis of `object`, and how many of them
+    /// the replay masks, counted one (site, pattern) at a time through the
+    /// operation rules and one [`ReplayCursor`].
+    fn replay_lanes(analyzer: &AdvfAnalyzer, object: ObjectId) -> (usize, usize) {
+        let k = analyzer.config.propagation_window;
+        let mut cursor = ReplayCursor::new(analyzer.trace);
+        let (mut lanes, mut masked) = (0, 0);
+        for site in analyzer.pattern_sites(object) {
+            let rec = cursor.fetch(site.record_id).unwrap();
+            for pattern in analyzer.config.patterns.patterns_for(site.value.ty()) {
+                if let OpVerdict::Propagate { corrupt }
+                | OpVerdict::OvershadowCandidate { corrupt } =
+                    analyze_operation(&rec, site.slot, &pattern)
+                {
+                    lanes += 1;
+                    if cursor.replay(rec.id as usize + 1, &corrupt, k).is_masked() {
+                        masked += 1;
+                    }
+                }
+            }
         }
+        (lanes, masked)
+    }
+
+    /// Schedule every range of `object` on the calling thread, check that
+    /// each range's replay tags name its lanes in order, each once, and
+    /// return the number of lanes.
+    fn scheduled_lanes(analyzer: &AdvfAnalyzer, object: ObjectId) -> usize {
+        let mut cursor = BatchReplayCursor::new(analyzer.trace);
+        let sites = analyzer.pattern_sites_through(cursor.reader(), object);
+        let lists = PatternLists::new(&analyzer.config.patterns, &sites);
+        let mut walker = RangeWalker::new(cursor, analyzer.config.propagation_window);
+        let mut lanes = 0;
+        for range in sites.chunks(RANGE_SITES) {
+            let scheduled = walker.schedule(range, &lists);
+            assert_eq!(scheduled.plans.len(), range.len());
+            let named: Vec<usize> = scheduled
+                .tags
+                .iter()
+                .filter_map(|tag| match *tag {
+                    LaneTag::Overshadow(lane) | LaneTag::Propagate(lane) => Some(lane),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(named, (0..scheduled.lanes.len()).collect::<Vec<_>>());
+            lanes += scheduled.lanes.len();
+        }
+        lanes
     }
 
     /// A DFI resolver comparing the `out` array and the return value, that
@@ -1373,12 +1232,13 @@ mod tests {
     fn batched_analysis_matches_sequential_engine_with_dfi() {
         // Same object, same resolver, `analyze` against the inline-DFI
         // oracle: the whole report — verdict fractions, tallies, DFI
-        // run/hit counts, budget exhaustion — must match bit-for-bit; only
-        // the batch telemetry may differ.  Budgets cut the planned faults
-        // mid-object, and the resolvers prove the plan settles exactly
-        // what the fold consumes: one injection or reconstruction per
-        // counted run, no fault twice.  A reconstructing resolver must
-        // change nothing in the report.
+        // run/hit counts, budget exhaustion — must match bit-for-bit.
+        // Budgets cut the planned faults mid-object, and the resolvers
+        // prove the plan settles exactly what the fold consumes: one
+        // injection or reconstruction per counted run, no fault twice.  A
+        // reconstructing resolver must change nothing in the report.  The
+        // scheduling pass must replay exactly the lanes the operation rules
+        // ask for.
         let pattern_sets = [
             ErrorPatternSet::SingleBit,
             ErrorPatternSet::AdjacentBits { width: 2 },
@@ -1402,6 +1262,9 @@ mod tests {
                             format!("{object} patterns={patterns:?} budget={budget:?} k={k}");
                         let resolver = CountingResolver::new(&m);
                         let analyzer = AdvfAnalyzer::new(&trace, config.clone());
+                        let (lanes, _) = replay_lanes(&analyzer, obj);
+                        assert!(lanes > 0, "{case}");
+                        assert_eq!(scheduled_lanes(&analyzer, obj), lanes, "{case}");
                         let expected = oracle(&analyzer, obj, object, "kernel", Some(&resolver));
                         assert_eq!(resolver.calls(), expected.dfi_runs, "{case}");
                         if let Some(limit) = budget {
@@ -1424,12 +1287,8 @@ mod tests {
                                 "{case}"
                             );
                             reconstructed += resolver.reconstructed();
-                            assert_eq!(without_telemetry(&report), expected, "{case}");
+                            assert_eq!(report, expected, "{case}");
                             assert_eq!(report.advf().to_bits(), expected.advf().to_bits());
-                            if k > 0 {
-                                assert!(report.lanes_batched > 0, "{case}");
-                                assert!(report.batch_walks <= report.lanes_batched, "{case}");
-                            }
                         }
                     }
                 }
@@ -1506,15 +1365,16 @@ mod tests {
     }
 
     /// A trace whose reads, after the first `healthy` (site enumeration's),
-    /// serve each record listed in `served` alone and no other record at or
-    /// past `fails_from`, poisoning the trace instead — as a paged trace
-    /// does when a segment stops decoding after site enumeration.  The
-    /// count spans every reader of the trace.  It also records the threads
+    /// serve each record listed in `served` alone and no other record in
+    /// `fails_from..fails_to`, poisoning the trace instead — as a paged
+    /// trace does when a segment stops decoding after site enumeration.
+    /// The count spans every reader of the trace.  It also records the threads
     /// that open readers, and a `home` thread, if set, is the only one that
     /// may open one without a panic.
     struct FailingReads<'t> {
         trace: &'t dyn TraceStorage,
         fails_from: u64,
+        fails_to: u64,
         healthy: usize,
         served: HashSet<u64>,
         home: Option<std::thread::ThreadId>,
@@ -1528,6 +1388,7 @@ mod tests {
             FailingReads {
                 trace,
                 fails_from,
+                fails_to: u64::MAX,
                 healthy,
                 served: HashSet::new(),
                 home: None,
@@ -1598,7 +1459,7 @@ mod tests {
             if storage.served.contains(&id) {
                 return &self.inner.run_from(id)[..1];
             }
-            if id >= storage.fails_from {
+            if (storage.fails_from..storage.fails_to).contains(&id) {
                 storage
                     .poison
                     .lock()
@@ -1610,6 +1471,9 @@ mod tests {
                 return &[];
             }
             let run = self.inner.run_from(id);
+            if id >= storage.fails_to {
+                return run;
+            }
             &run[..run.len().min((storage.fails_from - id) as usize)]
         }
     }
@@ -1617,8 +1481,8 @@ mod tests {
     /// `y = v[i] * 3.0; if y > 0.0 { out[i] = 1.0 } if y > 300.0 { out[i] =
     /// 2.0 }` over 200 elements: every flip of a `v[i]` load is a replay
     /// lane, masked unless it turns a branch, so a site's lowest bit is
-    /// always masked and its sign bit never.  Each site's lanes make about
-    /// one replay batch, so an analysis of `v` fills several lane chunks.
+    /// always masked and its sign bit never.  Its 200 sites make four
+    /// scheduling ranges.
     fn loop_module() -> Module {
         const N: i64 = 200;
         let mut m = Module::new("loop");
@@ -1659,11 +1523,12 @@ mod tests {
 
     #[test]
     fn reports_do_not_depend_on_the_worker_count() {
-        // Whole reports, batch telemetry included, are equal on 1, 2 and 3
-        // workers: on both backends, without a resolver and with a
-        // reconstructing one.  One worker, or fewer lanes than one chunk,
-        // starts no thread; the loop kernel's many chunks do.
-        let mut multi_chunk = 0;
+        // Whole reports are equal on 1, 2 and 3 workers, and equal to the
+        // oracle's: on both backends, without a resolver and with a
+        // reconstructing one.  One worker, or no more sites than one
+        // range, opens readers on the calling thread only; the loop
+        // kernel's ranges go to helpers too.
+        let mut multi_range = 0;
         for (m, object) in [
             (listing1_module(), "par_a"),
             (overshadow_module(), "x"),
@@ -1682,6 +1547,11 @@ mod tests {
                 ..Default::default()
             };
             for (backend, trace) in [("memory", &memory as &dyn TraceStorage), ("paged", &paged)] {
+                let analyzer = AdvfAnalyzer::new(trace, config.clone());
+                let sites = analyzer.pattern_sites(obj).len();
+                let (lanes, masked) = replay_lanes(&analyzer, obj);
+                assert!(masked > 0, "{object} {backend}: {lanes} lanes, none masked");
+                assert_eq!(scheduled_lanes(&analyzer, obj), lanes, "{object} {backend}");
                 for reconstructs in [false, true] {
                     let reports: Vec<AdvfReport> = [1, 2, 3]
                         .into_iter()
@@ -1691,21 +1561,18 @@ mod tests {
                             let probe = FailingReads::healthy(trace);
                             let report = AdvfAnalyzer::new(&probe, config.clone())
                                 .analyze_on(workers, obj, object, "kernel", resolver);
-                            let walks = report.batch_walks as usize;
                             // The plan pass's threads open readers too.
-                            if resolver.is_none() && (workers == 1 || walks < CHUNK_BATCHES) {
+                            if resolver.is_none() && (workers == 1 || sites <= RANGE_SITES) {
                                 assert!(probe.read_on_this_thread_only(), "{object} {workers}");
                             }
-                            if resolver.is_none() && workers > 1 && walks > 3 * CHUNK_BATCHES {
+                            if resolver.is_none() && workers > 1 && sites > RANGE_SITES {
                                 assert!(!probe.read_on_this_thread_only(), "{object} {workers}");
-                                multi_chunk += 1;
+                                multi_range += 1;
                             }
                             report
                         })
                         .collect();
                     let case = format!("{object} {backend} reconstructs={reconstructs}");
-                    assert!(reports[0].lanes_batched > 0, "{case}");
-                    assert!(reports[0].batch_fallback_lanes < reports[0].lanes_batched);
                     assert_eq!(reports[1], reports[0], "{case}: 2 workers");
                     assert_eq!(reports[2], reports[0], "{case}: 3 workers");
                     // And every lane's result is stored at its own index.
@@ -1713,18 +1580,19 @@ mod tests {
                     let resolver = reconstructs.then_some(&resolver as &dyn DfiResolver);
                     let analyzer = AdvfAnalyzer::new(trace, config.clone());
                     let expected = oracle(&analyzer, obj, object, "kernel", resolver);
-                    assert_eq!(without_telemetry(&reports[0]), expected, "{case}");
+                    assert_eq!(reports[0], expected, "{case}");
                 }
             }
         }
-        assert_eq!(multi_chunk, 4, "the loop kernel fills several chunks");
+        assert_eq!(multi_range, 4, "the loop kernel has several ranges");
     }
 
     #[test]
     fn failing_walks_give_the_same_report_at_every_worker_count() {
         // Scheduling fetches every site's record, then every other read
-        // fails: the walks, on whichever thread, are cut short the same
-        // way, the trace is poisoned, and every site is still analyzed.
+        // fails: the walks of every range, on whichever thread, are cut
+        // short the same way, the trace is poisoned, and every site is
+        // still analyzed.
         let m = loop_module();
         let (_, trace) = run_traced(&m).unwrap();
         let obj = Vm::with_defaults(&m)
@@ -1735,6 +1603,7 @@ mod tests {
             .id;
         let config = AnalysisConfig::default();
         let sites = AdvfAnalyzer::new(&trace, config.clone()).pattern_sites(obj);
+        assert!(sites.len() > 3 * RANGE_SITES);
         let enumeration_reads = TraceStorage::index(&trace).ids(obj).len();
         for use_dfi in [false, true] {
             let reports: Vec<AdvfReport> = [1, 2, 3]
@@ -1751,7 +1620,6 @@ mod tests {
                     report
                 })
                 .collect();
-            assert!(reports[0].batch_walks as usize > 3 * CHUNK_BATCHES);
             assert_eq!(reports[1], reports[0], "dfi={use_dfi}: 2 workers");
             assert_eq!(reports[2], reports[0], "dfi={use_dfi}: 3 workers");
         }
@@ -1787,30 +1655,44 @@ mod tests {
     #[test]
     fn unreadable_site_record_stops_the_analysis_without_panicking() {
         // Every read after site enumeration fails, then only the reads past
-        // the middle site: `analyze` returns either way, with and without a
-        // resolver, covering exactly the sites before the first unreadable
-        // record, and leaves the poison for its caller to check.
-        let m = listing1_module();
-        let (_, trace) = run_traced(&m).unwrap();
-        let vm = Vm::with_defaults(&m).unwrap();
-        let obj = vm.objects().by_name("par_a").unwrap().id;
-        let config = AnalysisConfig::default();
-        let sites = AdvfAnalyzer::new(&trace, config.clone()).pattern_sites(obj);
-        // Enumeration reads each record the object's index lists, once.
-        let enumeration_reads = TraceStorage::index(&trace).ids(obj).len();
-        for fails_from in [0, sites[sites.len() / 2].record_id] {
-            let scheduled = sites.iter().filter(|s| s.record_id < fails_from).count() as u64;
-            assert!(fails_from == 0 || scheduled > 0);
-            for use_dfi in [false, true] {
-                let failing = FailingReads::new(&trace, fails_from, enumeration_reads);
-                let resolver = CountingResolver::new(&m);
-                let resolver = use_dfi.then_some(&resolver as &dyn DfiResolver);
-                let report = AdvfAnalyzer::new(&failing, config.clone())
-                    .analyze(obj, "par_a", "listing1", resolver);
-                let case = format!("fails_from={fails_from} dfi={use_dfi}");
-                assert!(failing.poisoned().is_some(), "{case}");
-                assert_eq!(report.sites_analyzed, scheduled, "{case}");
-                assert_eq!(report.accumulator.participations, scheduled, "{case}");
+        // the middle site, then, on the loop kernel, whose 200 sites make
+        // four ranges, only the record of one site in the second range:
+        // `analyze` returns every time, on 1 and 2 workers, with and
+        // without a resolver, covering exactly the sites before the first
+        // unreadable record even though later ranges read theirs, and
+        // leaves the poison for its caller to check.
+        for (m, object) in [(listing1_module(), "par_a"), (loop_module(), "v")] {
+            let (_, trace) = run_traced(&m).unwrap();
+            let vm = Vm::with_defaults(&m).unwrap();
+            let obj = vm.objects().by_name(object).unwrap().id;
+            let config = AnalysisConfig::default();
+            let sites = AdvfAnalyzer::new(&trace, config.clone()).pattern_sites(obj);
+            // Enumeration reads each record the object's index lists, once.
+            let enumeration_reads = TraceStorage::index(&trace).ids(obj).len();
+            // Unreadable records: `fails_from..fails_to`.
+            let bands = if sites.len() > RANGE_SITES {
+                let id = sites[RANGE_SITES + RANGE_SITES / 2].record_id;
+                vec![(id, id + 1)]
+            } else {
+                vec![(0, u64::MAX), (sites[sites.len() / 2].record_id, u64::MAX)]
+            };
+            for (fails_from, fails_to) in bands {
+                let scheduled = sites.iter().filter(|s| s.record_id < fails_from).count() as u64;
+                assert!(fails_from == 0 || scheduled > 0);
+                for (use_dfi, workers) in [(false, 1), (false, 2), (true, 1), (true, 2)] {
+                    let mut failing = FailingReads::new(&trace, fails_from, enumeration_reads);
+                    failing.fails_to = fails_to;
+                    let resolver = CountingResolver::new(&m);
+                    let resolver = use_dfi.then_some(&resolver as &dyn DfiResolver);
+                    let report = AdvfAnalyzer::new(&failing, config.clone())
+                        .analyze_on(workers, obj, object, "kernel", resolver);
+                    let case = format!(
+                        "{object} {fails_from}..{fails_to} dfi={use_dfi} workers={workers}"
+                    );
+                    assert!(failing.poisoned().is_some(), "{case}");
+                    assert_eq!(report.sites_analyzed, scheduled, "{case}");
+                    assert_eq!(report.accumulator.participations, scheduled, "{case}");
+                }
             }
         }
     }

@@ -1,8 +1,8 @@
 //! Index-ordered fan-out over scoped worker threads.
 //!
-//! The parallel helper shared by the analyzer (planned DFI walks and
-//! injections, see [`crate::AdvfAnalyzer::analyze`], whose replay batches
-//! go to helper threads through a queue of their own) and `moard-inject`
+//! The parallel helper shared by the analyzer (its site ranges, each
+//! scheduled and replayed by one worker, and its planned DFI walks and
+//! injections, see [`crate::AdvfAnalyzer::analyze`]) and `moard-inject`
 //! (campaigns, multi-object analysis, study and validation task pools).
 //! Workers pull task indices off a shared atomic counter and results are
 //! assembled by index, so the output never depends on the thread count.
@@ -27,26 +27,45 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    run_indexed_with(workers, len, (), || (), |_, i| task(i))
+}
+
+/// [`run_indexed`] with state of each worker's own, such as a trace
+/// cursor: the calling thread works with `local`, and each helper with the
+/// state `init` makes on the helper's thread before it claims a task.
+pub(crate) fn run_indexed_with<S, T, F>(
+    workers: usize,
+    len: usize,
+    mut local: S,
+    init: impl Fn() -> S + Sync,
+    task: F,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&mut S, usize) -> T + Sync,
+{
     let workers = workers.min(len);
     if workers <= 1 {
-        return (0..len).map(task).collect();
+        return (0..len).map(|i| task(&mut local, i)).collect();
     }
     let next = AtomicUsize::new(0);
-    let claim = || {
-        let mut local = Vec::new();
+    let claim = |state: &mut S| {
+        let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             if i >= len {
                 break;
             }
-            local.push((i, task(i)));
+            done.push((i, task(state, i)));
         }
-        local
+        done
     };
     let mut slots: Vec<Option<T>> = (0..len).map(|_| None).collect();
     std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
-        let mut shards = vec![claim()];
+        let helpers: Vec<_> = (1..workers)
+            .map(|_| scope.spawn(|| claim(&mut init())))
+            .collect();
+        let mut shards = vec![claim(&mut local)];
         shards.extend(
             helpers
                 .into_iter()

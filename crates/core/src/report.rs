@@ -37,7 +37,13 @@ use moard_json::{FromJson, Json, JsonError, ToJson};
 ///   `batch_fallback_lanes` (all zero when batching is off).  Verdicts and
 ///   every pre-existing field are byte-identical to version 2; only the
 ///   version number and the three new fields change.
-pub const SCHEMA_VERSION: u32 = 3;
+/// * **4** — `AdvfReport` documents drop the three version-3 telemetry
+///   fields: they described how the replays were grouped into trace
+///   walks, not a verdict, and `batch_walks` tied a report to one
+///   grouping.  Every remaining field is byte-identical to version 3.  A
+///   version-3 document is rejected like any other version, so a result
+///   store written by an older build recomputes those reports.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// FNV-1a over a byte string — the canonical 64-bit fingerprint hash.
 /// Analysis-config fingerprints, study-spec fingerprints, and the result
@@ -260,12 +266,6 @@ impl ToJson for AdvfReport {
                 "dfi_budget_exhausted",
                 Json::from(self.dfi_budget_exhausted),
             ),
-            ("lanes_batched", Json::from(self.lanes_batched)),
-            ("batch_walks", Json::from(self.batch_walks)),
-            (
-                "batch_fallback_lanes",
-                Json::from(self.batch_fallback_lanes),
-            ),
             ("patterns", Json::from(self.patterns.as_str())),
             (
                 "pattern_tallies",
@@ -300,9 +300,6 @@ impl AdvfReport {
                     expected: "a boolean",
                 })
                 .map_err(MoardError::Json)?,
-            lanes_batched: doc.u64_field("lanes_batched")?,
-            batch_walks: doc.u64_field("batch_walks")?,
-            batch_fallback_lanes: doc.u64_field("batch_fallback_lanes")?,
             patterns: doc.str_field("patterns")?.to_string(),
             pattern_tallies: doc
                 .arr_field("pattern_tallies")?
@@ -1100,9 +1097,6 @@ mod tests {
             dfi_budget_exhausted: false,
             patterns: "single-bit".into(),
             pattern_tallies: vec![tally],
-            lanes_batched: 3,
-            batch_walks: 1,
-            batch_fallback_lanes: 2,
             config_fingerprint: AnalysisConfig::default().fingerprint(),
         }
     }
@@ -1346,9 +1340,6 @@ mod tests {
                 dfi_budget_exhausted,
                 patterns: config.patterns.canonical(),
                 pattern_tallies: vec![],
-                lanes_batched: 0,
-                batch_walks: 0,
-                batch_fallback_lanes: 0,
                 config_fingerprint: config.fingerprint(),
             },
             rfi: RfiCampaign {

@@ -21,8 +21,9 @@ pub enum Parallelism {
     /// Use exactly this many workers.
     Fixed(usize),
     /// Run every task on the calling thread (useful for debugging and for
-    /// deterministic micro-benchmarks).  An analysis with DFI still runs
-    /// each object's planned injections on every core
+    /// deterministic micro-benchmarks).  Each object's analysis, with or
+    /// without DFI, still schedules and replays its site ranges and runs
+    /// its planned injections on every core
     /// (`moard_core::AdvfAnalyzer::analyze`); its report is the same.
     Sequential,
 }

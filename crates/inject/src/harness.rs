@@ -270,10 +270,11 @@ impl WorkloadHarness {
         for object in objects {
             self.object_id(object)?;
         }
-        // One task per object, so a single object runs as one task.  With
-        // DFI, each object's analysis still runs its planned walks and
-        // injections on every core (`AdvfAnalyzer::analyze`), and its
-        // run/hit tallies never depend on scheduling.
+        // One task per object, so a single object runs as one task.  Each
+        // object's analysis, with or without DFI, still schedules and
+        // replays its site ranges and runs its planned walks and injections
+        // on every core (`AdvfAnalyzer::analyze`), and its report never
+        // depends on scheduling.
         run_indexed(parallelism.worker_count(), objects.len(), |i| {
             self.analyze_inner(&objects[i], config.clone(), use_dfi)
         })

@@ -692,8 +692,7 @@ pub struct StudyRunner {
     store: Option<ResultStore>,
     resume: bool,
     cancel: CancelToken,
-    harness_cache: Option<Arc<HarnessCache>>,
-    trace_backend: moard_vm::TraceBackendSpec,
+    harness_cache: Arc<HarnessCache>,
 }
 
 impl StudyRunner {
@@ -706,8 +705,7 @@ impl StudyRunner {
             store: None,
             resume: false,
             cancel: CancelToken::new(),
-            harness_cache: None,
-            trace_backend: moard_vm::TraceBackendSpec::Memory,
+            harness_cache: Arc::default(),
         }
     }
 
@@ -754,19 +752,12 @@ impl StudyRunner {
     }
 
     /// Look workload harnesses up in (and warm them into) a shared
-    /// [`HarnessCache`] instead of preparing private ones — the daemon's
-    /// warm-harness path.  Reports are bit-identical either way.
+    /// [`HarnessCache`] instead of a private one with the in-memory trace
+    /// backend — the daemon's warm-harness path.  The cache's backend is
+    /// the runner's: never part of any task fingerprint, since reports are
+    /// bit-identical across backends.
     pub fn harness_cache(mut self, cache: Arc<HarnessCache>) -> Self {
-        self.harness_cache = Some(cache);
-        self
-    }
-
-    /// Trace storage backend for harnesses this runner prepares itself
-    /// (in-memory by default).  With a [`StudyRunner::harness_cache`], the
-    /// cache's own backend wins instead.  Never part of any task
-    /// fingerprint: reports are bit-identical across backends.
-    pub fn trace_backend(mut self, backend: moard_vm::TraceBackendSpec) -> Self {
-        self.trace_backend = backend;
+        self.harness_cache = cache;
         self
     }
 
@@ -821,14 +812,11 @@ impl StudyRunner {
                 need.push(&task.workload);
             }
         }
-        let harnesses: Vec<Arc<WorkloadHarness>> =
-            run_indexed(workers, need.len(), |i| match &self.harness_cache {
-                Some(cache) => cache.get_or_prepare(registry, need[i]),
-                None => WorkloadHarness::by_name_in_with(registry, need[i], &self.trace_backend)
-                    .map(Arc::new),
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+        let harnesses: Vec<Arc<WorkloadHarness>> = run_indexed(workers, need.len(), |i| {
+            self.harness_cache.get_or_prepare(registry, need[i])
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         let harness_for = |workload: &str| -> &WorkloadHarness {
             let i = need
                 .iter()

@@ -442,8 +442,7 @@ pub struct ValidationRunner {
     store: Option<ResultStore>,
     resume: bool,
     cancel: CancelToken,
-    harness_cache: Option<Arc<HarnessCache>>,
-    trace_backend: moard_vm::TraceBackendSpec,
+    harness_cache: Arc<HarnessCache>,
 }
 
 impl ValidationRunner {
@@ -456,8 +455,7 @@ impl ValidationRunner {
             store: None,
             resume: false,
             cancel: CancelToken::new(),
-            harness_cache: None,
-            trace_backend: moard_vm::TraceBackendSpec::Memory,
+            harness_cache: Arc::default(),
         }
     }
 
@@ -504,18 +502,12 @@ impl ValidationRunner {
     }
 
     /// Reuse prepared harnesses from (and publish new ones to) a shared
-    /// [`HarnessCache`] — the daemon's warm-workload path.
+    /// [`HarnessCache`] instead of a private one with the in-memory trace
+    /// backend — the daemon's warm-workload path.  The cache's backend is
+    /// the runner's: never part of any cell fingerprint, since reports are
+    /// bit-identical across backends.
     pub fn harness_cache(mut self, cache: Arc<HarnessCache>) -> Self {
-        self.harness_cache = Some(cache);
-        self
-    }
-
-    /// Trace storage backend for harnesses this runner prepares itself
-    /// (in-memory by default).  With a [`ValidationRunner::harness_cache`],
-    /// the cache's own backend wins instead.  Never part of any cell
-    /// fingerprint: reports are bit-identical across backends.
-    pub fn trace_backend(mut self, backend: moard_vm::TraceBackendSpec) -> Self {
-        self.trace_backend = backend;
+        self.harness_cache = cache;
         self
     }
 
@@ -579,14 +571,11 @@ impl ValidationRunner {
                 need.push(&cell.workload);
             }
         }
-        let harnesses: Vec<Arc<WorkloadHarness>> =
-            run_indexed(workers, need.len(), |i| match &self.harness_cache {
-                Some(cache) => cache.get_or_prepare(registry, need[i]),
-                None => WorkloadHarness::by_name_in_with(registry, need[i], &self.trace_backend)
-                    .map(Arc::new),
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+        let harnesses: Vec<Arc<WorkloadHarness>> = run_indexed(workers, need.len(), |i| {
+            self.harness_cache.get_or_prepare(registry, need[i])
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         let harness_for = |workload: &str| -> &WorkloadHarness {
             let i = need
                 .iter()

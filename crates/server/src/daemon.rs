@@ -260,8 +260,9 @@ impl Shared {
 
     /// Run the job's engine.  Every engine runs `Parallelism::Sequential`:
     /// the worker pool provides the cross-job concurrency, and a job's
-    /// result must not depend on how many neighbors it had.  An analysis
-    /// with DFI still runs each object's planned injections on every core
+    /// result must not depend on how many neighbors it had.  Each object's
+    /// analysis, with or without DFI, still schedules and replays its site
+    /// ranges and runs its planned injections on every core
     /// (`AdvfAnalyzer::analyze`), which leaves its result unchanged.
     fn execute(&self, job: &JobState) -> Result<(Json, u64, u64), MoardError> {
         match &job.request {

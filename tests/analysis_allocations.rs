@@ -5,15 +5,15 @@
 //! The pass schedules every (site, error pattern) of an object.  Error
 //! patterns are enumerated once per element type and shared by every site,
 //! and the operation rules' corrupted-location seeds are stored inline, so
-//! nothing is allocated per pattern or per replay lane.  Replay batches are
-//! walked in recycled chunks, partly on helper threads, so a counting
-//! global allocator counts the allocations of every thread while a global
-//! switch is on around the measured call; this file has one test, so no
-//! other test allocates meanwhile.
+//! nothing is allocated per pattern or per replay lane.  Ranges of sites
+//! are scheduled and replayed on helper threads too, so a counting global
+//! allocator counts the allocations of every thread while a global switch
+//! is on around the measured call; this file has one test, so no other
+//! test allocates meanwhile.
 
 use moard::inject::WorkloadHarness;
-use moard::model::{AdvfAnalyzer, AnalysisConfig, ErrorPatternSet};
-use moard::vm::TraceBackendSpec;
+use moard::model::{analyze_operation, AdvfAnalyzer, AnalysisConfig, ErrorPatternSet, OpVerdict};
+use moard::vm::{TraceBackendSpec, TraceStorage};
 use moard::workloads::workload_by_name;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,10 +68,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// Most allocations one analyzed site may cost on average, whatever the
 /// pattern set: less than one.  The pass allocates per call (site list,
-/// pattern lists, plan and tag lists, lane results, growing as they fill)
-/// and per walker thread (its spawn, cursor and lane chunks), not per site;
-/// one allocation per site, let alone a pattern list per site, a
-/// corrupted-location list per lane or a buffer per batch, exceeds it.
+/// pattern lists, range list), per range of 64 sites (its plan, tag and
+/// lane-result lists) and per worker thread (its spawn, cursor and lane
+/// buffers), not per site; one allocation per site, let alone a pattern
+/// list per site, a corrupted-location list per lane or a buffer per
+/// batch, exceeds it.
 const MAX_ALLOCATIONS_PER_SITE: f64 = 1.0;
 
 #[test]
@@ -93,10 +94,10 @@ fn analytic_pass_allocates_a_constant_per_site() {
         let (report, allocations) = counted(|| analyzer.analyze(object, "u", "LU", None));
         let sites = report.sites_analyzed;
         assert!(sites >= 1000, "{patterns:?}: only {sites} sites");
+        let lanes = replay_lanes(&analyzer, h.trace(), object, &patterns);
         assert!(
-            report.lanes_batched >= sites,
-            "{patterns:?}: {} replay lanes for {sites} sites",
-            report.lanes_batched
+            lanes >= sites,
+            "{patterns:?}: {lanes} replay lanes for {sites} sites"
         );
         let per_site = allocations as f64 / sites as f64;
         assert!(
@@ -105,4 +106,27 @@ fn analytic_pass_allocates_a_constant_per_site() {
              ({per_site:.2} per site, budget {MAX_ALLOCATIONS_PER_SITE})"
         );
     }
+}
+
+/// The (site, pattern) pairs of an analysis that the operation rules hand
+/// to a propagation replay, counted outside the analyzer.
+fn replay_lanes(
+    analyzer: &AdvfAnalyzer,
+    trace: &dyn TraceStorage,
+    object: moard::vm::ObjectId,
+    patterns: &ErrorPatternSet,
+) -> u64 {
+    let mut reader = trace.new_reader();
+    let mut lanes = 0;
+    for site in analyzer.pattern_sites(object) {
+        let rec = reader.fetch(site.record_id).unwrap();
+        for pattern in patterns.patterns_for(site.value.ty()) {
+            if let OpVerdict::Propagate { .. } | OpVerdict::OvershadowCandidate { .. } =
+                analyze_operation(&rec, site.slot, &pattern)
+            {
+                lanes += 1;
+            }
+        }
+    }
+    lanes
 }

@@ -7,6 +7,7 @@
 //! the repository builds without a property-testing dependency.)
 
 use moard::inject::{Parallelism, StudyRunner, StudySpec, WorkloadSelector};
+use moard::json::Json;
 use std::path::PathBuf;
 
 fn spec() -> StudySpec {
@@ -100,5 +101,75 @@ fn corrupting_a_store_document_forces_recomputation_not_failure() {
     assert_eq!(stats.cache_hits, 0);
     assert_eq!(stats.executed, stats.tasks);
     assert_eq!(resumed.to_json_string(), cold_json);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Rewrite one store document's aDVF report payload as report schema 3
+/// wrote it: `"schema_version": 3` and the three version-3 telemetry
+/// fields after `dfi_budget_exhausted`.  Returns `false`, leaving the file
+/// alone, for an unversioned (RFI) payload.
+fn downgrade_to_schema_3(path: &std::path::Path) -> bool {
+    let mut doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let Json::Obj(members) = &mut doc else {
+        panic!("{}: a store document is an object", path.display());
+    };
+    let Some((_, Json::Obj(payload))) = members.iter_mut().find(|(name, _)| name == "payload")
+    else {
+        panic!("{}: no payload object", path.display());
+    };
+    let Some((_, version)) = payload
+        .iter_mut()
+        .find(|(name, _)| name == "schema_version")
+    else {
+        return false;
+    };
+    *version = Json::from(3u32);
+    let at = payload
+        .iter()
+        .position(|(name, _)| name == "dfi_budget_exhausted")
+        .expect("an aDVF report payload")
+        + 1;
+    for (i, name) in ["lanes_batched", "batch_walks", "batch_fallback_lanes"]
+        .into_iter()
+        .enumerate()
+    {
+        payload.insert(at + i, (name.to_string(), Json::from(7u64)));
+    }
+    std::fs::write(path, doc.to_pretty() + "\n").unwrap();
+    true
+}
+
+#[test]
+fn a_store_written_under_an_older_report_schema_is_recomputed_not_an_error() {
+    // What a `--resume` user or a restarted daemon meets after an upgrade:
+    // every store envelope is valid, but the aDVF payloads carry report
+    // schema 3.  Those tasks run again; the unversioned RFI payloads stay
+    // hits; the report is the cold run's, byte for byte.
+    let dir = temp_dir("schema-3");
+    let cold = StudyRunner::new(spec()).run().unwrap();
+    StudyRunner::new(spec()).store(&dir).unwrap().run().unwrap();
+    let downgraded = std::fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .filter(|entry| downgrade_to_schema_3(&entry.path()))
+        .count();
+    assert_eq!(downgraded, cold.entries.len());
+    let resume = || {
+        StudyRunner::new(spec())
+            .store(&dir)
+            .unwrap()
+            .resume(true)
+            .run_detailed()
+            .unwrap()
+    };
+    let (resumed, stats) = resume();
+    assert_eq!(stats.executed, cold.entries.len());
+    assert_eq!(stats.cache_hits, cold.rfi.len());
+    assert_eq!(stats.harnesses_prepared, 1);
+    assert_eq!(resumed.to_json_string(), cold.to_json_string());
+    // The recomputed reports replaced the old documents.
+    let (again, stats) = resume();
+    assert_eq!(stats.cache_hits, stats.tasks);
+    assert_eq!(again.to_json_string(), cold.to_json_string());
     let _ = std::fs::remove_dir_all(&dir);
 }
