@@ -113,7 +113,9 @@ pub fn enumerate_strided_sites(
 /// [`enumerate_strided_sites`] through a caller's reader.  A caller that
 /// goes on to read the same records through it (the analyzer's scheduling
 /// pass) finds the segments enumeration decoded still in the reader's LRU
-/// on the paged backend, instead of decoding them again in a second reader.
+/// on the paged backend only while the object's sites span at most as many
+/// segments as that LRU holds (4).  A longer span is decoded again: AMG/A's
+/// sites span 11 default segments, and one analysis decodes them 33 times.
 pub(crate) fn strided_sites_through(
     trace: &dyn TraceStorage,
     reader: &mut dyn TraceRead,

@@ -21,9 +21,8 @@
 //!   process-unique temp sibling (pid + counter, so concurrent writers of
 //!   the same key — daemon jobs, parallel sweeps sharing one `--store` —
 //!   can never collide on the temp path), `fsync`ed, and renamed into place
-//!   ([`moard_vm::atomic_write`], the same hardened path the paged trace
-//!   backend's segment writer uses).  A sweep killed mid-write never leaves
-//!   a half-document, and a power loss after the rename can never persist a
+//!   ([`moard_vm::atomic_write`]).  A sweep killed mid-write never leaves a
+//!   half-document, and a power loss after the rename can never persist a
 //!   truncated one behind a committed name.
 
 use moard_core::{fingerprint_hex, fnv1a, MoardError};

@@ -155,11 +155,15 @@ fn le_u32(bytes: &[u8], at: usize) -> usize {
     u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
 }
 
-/// FNV-1a, the segment files' checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// The segment files' checksum (paged format version 2): FNV-1a over
+/// little-endian 64-bit words, then over the bytes after the last word.
+fn checksum(bytes: &[u8]) -> u64 {
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+    let (words, tail) = bytes.as_chunks::<8>();
+    let h = words.iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        step(h, u64::from_le_bytes(*w))
+    });
+    tail.iter().fold(h, |h, &b| step(h, b as u64))
 }
 
 /// Rewrite every segment file so no record keeps its destination register,
@@ -169,7 +173,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn strip_destination_registers(dir: &std::path::Path) {
     // Segment: magic (8) | version u32 | meta u64 | first_id u64 |
     // count u32 | payload_len u32 | offsets (count x u32) | payload |
-    // FNV-1a u64 of everything before it.
+    // checksum u64 of everything before it.
     // Record: frame u64 | func u32 | block u32 | inst u32 |
     // dst tag u8 (1: a u32 register follows) | operation.
     const COUNT_AT: usize = 28;
@@ -213,8 +217,8 @@ fn strip_destination_registers(dir: &std::path::Path) {
             out.extend_from_slice(&offset.to_le_bytes());
         }
         out.extend_from_slice(&records);
-        let checksum = fnv1a(&out);
-        out.extend_from_slice(&checksum.to_le_bytes());
+        let sum = checksum(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, out).unwrap();
     }
     assert!(
