@@ -4,13 +4,13 @@
 //!
 //! Rebuilt on the sweep engine: one `StudySpec` with an RFI validation leg
 //! expands to the whole figure's task matrix (3 objects × test counts RFI
-//! campaigns plus 3 aDVF analyses), which the `StudyRunner` schedules
+//! campaigns plus 3 aDVF analyses), which `Runner::sweep` schedules
 //! per-task across the worker pool.  Campaign seeds are `0xF1F1 + set`,
 //! exactly as the pre-sweep revision of this binary, so the series is
 //! unchanged.
 
 use moard_bench::{print_header, unwrap_or_exit, Effort};
-use moard_inject::{ObjectSelector, StudyRunner, StudySpec, WorkloadSelector};
+use moard_inject::{ObjectSelector, Runner, StudySpec, WorkloadSelector};
 
 fn main() {
     let effort = Effort::from_args();
@@ -34,7 +34,8 @@ fn main() {
         .strides(vec![config.site_stride])
         .max_dfis(vec![config.max_dfi_per_object])
         .rfi_leg(test_counts, 0xF1_F1);
-    let report = unwrap_or_exit(StudyRunner::new(spec).run());
+    let (report, _) =
+        unwrap_or_exit(Runner::default().sweep(&spec, moard_workloads::builtin_registry()));
 
     println!(
         "{:<8} {:>8} {:>14} {:>12}",

@@ -8,7 +8,7 @@
 //! `moard sweep --workloads table1` produces the same numbers as JSON.
 
 use moard_bench::unwrap_or_exit;
-use moard_inject::{StudyRunner, StudySpec, StudyTaskKind, WorkloadSelector};
+use moard_inject::{Runner, StudySpec, StudyTaskKind, WorkloadSelector};
 use moard_workloads::{builtin_registry, WorkloadRegistry};
 
 fn main() {
@@ -59,7 +59,7 @@ fn main() {
             "{:<8} {:<14} {:>8} {:>10} {:>8}",
             "name", "object", "aDVF", "sites", "dfi"
         );
-        let report = unwrap_or_exit(StudyRunner::new(spec).run());
+        let (report, _) = unwrap_or_exit(Runner::default().sweep(&spec, registry));
         for entry in &report.entries {
             println!(
                 "{:<8} {:<14} {:>8.4} {:>10} {:>8}",

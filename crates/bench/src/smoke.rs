@@ -21,8 +21,7 @@ use moard_core::{
     trace_stats_to_json, AdvfAnalyzer, AnalysisConfig, CorruptSeeds, ErrorPattern, OpVerdict,
 };
 use moard_inject::{
-    DeterministicInjector, Parallelism, StudyRunner, StudySpec, ValidationRunner, ValidationSpec,
-    WorkloadSelector,
+    DeterministicInjector, Parallelism, Runner, StudySpec, ValidationSpec, WorkloadSelector,
 };
 use moard_json::{Json, JsonError};
 use moard_vm::{run_traced, run_traced_with, FaultSpec, Trace, TraceBackendSpec, TraceStats, Vm};
@@ -342,18 +341,22 @@ pub fn run_suite() -> SmokeReport {
     }));
     let registry = smoke_registry();
     let spec = sweep_spec();
+    // Each iteration builds its runner, and with it a fresh harness cache,
+    // so every iteration prepares its workloads again.
+    let sequential = || Runner {
+        parallelism: Parallelism::Sequential,
+        ..Runner::default()
+    };
     benches.push(bench("sweep/mm+pf", 1, 5, || {
-        let report = StudyRunner::new(spec.clone())
-            .parallelism(Parallelism::Sequential)
-            .run_in(&registry)
+        let report = sequential()
+            .sweep(&spec, &registry)
             .expect("the smoke sweep covers only known workloads");
         black_box(report);
     }));
     let spec = validate_smoke_spec();
     benches.push(bench("validate/mm+pf", 1, 5, || {
-        let report = ValidationRunner::new(spec.clone())
-            .parallelism(Parallelism::Sequential)
-            .run_in(&registry)
+        let report = sequential()
+            .validate(&spec, &registry)
             .expect("the smoke campaign covers only known workloads");
         black_box(report);
     }));

@@ -34,10 +34,10 @@
 //!   optionally frozen as a JSON scenario under `tests/scenarios/`;
 //! * `moard rank <workload>` — rank the workload's target objects by aDVF;
 //! * `moard serve [--addr HOST:PORT] [--threads N] [--store DIR]` — the
-//!   long-running analysis daemon: analyze/sweep/validate jobs over the
-//!   length-framed JSON protocol, scheduled by priority across a worker
-//!   pool, with one warm harness per workload and repeat jobs answered
-//!   from the shared result store;
+//!   long-running analysis daemon: analyze/sweep/validate/minimize jobs
+//!   over the length-framed JSON protocol, scheduled by priority across a
+//!   worker pool, with one warm harness per workload and repeat jobs
+//!   answered from the shared result store;
 //! * `moard client <op> --addr HOST:PORT` — talk to a running daemon:
 //!   `ping`, `metrics`, `cancel <job>`, `shutdown`, or submit `analyze`/
 //!   `sweep`/`validate`/`minimize` jobs built from the same flags as the
@@ -51,9 +51,9 @@
 
 use moard_core::{MoardError, StudyReport, ValidationReport};
 use moard_inject::{
-    MinimizeReport, MinimizeSpec, ObjectSelector, Parallelism, RfiConfig, Session, SessionReport,
-    StudyRunner, StudySpec, SweepStats, ValidationRunner, ValidationSpec, ValidationStats,
-    WorkloadSelector,
+    HarnessCache, MinimizeReport, MinimizeSpec, ObjectSelector, Parallelism, ResultStore,
+    RfiConfig, Runner, Session, SessionReport, StudySpec, SweepStats, ValidationSpec,
+    ValidationStats, WorkloadHarness, WorkloadSelector,
 };
 use moard_json::{Json, ToJson};
 use moard_workloads::{Registry, WorkloadRegistry};
@@ -73,7 +73,7 @@ const USAGE: &str = "usage: moard [--format json|text] <command> [args]
   moard analyze <workload> [object] [--k N] [--stride N] [--max-dfi N] [--patterns P]
                 [--no-dfi] [--seq] [--trace-backend B]
   moard report  <workload> [object...] [--k N] [--stride N] [--max-dfi N] [--patterns P]
-                [--no-dfi] [--trace-backend B]
+                [--no-dfi] [--seq] [--trace-backend B]
   moard sweep   [workload...] [--workloads all|table1|w1,w2] [--objects o1,o2]
                 [--k N,N...] [--stride N,N...] [--max-dfi N|unbounded,...]
                 [--patterns P,P...] [--no-dfi]
@@ -90,6 +90,7 @@ const USAGE: &str = "usage: moard [--format json|text] <command> [args]
                 [--mask b+b...] [--window N] [--stride N] [--patterns P]
                 [--expect CLASS] [--seed N] [--name NAME] [--emit-scenario DIR]
   moard rank    <workload> [--k N] [--stride N] [--max-dfi N] [--patterns P]
+                [--no-dfi] [--seq] [--trace-backend B]
   moard serve   [--addr HOST:PORT] [--port N] [--threads N] [--store DIR]
                 [--trace-backend B]
   moard client  <ping|metrics|cancel <job>|shutdown> --addr HOST:PORT
@@ -320,12 +321,7 @@ fn allowed_flags(command: &str) -> Option<&'static [&'static str]> {
         "--trace-backend",
     ];
     const INJECT: &[&str] = &[
-        "--k",
-        "--stride",
-        "--max-dfi",
         "--patterns",
-        "--no-dfi",
-        "--seq",
         "--tests",
         "--seed",
         "--exhaustive",
@@ -543,19 +539,42 @@ fn threads_flag(args: &[String]) -> Result<Option<usize>, MoardError> {
     }
 }
 
-/// The `--seq | --threads N` choice of `sweep` and `validate`.  Giving both
-/// is a contradiction the CLI refuses rather than resolves.
-fn parallelism_flags(args: &[String]) -> Result<Option<Parallelism>, MoardError> {
+/// The [`Runner`] of `sweep` and `validate` (and of `validate
+/// --emit-scenarios`): the harness cache on `--trace-backend`, the `--seq |
+/// --threads N` choice (giving both is a contradiction the CLI refuses
+/// rather than resolves), and `--store DIR` with `--resume`, which requires
+/// a store.
+fn runner_flags(args: &[String]) -> Result<Runner, MoardError> {
+    let backend = trace_backend_flag(args)?.unwrap_or_default();
+    let mut runner = Runner {
+        harnesses: Arc::new(HarnessCache::with_backend(backend)),
+        ..Runner::default()
+    };
     let threads = threads_flag(args)?;
     if has_flag(args, "--seq") {
-        return match threads {
-            Some(_) => Err(MoardError::InvalidConfig(
+        if threads.is_some() {
+            return Err(MoardError::InvalidConfig(
                 "`--seq` and `--threads` contradict each other; use one".into(),
-            )),
-            None => Ok(Some(Parallelism::Sequential)),
-        };
+            ));
+        }
+        runner.parallelism = Parallelism::Sequential;
+    } else if let Some(threads) = threads {
+        runner.parallelism = Parallelism::Fixed(threads);
     }
-    Ok(threads.map(Parallelism::Fixed))
+    let resume = has_flag(args, "--resume");
+    match str_flag_value(args, "--store")? {
+        Some(dir) => {
+            runner.store = Some(ResultStore::open(dir)?);
+            runner.resume = resume;
+        }
+        None if resume => {
+            return Err(MoardError::InvalidConfig(
+                "`--resume` requires `--store DIR` (there is nothing to resume from)".into(),
+            ))
+        }
+        None => {}
+    }
+    Ok(runner)
 }
 
 /// Value of a comma-separated numeric list `--flag N,N,...`.
@@ -796,36 +815,9 @@ fn sweep_spec(args: &[String]) -> Result<StudySpec, MoardError> {
     Ok(spec)
 }
 
-/// The `--store DIR` / `--resume` pair, with the resume-requires-store rule
-/// enforced (shared by `sweep` and `validate`).
-fn store_flags(args: &[String]) -> Result<(Option<&str>, bool), MoardError> {
-    let resume = has_flag(args, "--resume");
-    match str_flag_value(args, "--store")? {
-        Some(dir) => Ok((Some(dir), resume)),
-        None if resume => Err(MoardError::InvalidConfig(
-            "`--resume` requires `--store DIR` (there is nothing to resume from)".into(),
-        )),
-        None => Ok((None, false)),
-    }
-}
-
-/// The harness cache of a `sweep` or `validate` run: every workload is
-/// prepared once, on the `--trace-backend` the command line selects.
-fn harness_cache(args: &[String]) -> Result<Arc<moard_inject::HarnessCache>, MoardError> {
-    let backend = trace_backend_flag(args)?.unwrap_or_default();
-    Ok(Arc::new(moard_inject::HarnessCache::with_backend(backend)))
-}
-
 fn cmd_sweep(cli: &Cli) -> Result<(), CliError> {
     let spec = sweep_spec(&cli.args)?;
-    let mut runner = StudyRunner::new(spec).harness_cache(harness_cache(&cli.args)?);
-    if let Some(parallelism) = parallelism_flags(&cli.args)? {
-        runner = runner.parallelism(parallelism);
-    }
-    if let (Some(dir), resume) = store_flags(&cli.args)? {
-        runner = runner.store(dir)?.resume(resume);
-    }
-    let (report, stats) = runner.run_detailed_in(&cli.registry)?;
+    let (report, stats) = runner_flags(&cli.args)?.sweep(&spec, &cli.registry)?;
     match cli.format {
         Format::Json => out!("{}", report.to_json().to_pretty()),
         Format::Text => print_study(&report, &stats, &cli.registry),
@@ -957,27 +949,18 @@ fn validate_spec(args: &[String]) -> Result<ValidationSpec, MoardError> {
 fn cmd_validate(cli: &Cli) -> Result<(), CliError> {
     let spec = validate_spec(&cli.args)?;
     // Emission below minimizes on the harnesses the campaign prepared.
-    let cache = harness_cache(&cli.args)?;
-    let mut runner = ValidationRunner::new(spec).harness_cache(cache.clone());
-    if let Some(parallelism) = parallelism_flags(&cli.args)? {
-        runner = runner.parallelism(parallelism);
-    }
-    if let (Some(dir), resume) = store_flags(&cli.args)? {
-        runner = runner.store(dir)?.resume(resume);
-    }
-    let (report, stats) = runner.run_detailed_in(&cli.registry)?;
+    let runner = runner_flags(&cli.args)?;
+    let (report, stats) = runner.validate(&spec, &cli.registry)?;
     match cli.format {
         Format::Json => out!("{}", report.to_json().to_pretty()),
         Format::Text => print_validation(&report, &stats, &cli.registry),
     }
     if let Some(dir) = str_flag_value(&cli.args, "--emit-scenarios")? {
-        let cancel = moard_inject::CancelToken::new();
         let outcome = moard_inject::emit_validation_scenarios(
             &report,
             &cli.registry,
-            &cache,
+            &runner,
             std::path::Path::new(dir),
-            &cancel,
         )?;
         // Emission is a side product: keep stdout's report schema stable by
         // narrating to stderr in JSON mode, stdout in text mode.
@@ -1090,10 +1073,8 @@ fn cmd_inject(cli: &Cli) -> Result<(), CliError> {
     let (Some(workload), Some(object)) = (pos.first(), pos.get(1)) else {
         return Err(CliError::Usage);
     };
-    let session = configured_session(cli, workload)?
-        .object(object.as_str())
-        .build()?;
-    let harness = session.harness();
+    let harness = WorkloadHarness::by_name_in(&cli.registry, workload)?;
+    harness.object_id(object)?;
     let stats = if has_flag(&cli.args, "--exhaustive") {
         harness.exhaustive_with_budget(
             object,
@@ -1242,9 +1223,7 @@ fn minimize_spec(args: &[String]) -> Result<MinimizeSpec, CliError> {
 
 fn cmd_minimize(cli: &Cli) -> Result<(), CliError> {
     let spec = minimize_spec(&cli.args)?;
-    let cache = moard_inject::HarnessCache::new();
-    let cancel = moard_inject::CancelToken::new();
-    let report = moard_inject::run_minimize_in(&cli.registry, &cache, &spec, &cancel)?;
+    let report = Runner::default().minimize(&spec, &cli.registry)?;
     let written = match str_flag_value(&cli.args, "--emit-scenario")? {
         Some(dir) => Some(moard_inject::write_scenario(
             std::path::Path::new(dir),

@@ -193,13 +193,24 @@ fn degenerate_statistics_and_unknown_names_are_typed_failures() {
         "{}",
         stderr(&output)
     );
-    let output = moard(&["inject", "mm", "C", "--margin", "0.01"]);
-    assert_eq!(output.status.code(), Some(1));
-    assert!(
-        stderr(&output).contains("not valid for `moard inject`"),
-        "{}",
-        stderr(&output)
-    );
+    // `inject` runs its campaign over every site on every core, so the
+    // analysis flags it does not read are refused, not dropped.
+    for flags in [
+        &["--margin", "0.01"][..],
+        &["--k", "1"],
+        &["--stride", "64"],
+        &["--max-dfi", "1"],
+        &["--no-dfi"],
+        &["--seq"],
+    ] {
+        let output = moard(&[&["inject", "mm", "C"][..], flags].concat());
+        assert_eq!(output.status.code(), Some(1), "{flags:?}");
+        assert!(
+            stderr(&output).contains("not valid for `moard inject`"),
+            "{flags:?}: {}",
+            stderr(&output)
+        );
+    }
     let output = moard(&["validate", "mm", "--rfi-tests", "10"]);
     assert_eq!(output.status.code(), Some(1));
     assert!(

@@ -436,7 +436,7 @@ pub struct RfiEntry {
 /// stable versioned schema and round-trips bit-exactly; it additionally
 /// embeds the fingerprint of the *study specification* that produced it, so
 /// reports from different sweeps are never conflated.  The sweep engine that
-/// produces these (`StudyRunner` in `moard-inject`) folds its task results
+/// produces these (`Runner::sweep` in `moard-inject`) folds its task results
 /// in task-matrix order, so the document is byte-identical whether the sweep
 /// ran cold, in parallel, or resumed from a partial result store.
 #[derive(Debug, Clone, PartialEq, Default)]

@@ -1,7 +1,7 @@
 //! Cooperative cancellation for long-running engines.
 //!
-//! The sweep and validation runners can take minutes on a full grid; a
-//! long-running host (the `moard-daemon` service, an interactive driver)
+//! Sweeps and validation campaigns can take minutes on a full grid; a
+//! long-running host (the `moard serve` daemon, an interactive driver)
 //! needs a way to abandon a job without tearing the process down.  A
 //! [`CancelToken`] is the same shape as the atomic DFI-budget flag inside
 //! `AdvfAnalyzer`: one shared atomic the engine polls at its natural

@@ -327,12 +327,13 @@ impl WorkloadHarness {
 /// Preparing a [`WorkloadHarness`] — building the module, running the golden
 /// execution, recording and indexing the trace — is the dominant fixed cost
 /// of most analyses, and it is identical for every job over the same
-/// workload.  A long-running host (the `moard-daemon` service) prepares each
-/// workload once and shares the warm harness across every subsequent job;
-/// the sweep and validation runners accept a cache via their
-/// `harness_cache` builder hooks and then look harnesses up instead of
-/// re-tracing.  Harness preparation is deterministic, so a cached harness is
-/// indistinguishable from a fresh one — reports stay bit-identical.
+/// workload.  A long-running host (the `moard serve` daemon) prepares each
+/// workload once and shares the warm harness across every subsequent job:
+/// a [`crate::Runner`] holds a cache in its `harnesses` field, and its
+/// sweeps, validations and minimizations look harnesses up there instead
+/// of re-tracing.  Harness preparation is deterministic, so a cached
+/// harness is indistinguishable from a fresh one — reports stay
+/// bit-identical.
 #[derive(Default)]
 pub struct HarnessCache {
     map: std::sync::RwLock<std::collections::HashMap<String, std::sync::Arc<WorkloadHarness>>>,

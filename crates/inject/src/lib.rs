@@ -1,8 +1,9 @@
 //! # moard-inject
 //!
 //! Fault-injection campaigns, the end-to-end analysis harness, the
-//! [`Session`] façade, and the [`StudyRunner`] sweep engine — everything
-//! between "a workload name" and "a serialized report".
+//! [`Session`] façade, and the [`Runner`] that executes sweeps, validation
+//! campaigns and minimizations — everything between "a workload name" and
+//! "a serialized report".
 //!
 //! ## Campaigns
 //!
@@ -45,7 +46,7 @@
 //!
 //! The paper's evaluation is a *campaign*: every Table I workload × its
 //! target data objects × a grid of model parameters.  [`sweep::StudySpec`]
-//! declares such a study and [`sweep::StudyRunner`] executes it — scheduling
+//! declares such a study and [`Runner::sweep`] executes it — scheduling
 //! the expanded task matrix across the worker pool one *task* (not one
 //! workload) at a time, persisting every completed task to an on-disk
 //! [`store::ResultStore`], and folding the results into one versioned
@@ -53,17 +54,19 @@
 //! produces a byte-identical report:
 //!
 //! ```no_run
-//! use moard_inject::{StudyRunner, StudySpec, WorkloadSelector};
+//! use moard_inject::{ResultStore, Runner, StudySpec, WorkloadSelector};
 //!
 //! let spec = StudySpec::default()
 //!     .workloads(WorkloadSelector::All) // Table I + case studies
 //!     .strides(vec![4])
 //!     .max_dfis(vec![Some(5_000)])
 //!     .rfi_leg(vec![500, 1_000], 0xF1F1); // Fig. 7 validation leg
-//! let report = StudyRunner::new(spec)
-//!     .store("sweep-store")? // persist completed tasks…
-//!     .resume(true)          // …and reuse anything already there
-//!     .run()?;
+//! let runner = Runner {
+//!     store: Some(ResultStore::open("sweep-store")?), // persist completed tasks…
+//!     resume: true,                                   // …and reuse anything already there
+//!     ..Runner::default()
+//! };
+//! let (report, _stats) = runner.sweep(&spec, moard_workloads::builtin_registry())?;
 //! for workload in report.workloads() {
 //!     for object in report.objects_of(workload) {
 //!         let cell = report.entry(workload, object).unwrap();
@@ -75,7 +78,7 @@
 //!
 //! ## Validating the model: the validation engine
 //!
-//! [`validate::ValidationSpec`] / [`validate::ValidationRunner`] are the
+//! [`validate::ValidationSpec`] / [`Runner::validate`] are the
 //! statistically rigorous version of the paper's §V-B comparison: for every
 //! selected (workload, object) cell, an **adaptive** random-fault-injection
 //! campaign — trials drawn in shard-indexed RNG streams, folded in shard
@@ -85,6 +88,10 @@
 //! verdicts and per-workload rank correlations in the produced
 //! [`moard_core::ValidationReport`].  Both legs of every cell cache in the
 //! same [`store::ResultStore`], so killed campaigns resume byte-identically.
+//!
+//! One [`Runner`] carries the execution settings of sweeps, validation
+//! campaigns and minimizations ([`Runner::minimize`]): worker count, result
+//! store and resume flag, cancel token, and warm-harness cache.
 //!
 //! Expanding a spec is cheap (no module is built, no trace recorded), so the
 //! task matrix can be inspected up front:
@@ -110,6 +117,7 @@ pub mod harness;
 pub mod injector;
 pub mod minimize;
 pub mod random;
+pub mod runner;
 pub mod session;
 pub mod stats;
 pub mod store;
@@ -123,16 +131,15 @@ pub use harness::{HarnessCache, WorkloadHarness};
 pub use injector::DeterministicInjector;
 pub use minimize::{
     ddmin, emit_validation_scenarios, load_scenario, load_scenario_dir, minimize, replay_scenario,
-    run_minimize_in, write_scenario, EmitOutcome, EmittedScenario, MinimizeReport, MinimizeSpec,
-    ScenarioReplay,
+    write_scenario, EmitOutcome, EmittedScenario, MinimizeReport, MinimizeSpec, ScenarioReplay,
 };
 pub use moard_core::MoardError;
 pub use random::{run_rfi, sample_faults, sample_shard, shard_seed, PatternSampler, RfiConfig};
+pub use runner::Runner;
 pub use session::{AnalysisSession, Session, SessionBuilder, SessionReport};
 pub use stats::{required_sample_size, z_value, CampaignStats};
 pub use store::{ResultStore, StoreEntry};
 pub use sweep::{
-    ObjectSelector, RfiLeg, StudyRunner, StudySpec, StudyTask, StudyTaskKind, SweepStats,
-    WorkloadSelector,
+    ObjectSelector, RfiLeg, StudySpec, StudyTask, StudyTaskKind, SweepStats, WorkloadSelector,
 };
-pub use validate::{ValidationCellSpec, ValidationRunner, ValidationSpec, ValidationStats};
+pub use validate::{ValidationCellSpec, ValidationSpec, ValidationStats};

@@ -26,8 +26,9 @@
 //! fingerprint pins the replay bit-exactly.
 
 use crate::cancel::CancelToken;
-use crate::harness::{HarnessCache, WorkloadHarness};
+use crate::harness::WorkloadHarness;
 use crate::injector::DeterministicInjector;
+use crate::runner::Runner;
 use moard_core::scenario::{masking_to_str, outcome_to_str, slot_to_string};
 use moard_core::{
     AdvfAnalyzer, AnalysisConfig, CellVerdict, ErrorPattern, ErrorPatternSet, Masking, MoardError,
@@ -680,16 +681,18 @@ pub fn minimize(
     })
 }
 
-/// Resolve the workload through a registry (sharing any warm harness in
-/// `cache`) and run [`minimize`].
-pub fn run_minimize_in(
-    registry: &dyn WorkloadRegistry,
-    cache: &HarnessCache,
-    spec: &MinimizeSpec,
-    cancel: &CancelToken,
-) -> Result<MinimizeReport, MoardError> {
-    let harness = cache.get_or_prepare(registry, &spec.workload)?;
-    minimize(&harness, spec, cancel)
+impl Runner {
+    /// Resolve the workload through a registry (sharing any warm harness in
+    /// the runner's cache) and run [`minimize`] under the runner's cancel
+    /// token.
+    pub fn minimize(
+        &self,
+        spec: &MinimizeSpec,
+        registry: &dyn WorkloadRegistry,
+    ) -> Result<MinimizeReport, MoardError> {
+        let harness = self.harnesses.get_or_prepare(registry, &spec.workload)?;
+        minimize(&harness, spec, &self.cancel)
+    }
 }
 
 /// The replayed observations of a committed scenario.
@@ -853,28 +856,28 @@ pub struct EmitOutcome {
 }
 
 /// Minimize every model-optimistic cell of a validation report into a
-/// scenario spec under `dir`.  The minimizer re-uses the report's site
-/// stride, pattern family, propagation window, and seed, so the emitted
-/// reproducer is drawn from exactly the population the verdict came from.
+/// scenario spec under `dir`, through `runner` (its harness cache and
+/// cancel token).  The minimizer re-uses the report's site stride, pattern
+/// family, propagation window, and seed, so the emitted reproducer is drawn
+/// from exactly the population the verdict came from.
 pub fn emit_validation_scenarios(
     report: &ValidationReport,
     registry: &dyn WorkloadRegistry,
-    cache: &HarnessCache,
+    runner: &Runner,
     dir: &Path,
-    cancel: &CancelToken,
 ) -> Result<EmitOutcome, MoardError> {
     let mut outcome = EmitOutcome::default();
     for cell in &report.cells {
         if report.verdict(cell) != CellVerdict::ModelOptimistic {
             continue;
         }
-        cancel.checkpoint()?;
+        runner.cancel.checkpoint()?;
         let spec = MinimizeSpec::cell(cell.workload.clone(), cell.object.clone())
             .stride(report.config.site_stride)
             .patterns(report.config.patterns.clone())
             .window(report.config.propagation_window)
             .seed(report.seed);
-        match run_minimize_in(registry, cache, &spec, cancel) {
+        match runner.minimize(&spec, registry) {
             Ok(min_report) => {
                 let path = write_scenario(dir, &min_report.scenario)?;
                 outcome.emitted.push(EmittedScenario {

@@ -2,7 +2,7 @@
 //!
 //! A study campaign over the full workload × object × configuration matrix
 //! can take hours; the store makes it *resumable*.  Every completed task of
-//! a [`crate::sweep::StudyRunner`] is persisted as one small JSON document
+//! a sweep ([`crate::Runner::sweep`]) is persisted as one small JSON document
 //! keyed by the pair **(study fingerprint, task key)**: the file name is the
 //! content address (an FNV-1a hash of both), and the document embeds the
 //! exact fingerprint and key it was stored under plus the task's result

@@ -12,43 +12,43 @@
 //!   ([`RfiLeg`], the paper's Fig. 7 comparison);
 //! * [`StudySpec::expand`] — deterministic expansion into the flat task
 //!   matrix ([`StudyTask`]), one task per cell;
-//! * [`StudyRunner`] — executes the matrix across the [`Parallelism`]
-//!   worker pool with **per-task scheduling** (a slow workload's last object
+//! * [`Runner::sweep`] — executes the matrix across the runner's worker
+//!   pool with **per-task scheduling** (a slow workload's last object
 //!   does not serialize the whole sweep behind it), optionally persisting
-//!   every completed task to a [`ResultStore`] so a killed sweep resumes
-//!   with cache hits;
+//!   every completed task to its [`ResultStore`](crate::ResultStore) so a
+//!   killed sweep resumes with cache hits;
 //! * the fold — results are assembled into a
 //!   [`moard_core::StudyReport`] in task-matrix order, so the report is
 //!   byte-identical whether the sweep ran sequentially, in parallel, cold,
 //!   or resumed from a partial store.
 //!
 //! ```no_run
-//! use moard_inject::{StudyRunner, StudySpec, WorkloadSelector};
+//! use moard_inject::{ResultStore, Runner, StudySpec, WorkloadSelector};
 //!
 //! let spec = StudySpec::default()
 //!     .workloads(WorkloadSelector::All)
 //!     .strides(vec![4])
 //!     .max_dfis(vec![Some(5_000)]);
-//! let report = StudyRunner::new(spec)
-//!     .store("sweep-store")?      // persist completed tasks
-//!     .resume(true)               // reuse anything already there
-//!     .run()?;
+//! let runner = Runner {
+//!     store: Some(ResultStore::open("sweep-store")?), // persist completed tasks
+//!     resume: true,                                   // reuse anything already there
+//!     ..Runner::default()
+//! };
+//! let (report, _stats) = runner.sweep(&spec, moard_workloads::builtin_registry())?;
 //! println!("{}", report.to_json().to_pretty());
 //! # Ok::<(), moard_core::MoardError>(())
 //! ```
 
 use crate::campaign::Parallelism;
-use crate::cancel::CancelToken;
-use crate::harness::{create_workload, HarnessCache, WorkloadHarness};
+use crate::harness::{create_workload, WorkloadHarness};
 use crate::random::RfiConfig;
-use crate::store::ResultStore;
+use crate::runner::Runner;
 use moard_core::{
     fingerprint_hex, run_indexed, AdvfReport, AnalysisConfig, ErrorPatternSet, MoardError,
     RfiEntry, RfiSummary, StudyEntry, StudyReport,
 };
 use moard_json::{FromJson, Json, JsonError, ToJson};
 use moard_workloads::WorkloadRegistry;
-use std::sync::Arc;
 
 /// Which workloads a study covers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -682,174 +682,61 @@ pub struct SweepStats {
     pub harnesses_prepared: usize,
 }
 
-/// Executes a [`StudySpec`]: expands the task matrix, schedules it per-task
-/// across the worker pool, persists/reuses completed tasks through an
-/// optional [`ResultStore`], and folds the results into a
-/// [`StudyReport`].
-pub struct StudyRunner {
-    spec: StudySpec,
-    parallelism: Parallelism,
-    store: Option<ResultStore>,
-    resume: bool,
-    cancel: CancelToken,
-    harness_cache: Arc<HarnessCache>,
-}
-
-impl StudyRunner {
-    /// A runner for the given specification (workers: [`Parallelism::Auto`],
-    /// no store).
-    pub fn new(spec: StudySpec) -> StudyRunner {
-        StudyRunner {
-            spec,
-            parallelism: Parallelism::Auto,
-            store: None,
-            resume: false,
-            cancel: CancelToken::new(),
-            harness_cache: Arc::default(),
-        }
-    }
-
-    /// The specification this runner executes.
-    pub fn spec(&self) -> &StudySpec {
-        &self.spec
-    }
-
-    /// Worker-thread policy for the task matrix.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Persist completed tasks to a store rooted at `dir` (created if
-    /// missing).  Reading previously stored results additionally requires
-    /// [`StudyRunner::resume`].
-    pub fn store(mut self, dir: impl Into<std::path::PathBuf>) -> Result<Self, MoardError> {
-        self.store = Some(ResultStore::open(dir)?);
-        Ok(self)
-    }
-
-    /// Use an already opened [`ResultStore`].
-    pub fn with_store(mut self, store: ResultStore) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// When `true`, tasks already present in the store are folded as cache
-    /// hits instead of recomputed.  Requires a store to have any effect.
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// Observe a cooperative [`CancelToken`]: the sweep stops at the next
-    /// task boundary once the token is cancelled and returns
-    /// [`MoardError::Cancelled`].  Tasks completed before the stop are
-    /// already persisted (with a store), so a cancelled sweep resumes
-    /// byte-identically.
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// Look workload harnesses up in (and warm them into) a shared
-    /// [`HarnessCache`] instead of a private one with the in-memory trace
-    /// backend — the daemon's warm-harness path.  The cache's backend is
-    /// the runner's: never part of any task fingerprint, since reports are
-    /// bit-identical across backends.
-    pub fn harness_cache(mut self, cache: Arc<HarnessCache>) -> Self {
-        self.harness_cache = cache;
-        self
-    }
-
-    /// Run the study against the built-in workload registry.
-    pub fn run(&self) -> Result<StudyReport, MoardError> {
-        self.run_in(moard_workloads::builtin_registry())
-    }
-
-    /// Run the study against a caller-supplied registry (e.g. one extended
-    /// with the ABFT variants).
-    pub fn run_in(&self, registry: &dyn WorkloadRegistry) -> Result<StudyReport, MoardError> {
-        Ok(self.run_detailed_in(registry)?.0)
-    }
-
-    /// [`StudyRunner::run`] returning the execution statistics alongside the
-    /// report.
-    pub fn run_detailed(&self) -> Result<(StudyReport, SweepStats), MoardError> {
-        self.run_detailed_in(moard_workloads::builtin_registry())
-    }
-
-    /// [`StudyRunner::run_in`] returning the execution statistics alongside
-    /// the report.
-    pub fn run_detailed_in(
+impl Runner {
+    /// Execute a [`StudySpec`]: expand the task matrix, schedule it per
+    /// task across the worker pool, persist and reuse completed tasks
+    /// through the store, and fold the results into a [`StudyReport`],
+    /// with the run's statistics alongside.  The sweep stops at the next
+    /// task boundary once the cancel token is set; tasks completed before
+    /// the stop are already persisted, so it resumes byte-identically.
+    pub fn sweep(
         &self,
+        spec: &StudySpec,
         registry: &dyn WorkloadRegistry,
     ) -> Result<(StudyReport, SweepStats), MoardError> {
-        let tasks = self.spec.expand(registry)?;
-        let fingerprint = self.spec.fingerprint();
-        let workers = self.parallelism.worker_count();
+        let tasks = spec.expand(registry)?;
+        let fingerprint = spec.fingerprint();
 
         // 1. Consult the store.  A payload that fails to parse for its task
         //    (corruption, schema drift) is a miss, never an error.
         let cached: Vec<Option<TaskResult>> = tasks
             .iter()
             .map(|task| {
-                if !self.resume {
-                    return None;
-                }
-                let store = self.store.as_ref()?;
-                let payload = store.load(fingerprint, &task.key())?;
-                task.parse_payload(&payload).ok()
+                task.parse_payload(&self.load(fingerprint, &task.key())?)
+                    .ok()
             })
             .collect();
 
-        // 2. Prepare one harness per workload that still has work.  A fully
-        //    cached workload is never built, run, or traced — that is what
-        //    makes resuming a finished sweep near-instant.  Preparation
-        //    itself fans out over the pool.
-        let mut need: Vec<&str> = Vec::new();
-        for (task, hit) in tasks.iter().zip(&cached) {
-            if hit.is_none() && !need.contains(&task.workload.as_str()) {
-                need.push(&task.workload);
-            }
-        }
-        let harnesses: Vec<Arc<WorkloadHarness>> = run_indexed(workers, need.len(), |i| {
-            self.harness_cache.get_or_prepare(registry, need[i])
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        let harness_for = |workload: &str| -> &WorkloadHarness {
-            let i = need
+        // 2. Prepare one harness per workload that still has work.
+        let harnesses = self.prepare(
+            registry,
+            tasks
                 .iter()
-                .position(|n| *n == workload)
-                .expect("every miss task's workload harness was prepared");
-            &harnesses[i]
-        };
-        // Explicitly selected objects fail fast, before any analysis time.
-        if let ObjectSelector::Named(objects) = &self.spec.objects {
-            for harness in &harnesses {
-                for object in objects {
-                    harness.object_id(object)?;
-                }
-            }
-        }
+                .zip(&cached)
+                .filter(|(_, hit)| hit.is_none())
+                .map(|(task, _)| task.workload.as_str()),
+            &spec.objects,
+        )?;
 
         // 3. Execute the misses, task-at-a-time across the pool, persisting
         //    each completed task immediately so an interrupted sweep keeps
         //    everything it finished.
-        let executed = run_indexed(workers, tasks.len(), |i| -> Result<_, MoardError> {
-            if cached[i].is_some() {
-                return Ok(None);
-            }
-            // Cooperative cancellation checkpoint: tasks that already
-            // completed (and persisted) stay; everything else is abandoned.
-            self.cancel.checkpoint()?;
-            let task = &tasks[i];
-            let payload = task.execute(harness_for(&task.workload))?;
-            if let Some(store) = &self.store {
-                store.save(fingerprint, &task.key(), &payload)?;
-            }
-            Ok(Some(task.parse_payload(&payload)?))
-        })
+        let executed = run_indexed(
+            self.parallelism.worker_count(),
+            tasks.len(),
+            |i| -> Result<_, MoardError> {
+                if cached[i].is_some() {
+                    return Ok(None);
+                }
+                // Cooperative cancellation checkpoint: tasks that already
+                // completed (and persisted) stay; everything else is abandoned.
+                self.cancel.checkpoint()?;
+                let task = &tasks[i];
+                let payload = task.execute(harnesses.get(&task.workload))?;
+                self.save(fingerprint, &task.key(), &payload)?;
+                Ok(Some(task.parse_payload(&payload)?))
+            },
+        )
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
 
@@ -857,7 +744,7 @@ impl StudyRunner {
         //    resumed runs.
         let mut stats = SweepStats {
             tasks: tasks.len(),
-            harnesses_prepared: need.len(),
+            harnesses_prepared: harnesses.len(),
             ..Default::default()
         };
         let mut report = StudyReport {
@@ -908,13 +795,32 @@ impl StudyRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::HarnessCache;
+    use crate::minimize::MinimizeSpec;
     use crate::session::Session;
+    use crate::store::ResultStore;
+    use moard_workloads::builtin_registry;
+    use std::sync::Arc;
 
     fn quick_spec() -> StudySpec {
         StudySpec::default()
             .workloads(WorkloadSelector::Named(vec!["mm".into()]))
             .strides(vec![16])
             .max_dfis(vec![Some(200)])
+    }
+
+    /// The report of `spec` under `runner`, over the built-in workloads.
+    fn sweep(runner: &Runner, spec: &StudySpec) -> Result<StudyReport, MoardError> {
+        Ok(runner.sweep(spec, builtin_registry())?.0)
+    }
+
+    /// A default runner over the store at `dir`.
+    fn stored(dir: &std::path::Path, resume: bool) -> Runner {
+        Runner {
+            store: Some(ResultStore::open(dir).unwrap()),
+            resume,
+            ..Runner::default()
+        }
     }
 
     fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -930,7 +836,7 @@ mod tests {
             .windows(vec![20, 50])
             .strides(vec![8, 16])
             .rfi_leg(vec![50, 100], 7);
-        let tasks = spec.expand(moard_workloads::builtin_registry()).unwrap();
+        let tasks = spec.expand(builtin_registry()).unwrap();
         // MM has one target object (C): 2 windows × 2 strides × 1 cap aDVF
         // tasks, then 2 RFI tasks.
         assert_eq!(tasks.len(), 6);
@@ -964,10 +870,7 @@ mod tests {
         keys.dedup();
         assert_eq!(keys.len(), 6);
         // Expansion order is stable.
-        assert_eq!(
-            tasks,
-            spec.expand(moard_workloads::builtin_registry()).unwrap()
-        );
+        assert_eq!(tasks, spec.expand(builtin_registry()).unwrap());
     }
 
     #[test]
@@ -978,7 +881,7 @@ mod tests {
                 "matmul".into(),
                 "MM".into(),
             ]))
-            .expand(moard_workloads::builtin_registry())
+            .expand(builtin_registry())
             .unwrap();
         assert_eq!(tasks.len(), 1, "aliases of MM must not duplicate its cell");
         assert_eq!(tasks[0].workload, "MM");
@@ -1036,38 +939,34 @@ mod tests {
     #[test]
     fn cancelled_sweep_is_a_typed_error_and_resumes_cleanly() {
         let dir = temp_dir("cancel");
-        let token = CancelToken::new();
-        token.cancel();
-        let err = StudyRunner::new(quick_spec())
-            .store(&dir)
-            .unwrap()
-            .cancel_token(token)
-            .run()
+        let cancelled = stored(&dir, false);
+        cancelled.cancel.cancel();
+        let err = sweep(&cancelled, &quick_spec()).unwrap_err();
+        assert_eq!(err, MoardError::Cancelled);
+        // A minimization through the same runner stops at its first oracle
+        // probe.
+        let err = cancelled
+            .minimize(
+                &MinimizeSpec::cell("mm", "C").stride(16),
+                builtin_registry(),
+            )
             .unwrap_err();
         assert_eq!(err, MoardError::Cancelled);
-        let full = StudyRunner::new(quick_spec()).run().unwrap();
-        let resumed = StudyRunner::new(quick_spec())
-            .store(&dir)
-            .unwrap()
-            .resume(true)
-            .run()
-            .unwrap();
+        let full = sweep(&Runner::default(), &quick_spec()).unwrap();
+        let resumed = sweep(&stored(&dir, true), &quick_spec()).unwrap();
         assert_eq!(resumed.to_json_string(), full.to_json_string());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn sweep_populates_and_reuses_a_shared_harness_cache() {
-        let cache = Arc::new(HarnessCache::new());
-        let a = StudyRunner::new(quick_spec())
-            .harness_cache(cache.clone())
-            .run()
-            .unwrap();
-        assert_eq!(cache.prepared(), vec!["MM".to_string()]);
-        let b = StudyRunner::new(quick_spec())
-            .harness_cache(cache)
-            .run()
-            .unwrap();
+        let runner = Runner {
+            harnesses: Arc::new(HarnessCache::new()),
+            ..Runner::default()
+        };
+        let a = sweep(&runner, &quick_spec()).unwrap();
+        assert_eq!(runner.harnesses.prepared(), vec!["MM".to_string()]);
+        let b = sweep(&runner, &quick_spec()).unwrap();
         assert_eq!(a.to_json_string(), b.to_json_string());
     }
 
@@ -1075,7 +974,7 @@ mod tests {
     fn unknown_workloads_and_degenerate_specs_are_typed_errors() {
         let err = quick_spec()
             .workloads(WorkloadSelector::Named(vec!["warp-drive".into()]))
-            .expand(moard_workloads::builtin_registry())
+            .expand(builtin_registry())
             .unwrap_err();
         assert!(matches!(err, MoardError::UnknownWorkload { .. }));
         assert!(matches!(
@@ -1116,7 +1015,7 @@ mod tests {
 
     #[test]
     fn sweep_matches_the_session_facade_bit_for_bit() {
-        let report = StudyRunner::new(quick_spec()).run().unwrap();
+        let report = sweep(&Runner::default(), &quick_spec()).unwrap();
         assert_eq!(report.entries.len(), 1);
         let session = Session::for_workload("mm")
             .unwrap()
@@ -1136,14 +1035,12 @@ mod tests {
     #[test]
     fn parallel_and_sequential_sweeps_are_byte_identical() {
         let spec = quick_spec().windows(vec![20, 50]).rfi_leg(vec![40], 0xF1F1);
-        let seq = StudyRunner::new(spec.clone())
-            .parallelism(Parallelism::Sequential)
-            .run()
-            .unwrap();
-        let par = StudyRunner::new(spec)
-            .parallelism(Parallelism::Fixed(8))
-            .run()
-            .unwrap();
+        let with = |parallelism| Runner {
+            parallelism,
+            ..Runner::default()
+        };
+        let seq = sweep(&with(Parallelism::Sequential), &spec).unwrap();
+        let par = sweep(&with(Parallelism::Fixed(8)), &spec).unwrap();
         assert_eq!(seq, par);
         assert_eq!(seq.to_json_string(), par.to_json_string());
     }
@@ -1151,7 +1048,7 @@ mod tests {
     #[test]
     fn rfi_leg_matches_a_direct_campaign() {
         let spec = quick_spec().rfi_leg(vec![60], 0xABCD);
-        let report = StudyRunner::new(spec).run().unwrap();
+        let report = sweep(&Runner::default(), &spec).unwrap();
         assert_eq!(report.rfi.len(), 1);
         let harness = WorkloadHarness::by_name("mm").unwrap();
         let direct = harness
@@ -1179,21 +1076,14 @@ mod tests {
     fn resumed_sweep_hits_the_cache_and_reproduces_the_report() {
         let dir = temp_dir("resume");
         let spec = quick_spec().rfi_leg(vec![30], 1);
-        let (cold, stats) = StudyRunner::new(spec.clone())
-            .store(&dir)
-            .unwrap()
-            .run_detailed()
+        let (cold, stats) = stored(&dir, false)
+            .sweep(&spec, builtin_registry())
             .unwrap();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.executed, stats.tasks);
         assert_eq!(stats.harnesses_prepared, 1);
 
-        let (resumed, stats) = StudyRunner::new(spec.clone())
-            .store(&dir)
-            .unwrap()
-            .resume(true)
-            .run_detailed()
-            .unwrap();
+        let (resumed, stats) = stored(&dir, true).sweep(&spec, builtin_registry()).unwrap();
         assert_eq!(stats.cache_hits, stats.tasks);
         assert_eq!(stats.executed, 0);
         // A fully cached sweep never prepares a single harness.
@@ -1202,10 +1092,8 @@ mod tests {
         assert_eq!(resumed.to_json_string(), cold.to_json_string());
 
         // Without `resume`, the store is write-only: everything recomputes.
-        let (recomputed, stats) = StudyRunner::new(spec)
-            .store(&dir)
-            .unwrap()
-            .run_detailed()
+        let (recomputed, stats) = stored(&dir, false)
+            .sweep(&spec, builtin_registry())
             .unwrap();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(recomputed, cold);
@@ -1215,7 +1103,7 @@ mod tests {
     #[test]
     fn unknown_named_object_fails_fast() {
         let spec = quick_spec().objects(ObjectSelector::Named(vec!["nope".into()]));
-        let err = StudyRunner::new(spec).run().unwrap_err();
+        let err = sweep(&Runner::default(), &spec).unwrap_err();
         assert!(matches!(err, MoardError::UnknownObject { .. }));
     }
 }

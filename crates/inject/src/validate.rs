@@ -10,17 +10,18 @@
 //!   the aDVF analysis configuration, the confidence level, the **target
 //!   margin** at which a cell's campaign may stop early, the per-cell trial
 //!   cap, and the base RNG seed;
-//! * [`ValidationRunner`] — runs one adaptive RFI campaign per cell with
+//! * [`Runner::validate`] — runs one adaptive RFI campaign per cell with
 //!   **sequential sampling**: trials are drawn in fixed-size shards, each
 //!   shard from its own RNG stream derived from `(seed, cell, shard
-//!   index)`, executed across the [`Parallelism`] pool and folded in shard
+//!   index)`, executed across the runner's worker pool and folded in shard
 //!   order — so the folded tally after any number of shards, and therefore
 //!   the stopping point itself, is bit-identical regardless of thread
 //!   count.  A cell stops as soon as the Wilson half-width of its success
 //!   rate reaches the target margin, or at the trial cap;
 //! * both legs of every cell (the aDVF report and the folded campaign) are
-//!   cached in the content-addressed [`ResultStore`] under the spec
-//!   fingerprint, so a killed campaign resumes byte-identically;
+//!   cached in the content-addressed [`ResultStore`](crate::ResultStore)
+//!   under the spec fingerprint, so a killed campaign resumes
+//!   byte-identically;
 //! * the fold produces a [`ValidationReport`]: per-cell prediction,
 //!   observed rate with its Wilson interval, agree/disagree verdict, and
 //!   per-workload rank correlations.
@@ -35,17 +36,19 @@
 //! measurement of the model's analytic rules.
 //!
 //! ```no_run
-//! use moard_inject::{ValidationRunner, ValidationSpec, WorkloadSelector};
+//! use moard_inject::{ResultStore, Runner, ValidationSpec, WorkloadSelector};
 //!
 //! let spec = ValidationSpec::default()
 //!     .workloads(WorkloadSelector::Table1)
 //!     .stride(8)
 //!     .target_margin(0.05)
 //!     .max_trials(2_000);
-//! let report = ValidationRunner::new(spec)
-//!     .store("validate-store")?   // persist completed cells…
-//!     .resume(true)               // …and reuse anything already there
-//!     .run()?;
+//! let runner = Runner {
+//!     store: Some(ResultStore::open("validate-store")?), // persist completed cells…
+//!     resume: true,                                      // …and reuse anything already there
+//!     ..Runner::default()
+//! };
+//! let (report, _stats) = runner.validate(&spec, moard_workloads::builtin_registry())?;
 //! for cell in &report.cells {
 //!     println!(
 //!         "{:8} {:14} aDVF {:.3} vs RFI {:.3} ±{:.3} → {}",
@@ -60,12 +63,11 @@
 //! # Ok::<(), moard_core::MoardError>(())
 //! ```
 
-use crate::campaign::{run_shard_campaign, Parallelism};
-use crate::cancel::CancelToken;
-use crate::harness::{HarnessCache, WorkloadHarness};
+use crate::campaign::run_shard_campaign;
+use crate::harness::WorkloadHarness;
 use crate::random::PatternSampler;
+use crate::runner::Runner;
 use crate::stats::CampaignStats;
-use crate::store::ResultStore;
 use crate::sweep::{resolve_cells, ObjectSelector, WorkloadSelector};
 use moard_core::{
     fingerprint_hex, fnv1a, run_indexed, AdvfReport, AnalysisConfig, MoardError, RfiCampaign,
@@ -73,7 +75,6 @@ use moard_core::{
 };
 use moard_json::{FromJson, Json, JsonError, ToJson};
 use moard_workloads::WorkloadRegistry;
-use std::sync::Arc;
 
 /// Declarative specification of a model-validation campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -432,165 +433,47 @@ pub struct ValidationStats {
     pub harnesses_prepared: usize,
 }
 
-/// Executes a [`ValidationSpec`]: expands the cell matrix, runs the aDVF
-/// legs cell-parallel and the adaptive campaigns shard-parallel, persists
-/// and reuses completed legs through an optional [`ResultStore`], and folds
-/// everything into a [`ValidationReport`].
-pub struct ValidationRunner {
-    spec: ValidationSpec,
-    parallelism: Parallelism,
-    store: Option<ResultStore>,
-    resume: bool,
-    cancel: CancelToken,
-    harness_cache: Arc<HarnessCache>,
-}
-
-impl ValidationRunner {
-    /// A runner for the given specification (workers: [`Parallelism::Auto`],
-    /// no store).
-    pub fn new(spec: ValidationSpec) -> ValidationRunner {
-        ValidationRunner {
-            spec,
-            parallelism: Parallelism::Auto,
-            store: None,
-            resume: false,
-            cancel: CancelToken::new(),
-            harness_cache: Arc::default(),
-        }
-    }
-
-    /// The specification this runner executes.
-    pub fn spec(&self) -> &ValidationSpec {
-        &self.spec
-    }
-
-    /// Worker-thread policy for both legs.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
-    /// Persist completed cell legs to a store rooted at `dir` (created if
-    /// missing).  Reading previously stored legs additionally requires
-    /// [`ValidationRunner::resume`].
-    pub fn store(mut self, dir: impl Into<std::path::PathBuf>) -> Result<Self, MoardError> {
-        self.store = Some(ResultStore::open(dir)?);
-        Ok(self)
-    }
-
-    /// Use an already opened [`ResultStore`].
-    pub fn with_store(mut self, store: ResultStore) -> Self {
-        self.store = Some(store);
-        self
-    }
-
-    /// When `true`, cell legs already present in the store are folded as
-    /// cache hits instead of recomputed.  Requires a store to have any
-    /// effect.
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
-        self
-    }
-
-    /// Observe `token` at the campaign's checkpoints (between aDVF legs,
-    /// between cells, and between shard rounds): once cancelled the run
-    /// returns [`MoardError::Cancelled`], leaving every leg persisted so
-    /// far valid for resumption.
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
-    }
-
-    /// Reuse prepared harnesses from (and publish new ones to) a shared
-    /// [`HarnessCache`] instead of a private one with the in-memory trace
-    /// backend — the daemon's warm-workload path.  The cache's backend is
-    /// the runner's: never part of any cell fingerprint, since reports are
-    /// bit-identical across backends.
-    pub fn harness_cache(mut self, cache: Arc<HarnessCache>) -> Self {
-        self.harness_cache = cache;
-        self
-    }
-
-    /// Run the campaign against the built-in workload registry.
-    pub fn run(&self) -> Result<ValidationReport, MoardError> {
-        self.run_in(moard_workloads::builtin_registry())
-    }
-
-    /// Run the campaign against a caller-supplied registry.
-    pub fn run_in(&self, registry: &dyn WorkloadRegistry) -> Result<ValidationReport, MoardError> {
-        Ok(self.run_detailed_in(registry)?.0)
-    }
-
-    /// [`ValidationRunner::run`] returning the execution statistics
-    /// alongside the report.
-    pub fn run_detailed(&self) -> Result<(ValidationReport, ValidationStats), MoardError> {
-        self.run_detailed_in(moard_workloads::builtin_registry())
-    }
-
-    /// [`ValidationRunner::run_in`] returning the execution statistics
-    /// alongside the report.
-    pub fn run_detailed_in(
+impl Runner {
+    /// Execute a [`ValidationSpec`]: expand the cell matrix, run the aDVF
+    /// legs cell-parallel and the adaptive campaigns shard-parallel, persist
+    /// and reuse completed legs through the store, and fold everything into
+    /// a [`ValidationReport`], with the run's statistics alongside.  The
+    /// cancel token is observed between aDVF legs, between cells and
+    /// between shard rounds; every leg persisted before the stop stays
+    /// valid for resumption.
+    pub fn validate(
         &self,
+        spec: &ValidationSpec,
         registry: &dyn WorkloadRegistry,
     ) -> Result<(ValidationReport, ValidationStats), MoardError> {
-        let spec = &self.spec;
         let cells = spec.expand(registry)?;
         let fingerprint = spec.fingerprint();
         let workers = self.parallelism.worker_count();
 
         // 1. Consult the store per leg.  A payload that fails to parse
         //    (corruption, schema drift) is a miss, never an error.
-        let load = |key: &str| -> Option<moard_json::Json> {
-            if !self.resume {
-                return None;
-            }
-            self.store.as_ref()?.load(fingerprint, key)
-        };
         let cached_advf: Vec<Option<AdvfReport>> = cells
             .iter()
             .map(|cell| {
-                let payload = load(&cell.advf_key(&spec.config, spec.use_dfi))?;
+                let payload = self.load(fingerprint, &cell.advf_key(&spec.config, spec.use_dfi))?;
                 AdvfReport::from_json(&payload).ok()
             })
             .collect();
         let cached_rfi: Vec<Option<RfiCampaign>> = cells
             .iter()
-            .map(|cell| {
-                let payload = load(&cell.rfi_key())?;
-                RfiCampaign::from_json(&payload).ok()
-            })
+            .map(|cell| RfiCampaign::from_json(&self.load(fingerprint, &cell.rfi_key())?).ok())
             .collect();
 
-        // 2. Prepare one harness per workload that still has work, in
-        //    parallel.  A fully cached workload is never built or traced.
-        let mut need: Vec<&str> = Vec::new();
-        for (i, cell) in cells.iter().enumerate() {
-            if (cached_advf[i].is_none() || cached_rfi[i].is_none())
-                && !need.contains(&cell.workload.as_str())
-            {
-                need.push(&cell.workload);
-            }
-        }
-        let harnesses: Vec<Arc<WorkloadHarness>> = run_indexed(workers, need.len(), |i| {
-            self.harness_cache.get_or_prepare(registry, need[i])
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        let harness_for = |workload: &str| -> &WorkloadHarness {
-            let i = need
+        // 2. Prepare one harness per workload that still has work.
+        let harnesses = self.prepare(
+            registry,
+            cells
                 .iter()
-                .position(|n| *n == workload)
-                .expect("every miss cell's workload harness was prepared");
-            &harnesses[i]
-        };
-        // Explicitly selected objects fail fast, before any campaign time.
-        if let ObjectSelector::Named(objects) = &spec.objects {
-            for harness in &harnesses {
-                for object in objects {
-                    harness.object_id(object)?;
-                }
-            }
-        }
+                .enumerate()
+                .filter(|(i, _)| cached_advf[*i].is_none() || cached_rfi[*i].is_none())
+                .map(|(_, cell)| cell.workload.as_str()),
+            &spec.objects,
+        )?;
 
         // 3. aDVF legs, cell-parallel across the pool.
         let fresh_advf = run_indexed(workers, cells.len(), |i| -> Result<_, MoardError> {
@@ -601,19 +484,17 @@ impl ValidationRunner {
             // stay; everything else is abandoned.
             self.cancel.checkpoint()?;
             let cell = &cells[i];
-            let harness = harness_for(&cell.workload);
+            let harness = harnesses.get(&cell.workload);
             let report = if spec.use_dfi {
                 harness.analyze(&cell.object, spec.config.clone())?
             } else {
                 harness.analyze_without_dfi(&cell.object, spec.config.clone())?
             };
-            if let Some(store) = &self.store {
-                store.save(
-                    fingerprint,
-                    &cell.advf_key(&spec.config, spec.use_dfi),
-                    &report.to_json(),
-                )?;
-            }
+            self.save(
+                fingerprint,
+                &cell.advf_key(&spec.config, spec.use_dfi),
+                &report.to_json(),
+            )?;
             Ok(Some(report))
         })
         .into_iter()
@@ -624,7 +505,7 @@ impl ValidationRunner {
         //    oversubscribe the machine and complicate the store writes).
         let mut stats = ValidationStats {
             cells: cells.len(),
-            harnesses_prepared: need.len(),
+            harnesses_prepared: harnesses.len(),
             ..Default::default()
         };
         let mut fresh_rfi: Vec<Option<RfiCampaign>> = Vec::with_capacity(cells.len());
@@ -634,11 +515,9 @@ impl ValidationRunner {
                 continue;
             }
             self.cancel.checkpoint()?;
-            let campaign = self.run_cell_campaign(cell, harness_for(&cell.workload))?;
+            let campaign = self.run_cell_campaign(spec, cell, harnesses.get(&cell.workload))?;
             stats.trials_executed += campaign.trials();
-            if let Some(store) = &self.store {
-                store.save(fingerprint, &cell.rfi_key(), &campaign.to_json())?;
-            }
+            self.save(fingerprint, &cell.rfi_key(), &campaign.to_json())?;
             fresh_rfi.push(Some(campaign));
         }
 
@@ -697,10 +576,10 @@ impl ValidationRunner {
     /// spec.
     fn run_cell_campaign(
         &self,
+        spec: &ValidationSpec,
         cell: &ValidationCellSpec,
         harness: &WorkloadHarness,
     ) -> Result<RfiCampaign, MoardError> {
-        let spec = &self.spec;
         // The aDVF analyzer makes the same call internally: both legs are
         // guaranteed the identical site population.
         let sites = harness.strided_sites(&cell.object, spec.config.site_stride)?;
@@ -755,7 +634,26 @@ impl ValidationRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::Parallelism;
+    use crate::harness::HarnessCache;
+    use crate::store::ResultStore;
     use moard_core::CellVerdict;
+    use moard_workloads::builtin_registry;
+    use std::sync::Arc;
+
+    /// The report of `spec` under `runner`, over the built-in workloads.
+    fn validate(runner: &Runner, spec: ValidationSpec) -> Result<ValidationReport, MoardError> {
+        Ok(runner.validate(&spec, builtin_registry())?.0)
+    }
+
+    /// A default runner over the store at `dir`.
+    fn stored(dir: &std::path::Path, resume: bool) -> Runner {
+        Runner {
+            store: Some(ResultStore::open(dir).unwrap()),
+            resume,
+            ..Runner::default()
+        }
+    }
 
     fn quick_spec() -> ValidationSpec {
         ValidationSpec::default()
@@ -782,7 +680,7 @@ mod tests {
             "mm".into(),
             "matmul".into(),
         ]));
-        let cells = spec.expand(moard_workloads::builtin_registry()).unwrap();
+        let cells = spec.expand(builtin_registry()).unwrap();
         // CG has two targets, MM one; the `matmul` alias must not duplicate.
         assert_eq!(cells.len(), 3);
         assert_eq!(cells[0].workload, "CG");
@@ -817,7 +715,7 @@ mod tests {
         assert!(matches!(
             quick_spec()
                 .workloads(WorkloadSelector::Named(vec!["warp-drive".into()]))
-                .expand(moard_workloads::builtin_registry()),
+                .expand(builtin_registry()),
             Err(MoardError::UnknownWorkload { .. })
         ));
     }
@@ -850,14 +748,12 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_across_thread_counts() {
-        let seq = ValidationRunner::new(quick_spec())
-            .parallelism(Parallelism::Sequential)
-            .run()
-            .unwrap();
-        let par = ValidationRunner::new(quick_spec())
-            .parallelism(Parallelism::Fixed(8))
-            .run()
-            .unwrap();
+        let with = |parallelism| Runner {
+            parallelism,
+            ..Runner::default()
+        };
+        let seq = validate(&with(Parallelism::Sequential), quick_spec()).unwrap();
+        let par = validate(&with(Parallelism::Fixed(8)), quick_spec()).unwrap();
         assert_eq!(seq, par);
         assert_eq!(seq.to_json_string(), par.to_json_string());
         assert_eq!(seq.cells.len(), 1);
@@ -875,17 +771,21 @@ mod tests {
     #[test]
     fn adaptive_stopping_rule_reaches_margin_or_cap() {
         // A loose margin converges before the cap…
-        let loose = ValidationRunner::new(quick_spec().target_margin(0.3).max_trials(2_000))
-            .run()
-            .unwrap();
+        let loose = validate(
+            &Runner::default(),
+            quick_spec().target_margin(0.3).max_trials(2_000),
+        )
+        .unwrap();
         let cell = &loose.cells[0];
         assert!(cell.rfi.converged);
         assert!(cell.rfi.margin(loose.confidence) <= 0.3);
         assert!(cell.rfi.trials() < 2_000);
         // …a tight one stops at the cap with `converged = false`.
-        let tight = ValidationRunner::new(quick_spec().target_margin(0.01).max_trials(64))
-            .run()
-            .unwrap();
+        let tight = validate(
+            &Runner::default(),
+            quick_spec().target_margin(0.01).max_trials(64),
+        )
+        .unwrap();
         let cell = &tight.cells[0];
         assert!(!cell.rfi.converged);
         assert_eq!(cell.rfi.trials(), 64);
@@ -896,7 +796,7 @@ mod tests {
     fn mm_cell_agrees_with_the_model() {
         // MM's C: the model and a site-matched campaign must agree within
         // the default tolerance, and the verdict machinery must say so.
-        let report = ValidationRunner::new(quick_spec()).run().unwrap();
+        let report = validate(&Runner::default(), quick_spec()).unwrap();
         let cell = &report.cells[0];
         assert!(
             report.agrees(cell),
@@ -923,10 +823,8 @@ mod tests {
     fn resumed_campaign_hits_the_cache_and_reproduces_the_report() {
         let dir = temp_dir("resume");
         let spec = quick_spec();
-        let (cold, stats) = ValidationRunner::new(spec.clone())
-            .store(&dir)
-            .unwrap()
-            .run_detailed()
+        let (cold, stats) = stored(&dir, false)
+            .validate(&spec, builtin_registry())
             .unwrap();
         assert_eq!(stats.cache_hits, 0);
         assert_eq!(stats.advf_executed, 1);
@@ -934,11 +832,8 @@ mod tests {
         assert!(stats.trials_executed > 0);
         assert_eq!(stats.harnesses_prepared, 1);
 
-        let (resumed, stats) = ValidationRunner::new(spec.clone())
-            .store(&dir)
-            .unwrap()
-            .resume(true)
-            .run_detailed()
+        let (resumed, stats) = stored(&dir, true)
+            .validate(&spec, builtin_registry())
             .unwrap();
         assert_eq!(stats.cache_hits, 2);
         assert_eq!(stats.advf_executed + stats.rfi_executed, 0);
@@ -951,13 +846,10 @@ mod tests {
         // Drop one leg: only that leg recomputes, and the report is still
         // byte-identical.
         let store = ResultStore::open(&dir).unwrap();
-        let cells = spec.expand(moard_workloads::builtin_registry()).unwrap();
+        let cells = spec.expand(builtin_registry()).unwrap();
         std::fs::remove_file(store.path_for(spec.fingerprint(), &cells[0].rfi_key())).unwrap();
-        let (partial, stats) = ValidationRunner::new(spec)
-            .store(&dir)
-            .unwrap()
-            .resume(true)
-            .run_detailed()
+        let (partial, stats) = stored(&dir, true)
+            .validate(&spec, builtin_registry())
             .unwrap();
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.advf_executed, 0);
@@ -988,48 +880,35 @@ mod tests {
     #[test]
     fn cancelled_run_is_a_typed_error_and_the_store_stays_resumable() {
         let dir = temp_dir("cancel");
-        let token = CancelToken::new();
-        token.cancel();
-        let err = ValidationRunner::new(quick_spec())
-            .store(&dir)
-            .unwrap()
-            .cancel_token(token)
-            .run()
-            .unwrap_err();
+        let cancelled = stored(&dir, false);
+        cancelled.cancel.cancel();
+        let err = validate(&cancelled, quick_spec()).unwrap_err();
         assert_eq!(err, MoardError::Cancelled);
         // Whatever the cancelled run persisted (here: nothing past the
         // checkpoint) resumes into the exact uncancelled report.
-        let full = ValidationRunner::new(quick_spec()).run().unwrap();
-        let resumed = ValidationRunner::new(quick_spec())
-            .store(&dir)
-            .unwrap()
-            .resume(true)
-            .run()
-            .unwrap();
+        let full = validate(&Runner::default(), quick_spec()).unwrap();
+        let resumed = validate(&stored(&dir, true), quick_spec()).unwrap();
         assert_eq!(resumed, full);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn shared_harness_cache_is_populated_and_reused() {
-        let cache = Arc::new(HarnessCache::new());
-        let a = ValidationRunner::new(quick_spec())
-            .harness_cache(cache.clone())
-            .run()
-            .unwrap();
-        assert_eq!(cache.prepared(), vec!["MM".to_string()]);
-        let b = ValidationRunner::new(quick_spec())
-            .harness_cache(cache.clone())
-            .run()
-            .unwrap();
+        let runner = Runner {
+            harnesses: Arc::new(HarnessCache::new()),
+            ..Runner::default()
+        };
+        let a = validate(&runner, quick_spec()).unwrap();
+        assert_eq!(runner.harnesses.prepared(), vec!["MM".to_string()]);
+        let b = validate(&runner, quick_spec()).unwrap();
         assert_eq!(a, b);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(runner.harnesses.len(), 1);
     }
 
     #[test]
     fn unknown_named_object_fails_fast() {
         let spec = quick_spec().objects(ObjectSelector::Named(vec!["nope".into()]));
-        let err = ValidationRunner::new(spec).run().unwrap_err();
+        let err = validate(&Runner::default(), spec).unwrap_err();
         assert!(matches!(err, MoardError::UnknownObject { .. }));
     }
 }

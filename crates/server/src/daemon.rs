@@ -17,8 +17,9 @@
 //!                 │                       (cross-job concurrency comes from the
 //!                 ▼                        pool itself; nesting pools would
 //!   shared warm state                      oversubscribe the machine)
-//!     · `HarnessCache` — one prepared harness per workload, ever
-//!     · `ResultStore` — completed cells/tasks, shared across jobs
+//!     · one template `Runner`, cloned per job with the job's cancel token:
+//!         `HarnessCache` — one prepared harness per workload, ever
+//!         `ResultStore` — completed cells/tasks, shared across jobs
 //!     · `MetricsRegistry` — counters + latency histograms
 //! ```
 //!
@@ -38,10 +39,10 @@ use crate::metrics::MetricsRegistry;
 use crate::protocol::{
     read_frame, write_json, FrameError, Priority, Request, Response, MAX_FRAME_BYTES,
 };
-use moard_core::{MoardError, StudyReport, ValidationReport};
+use moard_core::MoardError;
 use moard_inject::{
-    CancelToken, HarnessCache, ObjectSelector, Parallelism, ResultStore, StudyRunner, StudySpec,
-    ValidationRunner, WorkloadSelector,
+    CancelToken, HarnessCache, ObjectSelector, Parallelism, ResultStore, Runner, StudySpec,
+    WorkloadSelector,
 };
 use moard_json::{Json, ToJson};
 use std::collections::{BinaryHeap, HashMap};
@@ -51,7 +52,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// Daemon configuration (the `moard-daemon` flags).
+/// Daemon configuration (the `moard serve` flags).  [`Daemon::start`]
+/// turns it into the [`Runner`] every job clones: sequential, resuming from
+/// `store`, with a harness cache on `trace_backend`.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
     /// Bind address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
@@ -138,8 +141,9 @@ impl Ord for QueuedJob {
 
 /// State shared by the accept loop, connection threads, and workers.
 struct Shared {
-    store: Option<ResultStore>,
-    harnesses: Arc<HarnessCache>,
+    /// Every job's runner, but for its cancel token: sequential, over the
+    /// daemon's store (resuming) and its warm-harness cache.
+    runner: Runner,
     metrics: MetricsRegistry,
     queue: Mutex<BinaryHeap<QueuedJob>>,
     queue_ready: Condvar,
@@ -265,6 +269,19 @@ impl Shared {
     /// ranges and runs its planned injections on every core
     /// (`AdvfAnalyzer::analyze`), which leaves its result unchanged.
     fn execute(&self, job: &JobState) -> Result<(Json, u64, u64), MoardError> {
+        let runner = Runner {
+            cancel: job.cancel.clone(),
+            ..self.runner.clone()
+        };
+        let registry = moard_workloads::builtin_registry();
+        let sweep = |spec: &StudySpec| -> Result<(Json, u64, u64), MoardError> {
+            let (report, stats) = runner.sweep(spec, registry)?;
+            Ok((
+                report.to_json(),
+                stats.cache_hits as u64,
+                stats.executed as u64,
+            ))
+        };
         match &job.request {
             Request::Analyze {
                 workload,
@@ -287,34 +304,11 @@ impl Shared {
                 if !use_dfi {
                     spec = spec.without_dfi();
                 }
-                let (report, stats) = self.study_runner(spec, &job.cancel).run_detailed()?;
-                Ok((
-                    report.to_json(),
-                    stats.cache_hits as u64,
-                    stats.executed as u64,
-                ))
+                sweep(&spec)
             }
-            Request::Sweep { spec, .. } => {
-                let (report, stats) = self
-                    .study_runner(spec.clone(), &job.cancel)
-                    .run_detailed()?;
-                let _: &StudyReport = &report;
-                Ok((
-                    report.to_json(),
-                    stats.cache_hits as u64,
-                    stats.executed as u64,
-                ))
-            }
+            Request::Sweep { spec, .. } => sweep(spec),
             Request::Validate { spec, .. } => {
-                let mut runner = ValidationRunner::new(spec.clone())
-                    .parallelism(Parallelism::Sequential)
-                    .cancel_token(job.cancel.clone())
-                    .harness_cache(self.harnesses.clone());
-                if let Some(store) = &self.store {
-                    runner = runner.with_store(store.clone()).resume(true);
-                }
-                let (report, stats) = runner.run_detailed()?;
-                let _: &ValidationReport = &report;
+                let (report, stats) = runner.validate(spec, registry)?;
                 Ok((
                     report.to_json(),
                     stats.cache_hits as u64,
@@ -322,12 +316,7 @@ impl Shared {
                 ))
             }
             Request::Minimize { spec, .. } => {
-                let report = moard_inject::run_minimize_in(
-                    moard_workloads::builtin_registry(),
-                    &self.harnesses,
-                    spec,
-                    &job.cancel,
-                )?;
+                let report = runner.minimize(spec, registry)?;
                 let cache_hits = report.cache_hits();
                 let executed = report.injections;
                 Ok((report.to_json(), cache_hits, executed))
@@ -339,30 +328,11 @@ impl Shared {
         }
     }
 
-    fn study_runner(&self, spec: StudySpec, cancel: &CancelToken) -> StudyRunner {
-        let mut runner = StudyRunner::new(spec)
-            .parallelism(Parallelism::Sequential)
-            .cancel_token(cancel.clone())
-            .harness_cache(self.harnesses.clone());
-        if let Some(store) = &self.store {
-            runner = runner.with_store(store.clone()).resume(true);
-        }
-        runner
-    }
-
     /// Answer to the `metrics` request.
     fn metrics_snapshot(&self) -> Json {
         self.metrics.to_json(
-            self.store.as_ref().map(|s| s.len()),
-            &self.harnesses.prepared(),
-        )
-    }
-
-    /// Text exposition of the same snapshot (for dumps and CI artifacts).
-    fn metrics_text(&self) -> String {
-        self.metrics.to_text(
-            self.store.as_ref().map(|s| s.len()),
-            &self.harnesses.prepared(),
+            self.runner.store.as_ref().map(|s| s.len()),
+            &self.runner.harnesses.prepared(),
         )
     }
 }
@@ -390,8 +360,13 @@ impl Daemon {
             None => None,
         };
         let shared = Arc::new(Shared {
-            store,
-            harnesses: Arc::new(HarnessCache::with_backend(config.trace_backend.clone())),
+            runner: Runner {
+                parallelism: Parallelism::Sequential,
+                resume: store.is_some(),
+                store,
+                harnesses: Arc::new(HarnessCache::with_backend(config.trace_backend.clone())),
+                ..Runner::default()
+            },
             metrics: MetricsRegistry::new(),
             queue: Mutex::new(BinaryHeap::new()),
             queue_ready: Condvar::new(),
@@ -579,10 +554,4 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
             return;
         }
     }
-}
-
-/// Render the daemon's metrics as the Prometheus-style text format (the
-/// `moard-daemon --dump-metrics` / CI artifact path goes through this).
-pub fn metrics_text(daemon: &Daemon) -> String {
-    daemon.shared.metrics_text()
 }

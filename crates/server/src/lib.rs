@@ -7,12 +7,12 @@
 //! and trace indexing before the first fault is injected; a CLI process
 //! pays that price on every invocation.  The daemon amortizes it: one
 //! process holds a [`moard_inject::HarnessCache`] of warm workload
-//! harnesses and one shared [`moard_inject::ResultStore`], accepts
-//! analyze/sweep/validate jobs over a simple length-framed JSON protocol
-//! ([`protocol`]), schedules them across a bounded worker pool by priority
-//! ([`daemon`]), serves repeated cells straight from the store, and
-//! reports per-operation latency histograms and cache counters
-//! ([`metrics`]).
+//! harnesses and one shared [`moard_inject::ResultStore`] (in one template
+//! [`moard_inject::Runner`]), accepts analyze/sweep/validate/minimize jobs
+//! over a simple length-framed JSON protocol ([`protocol`]), schedules them
+//! across a bounded worker pool by priority ([`daemon`]), serves repeated
+//! cells straight from the store, and reports per-operation latency
+//! histograms and cache counters ([`metrics`]).
 //!
 //! ```no_run
 //! use moard_server::{Client, Daemon, DaemonConfig, Priority, Request};
@@ -44,7 +44,7 @@ pub mod metrics;
 pub mod protocol;
 
 pub use client::Client;
-pub use daemon::{metrics_text, Daemon, DaemonConfig};
+pub use daemon::{Daemon, DaemonConfig};
 pub use metrics::{LatencyHistogram, MetricsRegistry};
 pub use protocol::{
     read_frame, write_frame, FrameError, Priority, Request, Response, MAX_FRAME_BYTES,

@@ -86,8 +86,8 @@ impl LatencyHistogram {
 
 /// The operation kinds the daemon meters — one row per protocol request
 /// kind that reaches the dispatcher.
-pub const OPS: [&str; 7] = [
-    "ping", "metrics", "cancel", "shutdown", "analyze", "sweep", "validate",
+pub const OPS: [&str; 8] = [
+    "ping", "metrics", "cancel", "shutdown", "analyze", "sweep", "validate", "minimize",
 ];
 
 /// Per-operation counters and latency.

@@ -3,6 +3,7 @@
 //! and kill/restart resume.
 
 use moard_core::AnalysisConfig;
+use moard_json::ToJson;
 use moard_server::{Client, Daemon, DaemonConfig, Priority, Request, Response};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -188,6 +189,32 @@ fn concurrent_clients_share_the_cache_byte_identically() {
     // One warm harness serves all three jobs.
     let warm = metrics.field("warm_harnesses").unwrap().as_array().unwrap();
     assert_eq!(warm.len(), 1);
+
+    // A minimization on the same warm harness answers with the report a
+    // local run gives, and is metered like every other job.
+    let spec = moard_inject::MinimizeSpec::cell("mm", "C").stride(16);
+    let (_, minimized) = client
+        .submit(&Request::Minimize {
+            spec: spec.clone(),
+            priority: Priority::Normal,
+        })
+        .unwrap();
+    let local = moard_inject::Runner::default()
+        .minimize(&spec, moard_workloads::builtin_registry())
+        .unwrap();
+    assert_eq!(payload(&minimized), local.to_json().to_string());
+    let metrics = client.metrics().unwrap();
+    let minimize = metrics.field("ops").unwrap().field("minimize").unwrap();
+    assert_eq!(minimize.u64_field("requests").unwrap(), 1);
+    assert_eq!(
+        metrics
+            .field("warm_harnesses")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .len(),
+        1
+    );
     shutdown_and_join(daemon);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1406,8 +1406,9 @@ pub struct PagedTrace {
     segments: Vec<SegmentMeta>,
     index: TraceIndex,
     poison: Mutex<Option<TraceError>>,
-    /// Per segment, the decoded copy some live reader holds, if any.
-    decoded: Mutex<Vec<Weak<Vec<TraceRecord>>>>,
+    /// Per segment, the decoded copy some live reader holds, if any, behind
+    /// the segment's own lock.
+    decoded: Vec<Mutex<Weak<Vec<TraceRecord>>>>,
 }
 
 impl std::fmt::Debug for PagedTrace {
@@ -1436,7 +1437,7 @@ impl PagedTrace {
             meta: manifest.meta,
             segment_records: manifest.segment_records,
             total: manifest.total,
-            decoded: Mutex::new(manifest.segments.iter().map(|_| Weak::new()).collect()),
+            decoded: manifest.segments.iter().map(|_| Mutex::default()).collect(),
             segments: manifest.segments,
             index: manifest.index,
             poison: Mutex::new(None),
@@ -1464,28 +1465,25 @@ impl PagedTrace {
     }
 
     /// The records of segment `seg`: the decoded copy a live reader already
-    /// holds, or else a fresh decode that later readers then share.  `None`
-    /// if the segment fails to decode (the trace is then poisoned).
+    /// holds, or else a fresh decode that later readers then share.  The
+    /// segment's lock is held across the decode, so readers that miss the
+    /// same segment at once wait for one decode instead of each running
+    /// their own.  `None` if the segment fails to decode (the trace is then
+    /// poisoned).
     fn segment(&self, seg: usize) -> Option<Arc<Vec<TraceRecord>>> {
-        let decoded = || self.decoded.lock().expect("decoded segment table");
-        if let Some(records) = decoded()[seg].upgrade() {
+        let mut shared = self.decoded[seg].lock().expect("decoded segment slot");
+        if let Some(records) = shared.upgrade() {
             return Some(records);
         }
-        let records =
-            match decode_segment(&segment_file(&self.dir, seg), self.meta, self.segments[seg]) {
-                Ok(records) => Arc::new(records),
-                Err(e) => {
-                    self.poison_with(e);
-                    return None;
-                }
-            };
-        // Another reader may have decoded it meanwhile: keep one copy.
-        let mut table = decoded();
-        match table[seg].upgrade() {
-            Some(theirs) => Some(theirs),
-            None => {
-                table[seg] = Arc::downgrade(&records);
+        match decode_segment(&segment_file(&self.dir, seg), self.meta, self.segments[seg]) {
+            Ok(records) => {
+                let records = Arc::new(records);
+                *shared = Arc::downgrade(&records);
                 Some(records)
+            }
+            Err(e) => {
+                self.poison_with(e);
+                None
             }
         }
     }

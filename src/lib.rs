@@ -40,7 +40,7 @@
 //!
 //! For the full multi-workload campaign — the paper's Table I / Fig. 4 /
 //! Fig. 7 evaluation as one resumable parameter sweep — see the study
-//! driver ([`inject::StudySpec`] / [`inject::StudyRunner`]) and the
+//! driver ([`inject::StudySpec`] / [`inject::Runner`]) and the
 //! repository's `docs/ARCHITECTURE.md`.
 
 pub use moard_abft as abft;

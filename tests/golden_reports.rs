@@ -18,7 +18,7 @@
 
 use moard_core::ValidationReport;
 use moard_inject::{
-    Session, SessionBuilder, SessionReport, ValidationRunner, ValidationSpec, WorkloadSelector,
+    Runner, Session, SessionBuilder, SessionReport, ValidationSpec, WorkloadSelector,
 };
 
 fn golden_path(name: &str) -> std::path::PathBuf {
@@ -116,7 +116,9 @@ fn validation_golden(name: &str, workload: &str) {
         .max_trials(96)
         .shards(16, 2)
         .seed(7);
-    let report = ValidationRunner::new(spec).run().expect("campaign runs");
+    let (report, _) = Runner::default()
+        .validate(&spec, moard_workloads::builtin_registry())
+        .expect("campaign runs");
     let text = report.to_json().to_pretty() + "\n";
     let path = golden_path(name);
     if std::env::var("UPDATE_GOLDEN").is_ok() {

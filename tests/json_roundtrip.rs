@@ -4,7 +4,7 @@
 //! reports bit-identical to a sequential run.
 
 use moard::inject::{ObjectSelector, WorkloadSelector};
-use moard::inject::{Parallelism, Session, SessionReport, ValidationRunner, ValidationSpec};
+use moard::inject::{Parallelism, Runner, Session, SessionReport, ValidationSpec};
 use moard::json::Json;
 use moard::model::{AdvfReport, ValidationReport, SCHEMA_VERSION};
 
@@ -96,7 +96,9 @@ fn validation_report_round_trips_bit_exactly() {
         .max_trials(48)
         .shards(16, 2)
         .seed(11);
-    let report = ValidationRunner::new(spec).run().unwrap();
+    let (report, _) = Runner::default()
+        .validate(&spec, moard::workloads::builtin_registry())
+        .unwrap();
 
     // Compact and pretty forms both parse back to the exact report…
     let compact = report.to_json_string();

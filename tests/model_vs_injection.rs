@@ -12,7 +12,7 @@
 //! exact behavior: a model change that drifts outside today's deviation
 //! envelope fails loudly rather than silently eroding §V-B.
 
-use moard::inject::{ValidationRunner, ValidationSpec, WorkloadSelector};
+use moard::inject::{Runner, ValidationSpec, WorkloadSelector};
 use moard::model::{CellVerdict, ValidationReport};
 use std::sync::OnceLock;
 
@@ -33,7 +33,12 @@ fn table1_spec() -> ValidationSpec {
 /// The campaign is deterministic, so both tests share one run.
 fn table1_report() -> &'static ValidationReport {
     static REPORT: OnceLock<ValidationReport> = OnceLock::new();
-    REPORT.get_or_init(|| ValidationRunner::new(table1_spec()).run().unwrap())
+    REPORT.get_or_init(|| {
+        Runner::default()
+            .validate(&table1_spec(), moard::workloads::builtin_registry())
+            .unwrap()
+            .0
+    })
 }
 
 #[test]

@@ -6,8 +6,7 @@
 //! thread count.
 
 use moard::inject::{
-    Parallelism, PatternSampler, Session, ValidationRunner, ValidationSpec, WorkloadHarness,
-    WorkloadSelector,
+    Parallelism, PatternSampler, Runner, Session, ValidationSpec, WorkloadHarness, WorkloadSelector,
 };
 use moard::model::{ErrorPattern, ErrorPatternSet};
 
@@ -97,15 +96,18 @@ fn multibit_rfi_sampling_is_bit_identical_across_shard_counts() {
             .shards(16, 2)
             .seed(7)
     };
-    let seq = ValidationRunner::new(spec())
-        .parallelism(Parallelism::Sequential)
-        .run()
-        .unwrap();
+    let validate = |parallelism| {
+        Runner {
+            parallelism,
+            ..Runner::default()
+        }
+        .validate(&spec(), moard::workloads::builtin_registry())
+        .unwrap()
+        .0
+    };
+    let seq = validate(Parallelism::Sequential);
     for workers in [2usize, 8, 32] {
-        let par = ValidationRunner::new(spec())
-            .parallelism(Parallelism::Fixed(workers))
-            .run()
-            .unwrap();
+        let par = validate(Parallelism::Fixed(workers));
         assert_eq!(seq, par, "workers={workers}");
         assert_eq!(seq.to_json_string(), par.to_json_string());
     }

@@ -6,9 +6,10 @@
 //! (Hand-rolled property loop over N, in the style of `tests/properties.rs`;
 //! the repository builds without a property-testing dependency.)
 
-use moard::inject::{Parallelism, StudyRunner, StudySpec, WorkloadSelector};
+use moard::inject::{Parallelism, ResultStore, Runner, StudySpec, SweepStats, WorkloadSelector};
 use moard::json::Json;
-use std::path::PathBuf;
+use moard::model::StudyReport;
+use std::path::{Path, PathBuf};
 
 fn spec() -> StudySpec {
     StudySpec::default()
@@ -17,6 +18,22 @@ fn spec() -> StudySpec {
         .strides(vec![16])
         .max_dfis(vec![Some(100)])
         .rfi_leg(vec![30], 0xF1F1)
+}
+
+/// The sweep of [`spec`] under `runner`, over the built-in workloads.
+fn sweep(runner: &Runner) -> (StudyReport, SweepStats) {
+    runner
+        .sweep(&spec(), moard::workloads::builtin_registry())
+        .unwrap()
+}
+
+/// A default runner over the store at `dir`.
+fn stored(dir: &Path, resume: bool) -> Runner {
+    Runner {
+        store: Some(ResultStore::open(dir).unwrap()),
+        resume,
+        ..Runner::default()
+    }
 }
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -29,18 +46,14 @@ fn temp_dir(name: &str) -> PathBuf {
 #[test]
 fn resuming_from_any_store_prefix_reproduces_the_cold_report() {
     // Ground truth: the cold, store-less run.
-    let cold = StudyRunner::new(spec()).run().unwrap();
+    let (cold, _) = sweep(&Runner::default());
     let cold_json = cold.to_json_string();
     assert_eq!(cold.entries.len(), 2, "two grid points over MM/C");
     assert_eq!(cold.rfi.len(), 1, "one RFI campaign");
 
     // Fill a store completely (3 tasks → 3 documents).
     let full = temp_dir("full");
-    let report = StudyRunner::new(spec())
-        .store(&full)
-        .unwrap()
-        .run()
-        .unwrap();
+    let (report, _) = sweep(&stored(&full, false));
     assert_eq!(report.to_json_string(), cold_json);
     let mut documents: Vec<PathBuf> = std::fs::read_dir(&full)
         .unwrap()
@@ -62,13 +75,10 @@ fn resuming_from_any_store_prefix_reproduces_the_cold_report() {
         for doc in &documents[..n] {
             std::fs::copy(doc, partial.join(doc.file_name().unwrap())).unwrap();
         }
-        let (resumed, stats) = StudyRunner::new(spec())
-            .store(&partial)
-            .unwrap()
-            .resume(true)
-            .parallelism(Parallelism::Fixed(2))
-            .run_detailed()
-            .unwrap();
+        let (resumed, stats) = sweep(&Runner {
+            parallelism: Parallelism::Fixed(2),
+            ..stored(&partial, true)
+        });
         assert_eq!(stats.cache_hits, n, "N={n}");
         assert_eq!(stats.executed, tasks - n, "N={n}");
         assert_eq!(
@@ -86,18 +96,13 @@ fn resuming_from_any_store_prefix_reproduces_the_cold_report() {
 #[test]
 fn corrupting_a_store_document_forces_recomputation_not_failure() {
     let dir = temp_dir("corrupt");
-    let cold_json = StudyRunner::new(spec()).run().unwrap().to_json_string();
-    StudyRunner::new(spec()).store(&dir).unwrap().run().unwrap();
+    let cold_json = sweep(&Runner::default()).0.to_json_string();
+    sweep(&stored(&dir, false));
     // Truncate every document.
     for entry in std::fs::read_dir(&dir).unwrap().flatten() {
         std::fs::write(entry.path(), "{torn").unwrap();
     }
-    let (resumed, stats) = StudyRunner::new(spec())
-        .store(&dir)
-        .unwrap()
-        .resume(true)
-        .run_detailed()
-        .unwrap();
+    let (resumed, stats) = sweep(&stored(&dir, true));
     assert_eq!(stats.cache_hits, 0);
     assert_eq!(stats.executed, stats.tasks);
     assert_eq!(resumed.to_json_string(), cold_json);
@@ -146,22 +151,15 @@ fn a_store_written_under_an_older_report_schema_is_recomputed_not_an_error() {
     // schema 3.  Those tasks run again; the unversioned RFI payloads stay
     // hits; the report is the cold run's, byte for byte.
     let dir = temp_dir("schema-3");
-    let cold = StudyRunner::new(spec()).run().unwrap();
-    StudyRunner::new(spec()).store(&dir).unwrap().run().unwrap();
+    let (cold, _) = sweep(&Runner::default());
+    sweep(&stored(&dir, false));
     let downgraded = std::fs::read_dir(&dir)
         .unwrap()
         .flatten()
         .filter(|entry| downgrade_to_schema_3(&entry.path()))
         .count();
     assert_eq!(downgraded, cold.entries.len());
-    let resume = || {
-        StudyRunner::new(spec())
-            .store(&dir)
-            .unwrap()
-            .resume(true)
-            .run_detailed()
-            .unwrap()
-    };
+    let resume = || sweep(&stored(&dir, true));
     let (resumed, stats) = resume();
     assert_eq!(stats.executed, cold.entries.len());
     assert_eq!(stats.cache_hits, cold.rfi.len());
