@@ -27,7 +27,7 @@
 use crate::advf::{AdvfAccumulator, AdvfReport, PatternClassTally};
 use crate::error_pattern::{ErrorPattern, ErrorPatternSet};
 use crate::masking::{Masking, OpMaskKind};
-use crate::op_rules::{analyze_operation, CorruptSeeds, OpVerdict};
+use crate::op_rules::{analyze_operation, analyze_site, CorruptSeeds, OpVerdict};
 use crate::parallel::{available_workers, run_indexed, run_indexed_with};
 use crate::propagation::{
     BatchLane, BatchReplayCursor, PropagationResult, ReplayCursor, MAX_REPLAY_LANES,
@@ -655,32 +655,36 @@ struct ScheduledRange<'s> {
 }
 
 /// The configured error patterns, enumerated once per element type for
-/// one analysis; every site of a type shares its list.
+/// one analysis, each beside its XOR mask; every site of a type shares its
+/// lists.
 struct PatternLists {
-    lists: Vec<(Type, Vec<ErrorPattern>)>,
+    lists: Vec<(Type, Vec<ErrorPattern>, Vec<u64>)>,
 }
 
 impl PatternLists {
     /// Enumerate the patterns of every element type among `sites`.
     fn new(set: &ErrorPatternSet, sites: &[ParticipationSite]) -> Self {
-        let mut lists: Vec<(Type, Vec<ErrorPattern>)> = Vec::new();
+        let mut lists: Vec<(Type, Vec<ErrorPattern>, Vec<u64>)> = Vec::new();
         for site in sites {
             let ty = site.value.ty();
-            if !lists.iter().any(|(t, _)| *t == ty) {
-                lists.push((ty, set.patterns_for(ty)));
+            if !lists.iter().any(|(t, ..)| *t == ty) {
+                let patterns = set.patterns_for(ty);
+                let masks = patterns.iter().map(ErrorPattern::mask).collect();
+                lists.push((ty, patterns, masks));
             }
         }
         PatternLists { lists }
     }
 
-    /// The patterns of element type `ty`, which must be among the sites'.
-    fn get(&self, ty: Type) -> &[ErrorPattern] {
-        let (_, list) = self
+    /// The patterns of element type `ty`, which must be among the sites',
+    /// and their masks.
+    fn get(&self, ty: Type) -> (&[ErrorPattern], &[u64]) {
+        let (_, patterns, masks) = self
             .lists
             .iter()
-            .find(|(t, _)| *t == ty)
+            .find(|(t, ..)| *t == ty)
             .expect("patterns enumerated for every site's type");
-        list
+        (patterns, masks)
     }
 }
 
@@ -747,10 +751,10 @@ impl<'t> RangeWalker<'t> {
         }
     }
 
-    /// Schedule one range of sites: fetch each site's record, evaluate the
-    /// operation rules for each of its patterns, and walk the replay lanes
-    /// in batches, each as soon as it closes.  Stops at the first site
-    /// whose record cannot be read.
+    /// Schedule one range of sites: fetch each site's record, classify all
+    /// of its patterns with one call to the operation rules, and walk the
+    /// replay lanes in batches, each as soon as it closes.  Stops at the
+    /// first site whose record cannot be read.
     fn schedule<'s>(
         &mut self,
         sites: &'s [ParticipationSite],
@@ -758,16 +762,16 @@ impl<'t> RangeWalker<'t> {
     ) -> ScheduledRange<'s> {
         let patterns_of = |site: &ParticipationSite| pattern_lists.get(site.value.ty());
         let mut plans = Vec::with_capacity(sites.len());
-        let mut tags = Vec::with_capacity(sites.iter().map(|s| patterns_of(s).len()).sum());
+        let mut tags = Vec::with_capacity(sites.iter().map(|s| patterns_of(s).1.len()).sum());
         for site in sites {
             let Some(rec) = self.cursor.fetch(site.record_id) else {
                 // The trace is poisoned: the range ends here.
                 break;
             };
-            let patterns = patterns_of(site);
+            let (patterns, masks) = patterns_of(site);
             let first_tag = tags.len();
-            for pattern in patterns {
-                tags.push(match analyze_operation(&rec, site.slot, pattern) {
+            analyze_site(&rec, site.slot, masks, |verdict| {
+                tags.push(match verdict {
                     OpVerdict::Masked(kind) => LaneTag::Class(Masking::Operation(kind)),
                     OpVerdict::NotMasked => LaneTag::Class(Masking::NotMasked),
                     OpVerdict::NeedsDfi => LaneTag::NeedsDfi,
@@ -777,8 +781,8 @@ impl<'t> RangeWalker<'t> {
                     OpVerdict::Propagate { corrupt } => {
                         LaneTag::Propagate(self.push(site, corrupt))
                     }
-                });
-            }
+                })
+            });
             plans.push(SitePlan {
                 site,
                 rec,

@@ -81,7 +81,7 @@ pub use analysis::{AdvfAnalyzer, AnalysisConfig};
 pub use error::MoardError;
 pub use error_pattern::{ErrorPattern, ErrorPatternSet};
 pub use masking::{Masking, OpMaskKind};
-pub use op_rules::{analyze_operation, CorruptLoc, CorruptSeeds, OpVerdict};
+pub use op_rules::{analyze_operation, analyze_site, CorruptLoc, CorruptSeeds, OpVerdict};
 pub use parallel::{available_workers, run_indexed};
 pub use propagation::{
     replay, BatchLane, BatchReplayCursor, PropagationResult, ReplayCursor, SamePathEnd,

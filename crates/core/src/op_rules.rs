@@ -12,11 +12,18 @@
 //! realizes the paper's "enumerate possible error patterns ... then derive the
 //! existence of error masking for each error pattern without application
 //! execution".
+//!
+//! [`analyze_site`] gives the same verdicts for every pattern of one slot at
+//! once, applying each as an XOR mask to the operand it reads once; the
+//! analyzer's scheduling pass classifies sites through it, and
+//! [`analyze_operation`] is the per-pattern reference it is tested against.
 
 use crate::error_pattern::ErrorPattern;
 use crate::masking::OpMaskKind;
 use crate::sites::SiteSlot;
-use moard_ir::{eval_binop, eval_cast, eval_cmp, eval_intrinsic, BinOp, CastKind, RegId, Value};
+use moard_ir::{
+    eval_binop, eval_cast, eval_cmp, eval_intrinsic, f64_arith, BinOp, CastKind, RegId, Type, Value,
+};
 use moard_vm::{TraceOp, TraceRecord, TracedVal, ValueSource};
 use std::ops::Deref;
 
@@ -202,11 +209,112 @@ fn masked_kind_for_cast(kind: CastKind) -> OpMaskKind {
     }
 }
 
+/// A corrupted operand of a `bin` record, with what classifying the
+/// record's recomputed result takes: the part of the rules
+/// [`analyze_operation`] and [`analyze_site`] share.
+struct BinOperand<'r> {
+    rec: &'r TraceRecord,
+    op: BinOp,
+    operand: &'r TracedVal,
+    /// The clean value of the other operand.
+    other: Value,
+    result: Value,
+}
+
+impl BinOperand<'_> {
+    /// The verdict once the result has been recomputed with the operand
+    /// corrupted to `corrupted` (`None` when the evaluation traps): a trap
+    /// is not masked, an unchanged result is masked by the operation, and a
+    /// changed one propagates from the operand's register and the
+    /// destination.
+    fn verdict(&self, corrupted: Value, evaluated: Option<Value>) -> OpVerdict {
+        match evaluated {
+            None => OpVerdict::NotMasked,
+            Some(r) if r.bits_eq(&self.result) => OpVerdict::Masked(masked_kind_for_binop(self.op)),
+            Some(r) => {
+                let corrupt = src_and_dst(self.rec, self.operand, corrupted, r);
+                // Paper §IV: a corrupted addend whose magnitude stays below
+                // the other operand's magnitude is an overshadowing
+                // candidate, to be confirmed by DFI.
+                if self.op.is_additive_float() && corrupted.magnitude() < self.other.magnitude() {
+                    OpVerdict::OvershadowCandidate { corrupt }
+                } else {
+                    OpVerdict::Propagate { corrupt }
+                }
+            }
+        }
+    }
+}
+
 /// Analyze one participating slot of one trace record under one error pattern.
 pub fn analyze_operation(rec: &TraceRecord, slot: SiteSlot, pattern: &ErrorPattern) -> OpVerdict {
     match slot {
         SiteSlot::StoreDest => analyze_store_dest(rec),
         SiteSlot::Operand(idx) => analyze_operand(rec, idx, pattern),
+    }
+}
+
+/// Analyze one participating slot of one trace record under a list of
+/// error patterns, given as their XOR masks ([`ErrorPattern::mask`]),
+/// handing `verdict` what [`analyze_operation`] returns for each pattern,
+/// in list order.
+///
+/// The slot's operand is read once for the whole list, and each pattern is
+/// applied to it as one XOR.  An `f64` operand of `fadd`, `fsub`, `fmul`
+/// or `fdiv` (most sites of the floating-point workloads) is dispatched
+/// once too: each pattern's result is computed from the flipped bits with
+/// the interpreter's own arithmetic ([`moard_ir::f64_arith`]).  Any other
+/// slot is classified pattern by pattern, as [`analyze_operation`] does.
+pub fn analyze_site(
+    rec: &TraceRecord,
+    slot: SiteSlot,
+    masks: &[u64],
+    mut verdict: impl FnMut(OpVerdict),
+) {
+    let SiteSlot::Operand(idx) = slot else {
+        let v = analyze_store_dest(rec);
+        masks.iter().for_each(|_| verdict(v.clone()));
+        return;
+    };
+    let operands = rec.operands();
+    let Some(operand) = operands.get(idx) else {
+        masks.iter().for_each(|_| verdict(OpVerdict::NotMasked));
+        return;
+    };
+    if let TraceOp::Bin {
+        op,
+        ty: Type::F64,
+        lhs,
+        rhs,
+        result,
+    } = &rec.op
+    {
+        let other = if idx == 0 { rhs.value } else { lhs.value };
+        if let (Value::F64(x), Value::F64(y)) = (operand.value, other) {
+            if f64_arith(*op, x, y).is_some() {
+                let bin = BinOperand {
+                    rec,
+                    op: *op,
+                    operand,
+                    other,
+                    result: *result,
+                };
+                for &mask in masks {
+                    let c = f64::from_bits(x.to_bits() ^ mask);
+                    let (a, b) = if idx == 0 { (c, y) } else { (y, c) };
+                    verdict(bin.verdict(Value::F64(c), f64_arith(*op, a, b).map(Value::F64)));
+                }
+                return;
+            }
+        }
+    }
+    for &mask in masks {
+        verdict(operand_verdict(
+            rec,
+            idx,
+            operand,
+            operand.value.flip_mask(mask),
+        ));
     }
 }
 
@@ -240,8 +348,17 @@ fn analyze_operand(rec: &TraceRecord, idx: usize, pattern: &ErrorPattern) -> OpV
     let Some(operand) = operands.get(idx) else {
         return OpVerdict::NotMasked;
     };
-    let corrupted = corrupted_operand(operand, pattern);
+    operand_verdict(rec, idx, operand, corrupted_operand(operand, pattern))
+}
 
+/// The verdict of an error that turns `operand`, slot `idx` of `rec`, into
+/// `corrupted`: the operation is re-evaluated with it substituted.
+fn operand_verdict(
+    rec: &TraceRecord,
+    idx: usize,
+    operand: &TracedVal,
+    corrupted: Value,
+) -> OpVerdict {
     match &rec.op {
         TraceOp::Bin {
             op,
@@ -250,27 +367,19 @@ fn analyze_operand(rec: &TraceRecord, idx: usize, pattern: &ErrorPattern) -> OpV
             rhs,
             result,
         } => {
-            let (a, b) = if idx == 0 {
-                (corrupted, rhs.value)
+            let (a, b, other) = if idx == 0 {
+                (corrupted, rhs.value, rhs.value)
             } else {
-                (lhs.value, corrupted)
+                (lhs.value, corrupted, lhs.value)
             };
-            match eval_binop(*op, *ty, &a, &b) {
-                Err(_) => OpVerdict::NotMasked,
-                Ok(r) if r.bits_eq(result) => OpVerdict::Masked(masked_kind_for_binop(*op)),
-                Ok(r) => {
-                    let corrupt = src_and_dst(rec, operand, corrupted, r);
-                    // Paper §IV: a corrupted addend whose magnitude stays
-                    // below the other operand's magnitude is an
-                    // overshadowing candidate, to be confirmed by DFI.
-                    let other = if idx == 0 { rhs.value } else { lhs.value };
-                    if op.is_additive_float() && corrupted.magnitude() < other.magnitude() {
-                        OpVerdict::OvershadowCandidate { corrupt }
-                    } else {
-                        OpVerdict::Propagate { corrupt }
-                    }
-                }
-            }
+            let bin = BinOperand {
+                rec,
+                op: *op,
+                operand,
+                other,
+                result: *result,
+            };
+            bin.verdict(corrupted, eval_binop(*op, *ty, &a, &b).ok())
         }
         TraceOp::Cmp {
             pred,

@@ -43,14 +43,18 @@
 //! * the analyzer replays through a [`BatchReplayCursor`]: up to 64
 //!   replays whose windows overlap share **one** walk over the decoded
 //!   records.  Its shadow state maps each (frame, register) and memory
-//!   word to a `u64` *lane mask* plus the per-lane corrupted values, so a
-//!   record is decoded (and its shadow entries scanned) once for the
-//!   whole batch instead of once per fault.
-//!   Lanes retire individually — `AllMasked`, window exhaustion, control or
-//!   address divergence — and every verdict is bit-identical to the
-//!   sequential [`ReplayCursor::replay`] because tainted lanes re-evaluate
-//!   the operation with exactly the sequential engine's rules, value by
-//!   value;
+//!   word to a `u64` *lane mask* plus the per-lane corrupted values, and
+//!   each record is stepped once for the whole batch: every operand's entry
+//!   is resolved once (its position and which active lanes it taints), the
+//!   tainted lanes alone re-evaluate the operation, reading their values
+//!   from that entry by position, with the sequential engine's rules (an
+//!   `f64` `fadd`/`fsub`/`fmul`/`fdiv` lane straight through
+//!   [`moard_ir::f64_arith`], the kernel `eval_binop` itself uses), and
+//!   one masked assignment writes the destination for every active lane.
+//!   Lanes retire individually — `AllMasked`, window exhaustion, traps,
+//!   control or address divergence — and all lanes that retire unresolved
+//!   at one record leave the tables in one sweep.  Every verdict is
+//!   bit-identical to the sequential [`ReplayCursor::replay`];
 //! * the same walk with no window, [`BatchReplayCursor::walk_to_end`],
 //!   follows a deterministic fault to the end of the trace: a lane that
 //!   stays on the recorded path yields the exact corrupted end state
@@ -58,10 +62,12 @@
 //!   outcome without re-running the program.  Such lanes can carry
 //!   hundreds of corrupted words, so the batched tables keep a hash index
 //!   from key to entry, and per-lane live counts replace any per-record
-//!   fold over the tables.
+//!   fold over the tables.  Most records of such a walk taint no lane: an
+//!   empty table answers without hashing, and a record's clean values are
+//!   read only for a tainted lane.
 
 use crate::op_rules::{CorruptLoc, CorruptSeeds};
-use moard_ir::{eval_binop, eval_cast, eval_cmp, eval_intrinsic, RegId, Value};
+use moard_ir::{eval_binop, eval_cast, eval_cmp, eval_intrinsic, f64_arith, RegId, Type, Value};
 use moard_vm::{TraceOp, TraceRead, TraceRecord, TraceStorage, TracedVal, ValueSource};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
@@ -373,17 +379,6 @@ struct LaneEntry {
     vals: [Value; MAX_REPLAY_LANES],
 }
 
-impl LaneEntry {
-    fn seeded(lane: usize, value: Value) -> Self {
-        let mut e = LaneEntry {
-            mask: 1u64 << lane,
-            vals: [NO_VALUE; MAX_REPLAY_LANES],
-        };
-        e.vals[lane] = value;
-        e
-    }
-}
-
 /// Per-lane number of shadow entries holding the lane's bit, and the mask
 /// of lanes with at least one.  Kept up to date on every mask change, so
 /// finding the lanes that masked out, or one lane's live count, never
@@ -403,19 +398,27 @@ impl Default for LaneCounts {
 }
 
 impl LaneCounts {
-    fn add(&mut self, lane: usize) {
-        self.live[lane] += 1;
-        self.nonzero |= 1u64 << lane;
-    }
-
-    /// One entry lost the bits of `lanes`.
-    fn remove(&mut self, lanes: u64) {
-        for lane in iter_lanes(lanes) {
+    /// One entry's mask changed from `old` to `new`.
+    fn update(&mut self, old: u64, new: u64) {
+        let gained = new & !old;
+        for lane in iter_lanes(gained) {
+            self.live[lane] += 1;
+        }
+        self.nonzero |= gained;
+        for lane in iter_lanes(old & !new) {
             self.live[lane] -= 1;
             if self.live[lane] == 0 {
                 self.nonzero &= !(1u64 << lane);
             }
         }
+    }
+
+    /// The bits of `lanes` left every entry.
+    fn clear(&mut self, lanes: u64) {
+        for lane in iter_lanes(lanes) {
+            self.live[lane] = 0;
+        }
+        self.nonzero &= !lanes;
     }
 }
 
@@ -448,6 +451,19 @@ impl Hasher for KeyHasher {
     }
 }
 
+/// A key resolved once for a whole record: the position of its entry and
+/// the active lanes holding a corrupted value there.  A clean key has an
+/// empty `mask`, and its `at` is never read.
+#[derive(Clone, Copy)]
+struct Tainted {
+    at: usize,
+    mask: u64,
+}
+
+impl Tainted {
+    const CLEAN: Tainted = Tainted { at: 0, mask: 0 };
+}
+
 /// One shadow table: entries unique by key, in no particular order (order
 /// is irrelevant to every observable result), plus a hash index from key to
 /// entry position.  The index stores positions, never entries, so it adds a
@@ -472,51 +488,80 @@ impl<K: Copy + Eq + Hash> LaneTable<K> {
         self.index.clear();
     }
 
+    #[inline]
     fn find(&self, key: K) -> Option<usize> {
+        // Most records of a long walk touch no live key at all; an empty
+        // table skips the hashing.
+        if self.entries.is_empty() {
+            return None;
+        }
         self.index.get(&key).map(|&i| i as usize)
     }
 
-    /// Lanes holding a corrupted value under `key`.
-    fn mask(&self, key: K) -> u64 {
-        self.find(key).map_or(0, |i| self.entries[i].1.mask)
-    }
-
-    /// This lane's corrupted value under `key` (its bit must be set).
-    fn lane(&self, key: K, lane: usize) -> Value {
-        let entry = &self.entries[self.find(key).expect("lane: entry present")].1;
-        debug_assert!(entry.mask >> lane & 1 != 0);
-        entry.vals[lane]
-    }
-
-    fn insert_lane(&mut self, key: K, lane: usize, value: Value, counts: &mut LaneCounts) {
+    /// Look `key` up once: its entry and the lanes of `active` it holds.
+    #[inline]
+    fn tainted(&self, key: K, active: u64) -> Tainted {
         match self.find(key) {
-            Some(i) => {
-                let e = &mut self.entries[i].1;
-                if e.mask >> lane & 1 == 0 {
-                    e.mask |= 1u64 << lane;
-                    counts.add(lane);
-                }
-                e.vals[lane] = value;
-            }
-            None => {
-                self.index.insert(key, self.entries.len() as u32);
-                self.entries.push((key, LaneEntry::seeded(lane, value)));
-                counts.add(lane);
-            }
+            Some(at) => Tainted {
+                at,
+                mask: self.entries[at].1.mask & active,
+            },
+            None => Tainted::CLEAN,
         }
     }
 
-    fn remove_lanes(&mut self, key: K, lanes: u64, counts: &mut LaneCounts) {
+    /// One lane's value under a resolved key: the corrupted value when the
+    /// lane is tainted there, `clean` otherwise.  Valid until the table is
+    /// next written.
+    #[inline]
+    fn value(&self, t: Tainted, lane: usize, clean: Value) -> Value {
+        if t.mask >> lane & 1 != 0 {
+            self.entries[t.at].1.vals[lane]
+        } else {
+            clean
+        }
+    }
+
+    /// Write `key` for the lanes of `lanes` at once: afterwards the lanes of
+    /// `set` (a subset) hold `vals[lane]` there and the other lanes of
+    /// `lanes` hold nothing.  Lanes outside `lanes` are untouched.
+    fn assign(
+        &mut self,
+        key: K,
+        lanes: u64,
+        set: u64,
+        vals: &[Value; MAX_REPLAY_LANES],
+        counts: &mut LaneCounts,
+    ) {
+        debug_assert_eq!(set & !lanes, 0, "set lanes are written lanes");
         if lanes == 0 {
             return;
         }
-        if let Some(i) = self.find(key) {
-            let e = &mut self.entries[i].1;
-            counts.remove(e.mask & lanes);
-            e.mask &= !lanes;
-            if e.mask == 0 {
-                self.swap_remove(i);
+        match self.find(key) {
+            Some(i) => {
+                let e = &mut self.entries[i].1;
+                let old = e.mask;
+                e.mask = old & !lanes | set;
+                for lane in iter_lanes(set) {
+                    e.vals[lane] = vals[lane];
+                }
+                counts.update(old, e.mask);
+                if e.mask == 0 {
+                    self.swap_remove(i);
+                }
             }
+            None if set != 0 => {
+                self.index.insert(key, self.entries.len() as u32);
+                self.entries.push((
+                    key,
+                    LaneEntry {
+                        mask: set,
+                        vals: *vals,
+                    },
+                ));
+                counts.update(0, set);
+            }
+            None => {}
         }
     }
 
@@ -525,23 +570,20 @@ impl<K: Copy + Eq + Hash> LaneTable<K> {
         // Walking down keeps `swap_remove` from moving an unvisited entry.
         for i in (0..self.entries.len()).rev() {
             if matches(&self.entries[i].0) {
-                counts.remove(self.entries[i].1.mask);
+                counts.update(self.entries[i].1.mask, 0);
                 self.swap_remove(i);
             }
         }
     }
 
-    /// Erase one lane's bit from every entry.
-    fn clear_lane(&mut self, lane: usize, counts: &mut LaneCounts) {
-        let bit = 1u64 << lane;
+    /// Erase the bits of `lanes` from every entry in one sweep; the caller
+    /// clears their counts.
+    fn clear_lanes(&mut self, lanes: u64) {
         for i in (0..self.entries.len()).rev() {
             let e = &mut self.entries[i].1;
-            if e.mask & bit != 0 {
-                e.mask &= !bit;
-                counts.remove(bit);
-                if e.mask == 0 {
-                    self.swap_remove(i);
-                }
+            e.mask &= !lanes;
+            if e.mask == 0 {
+                self.swap_remove(i);
             }
         }
     }
@@ -577,63 +619,49 @@ impl BatchShadowState {
         self.counts = LaneCounts::default();
     }
 
-    fn seed_lane(&mut self, lane: usize, locs: &[CorruptLoc]) {
+    /// Seed one lane's corrupted locations, staging each value in `vals`.
+    fn seed_lane(
+        &mut self,
+        lane: usize,
+        locs: &[CorruptLoc],
+        vals: &mut [Value; MAX_REPLAY_LANES],
+    ) {
+        let bit = 1u64 << lane;
         for loc in locs {
-            match loc {
+            match *loc {
                 CorruptLoc::Reg { frame, reg, value } => {
-                    self.reg_insert_lane(*frame, *reg, lane, *value);
+                    vals[lane] = value;
+                    self.regs
+                        .assign((frame, reg.0), bit, bit, vals, &mut self.counts);
                 }
                 CorruptLoc::Mem { addr, value } => {
-                    self.mem_insert_lane(*addr, lane, *value);
+                    vals[lane] = value;
+                    self.mem.assign(addr, bit, bit, vals, &mut self.counts);
                 }
             }
         }
     }
 
-    fn reg_mask(&self, frame: u64, reg: RegId) -> u64 {
-        self.regs.mask((frame, reg.0))
-    }
-
-    /// Lanes whose value of this operand is corrupted.
-    fn operand_mask(&self, frame: u64, v: &TracedVal) -> u64 {
-        match v.source {
-            ValueSource::Reg(r) => self.reg_mask(frame, r),
-            _ => 0,
+    /// The register a value is read from, resolved for the `active` lanes.
+    #[inline]
+    fn source(&self, frame: u64, source: ValueSource, active: u64) -> Tainted {
+        match source {
+            ValueSource::Reg(r) => self.regs.tainted((frame, r.0), active),
+            _ => Tainted::CLEAN,
         }
     }
 
-    /// This lane's corrupted value of the operand (its bit must be set in
-    /// [`BatchShadowState::operand_mask`]).
-    fn operand_lane(&self, frame: u64, v: &TracedVal, lane: usize) -> Value {
-        match v.source {
-            ValueSource::Reg(r) => self.regs.lane((frame, r.0), lane),
-            _ => unreachable!("operand_lane on a non-register source"),
-        }
-    }
-
-    fn reg_insert_lane(&mut self, frame: u64, reg: RegId, lane: usize, value: Value) {
-        self.regs
-            .insert_lane((frame, reg.0), lane, value, &mut self.counts);
-    }
-
-    fn kill_reg_lanes(&mut self, frame: u64, reg: RegId, lanes: u64) {
-        self.regs
-            .remove_lanes((frame, reg.0), lanes, &mut self.counts);
-    }
-
-    fn set_reg_lane(
+    /// Write one register for the lanes of `lanes` (see [`LaneTable::assign`]).
+    fn assign_reg(
         &mut self,
         frame: u64,
         reg: RegId,
-        lane: usize,
-        corrupted: Value,
-        clean: Value,
+        lanes: u64,
+        set: u64,
+        vals: &[Value; MAX_REPLAY_LANES],
     ) {
-        if corrupted.bits_eq(&clean) {
-            self.kill_reg_lanes(frame, reg, 1u64 << lane);
-        } else {
-            self.reg_insert_lane(frame, reg, lane, corrupted);
-        }
+        self.regs
+            .assign((frame, reg.0), lanes, set, vals, &mut self.counts);
     }
 
     /// Drop every register of a returning frame, for all lanes at once.
@@ -642,31 +670,71 @@ impl BatchShadowState {
             .remove_keys(|&(f, _)| f == frame, &mut self.counts);
     }
 
-    fn mem_mask(&self, addr: u64) -> u64 {
-        self.mem.mask(addr)
-    }
-
-    fn mem_lane(&self, addr: u64, lane: usize) -> Value {
-        self.mem.lane(addr, lane)
-    }
-
-    fn mem_insert_lane(&mut self, addr: u64, lane: usize, value: Value) {
-        self.mem.insert_lane(addr, lane, value, &mut self.counts);
-    }
-
-    fn mem_remove_lanes(&mut self, addr: u64, lanes: u64) {
-        self.mem.remove_lanes(addr, lanes, &mut self.counts);
-    }
-
     /// Number of live corrupted locations for one lane.
     fn live_count(&self, lane: usize) -> usize {
         self.counts.live[lane] as usize
     }
 
-    /// Erase one lane's bits everywhere (called when the lane retires).
-    fn clear_lane(&mut self, lane: usize) {
-        self.regs.clear_lane(lane, &mut self.counts);
-        self.mem.clear_lane(lane, &mut self.counts);
+    /// Erase the bits of `lanes` everywhere (called when they retire).
+    fn clear_lanes(&mut self, lanes: u64) {
+        if self.counts.nonzero & lanes != 0 {
+            self.regs.clear_lanes(lanes);
+            self.mem.clear_lanes(lanes);
+        }
+        self.counts.clear(lanes);
+    }
+}
+
+/// What evaluating a record's tainted lanes found: the lanes whose new
+/// value differs from the clean one (`set`, values in the lane buffer) and
+/// the lanes whose evaluation trapped.
+#[derive(Default)]
+struct LaneWrites {
+    set: u64,
+    trapped: u64,
+}
+
+/// Evaluate the `tainted` lanes of a record: `eval` gives a lane's value
+/// (`None` when it traps), which lands in `vals` when it differs from
+/// `clean`.  `clean` is borrowed from the record and read only for a
+/// tainted lane: most records of a long walk taint no lane.
+#[inline]
+fn eval_lanes(
+    tainted: u64,
+    clean: &Value,
+    vals: &mut [Value; MAX_REPLAY_LANES],
+    mut eval: impl FnMut(usize) -> Option<Value>,
+) -> LaneWrites {
+    let mut w = LaneWrites::default();
+    for lane in iter_lanes(tainted) {
+        match eval(lane) {
+            Some(v) if v.bits_eq(clean) => {}
+            Some(v) => {
+                vals[lane] = v;
+                w.set |= 1u64 << lane;
+            }
+            None => w.trapped |= 1u64 << lane,
+        }
+    }
+    w
+}
+
+/// Buffers of the batched walk, kept by the cursor so a walk allocates
+/// nothing: the lane buffer (each lane's new value at the current record),
+/// and an intrinsic's resolved arguments and one lane's argument values.
+struct LaneScratch {
+    vals: [Value; MAX_REPLAY_LANES],
+    args: Vec<Tainted>,
+    arg_vals: Vec<Value>,
+}
+
+impl Default for LaneScratch {
+    fn default() -> Self {
+        LaneScratch {
+            vals: [NO_VALUE; MAX_REPLAY_LANES],
+            args: Vec::new(),
+            arg_vals: Vec::new(),
+        }
     }
 }
 
@@ -924,19 +992,24 @@ fn step(rec: &TraceRecord, state: &mut ShadowState) -> StepResult {
 /// In-flight state of one batched walk: the lane-masked shadow tables, the
 /// per-lane results, and the set of lanes still advancing.
 ///
-/// The step logic mirrors [`step`] arm for arm.  For every record the lanes
-/// split into two classes by the operand masks: untainted lanes share one
-/// bulk kill/remove on the destination, tainted lanes re-evaluate the
-/// operation per lane with exactly the sequential rules.  Per-lane writes
-/// touch only that lane's mask bit and value slot, and the operand masks are
-/// snapshotted before any write, so lanes cannot observe each other — which
-/// is what makes every verdict bit-identical to a sequential replay.
+/// The step logic mirrors [`step`] arm for arm, once per record for the
+/// whole batch.  Each operand's table entry is looked up once; the tainted
+/// lanes re-evaluate the operation with exactly the sequential rules,
+/// reading their values by entry position, and their new values land in
+/// the cursor's lane buffer.  Lanes that trap or diverge at the record
+/// retire next, so their live counts are those before it; then one
+/// [`LaneTable::assign`] writes the destination for every active lane (the
+/// lanes whose value differs from the clean one hold it, the others lose
+/// it).  Every read precedes every write and each lane touches only its own
+/// mask bit and value slot, so lanes cannot observe each other — which is
+/// what makes every verdict bit-identical to a sequential replay.
 ///
 /// A walk to the end of the trace ([`BatchReplayCursor::walk_to_end`])
 /// differs in two places only: it has no window, and a corrupted final
 /// return value is recorded in `returned` instead of retiring its lane.
 struct BatchWalk<'a> {
     state: &'a mut BatchShadowState,
+    scratch: &'a mut LaneScratch,
     results: &'a mut [Option<PropagationResult>],
     active: u64,
     to_end: bool,
@@ -944,8 +1017,6 @@ struct BatchWalk<'a> {
     /// and those values.
     returned: u64,
     ret_vals: [Value; MAX_REPLAY_LANES],
-    scratch_masks: Vec<u64>,
-    scratch_vals: Vec<Value>,
 }
 
 impl BatchWalk<'_> {
@@ -981,8 +1052,11 @@ impl BatchWalk<'_> {
                 // Activate lanes whose walk starts at this record.
                 while next_pending < n && starts[next_pending] == pos {
                     if self.results[next_pending].is_none() {
-                        self.state
-                            .seed_lane(next_pending, &batch[next_pending].corrupt);
+                        self.state.seed_lane(
+                            next_pending,
+                            &batch[next_pending].corrupt,
+                            &mut self.scratch.vals,
+                        );
                         self.active |= 1u64 << next_pending;
                     }
                     next_pending += 1;
@@ -1000,15 +1074,16 @@ impl BatchWalk<'_> {
                 }
                 // Window exhaustion, checked before the record is examined
                 // (handles k = 0 like the sequential engine).  Starts ascend
-                // with the lane index, so the lowest active lane runs out
-                // first.
-                while self.active != 0 {
-                    let lane = self.active.trailing_zeros() as usize;
+                // with the lane index, so the lanes that run out here are
+                // the lowest active ones, and they retire in one sweep.
+                let mut exhausted = 0u64;
+                for lane in iter_lanes(self.active) {
                     if pos - starts[lane] < window {
                         break;
                     }
-                    self.retire_unresolved(lane, UnresolvedReason::WindowExhausted);
+                    exhausted |= 1u64 << lane;
                 }
+                self.retire(exhausted, UnresolvedReason::WindowExhausted);
                 if self.active != 0 {
                     self.step(rec);
                     // Lanes with no live entry anywhere fully masked out.
@@ -1022,14 +1097,21 @@ impl BatchWalk<'_> {
         }
         pos
     }
-    fn retire_unresolved(&mut self, lane: usize, reason: UnresolvedReason) {
-        let live = self.state.live_count(lane);
-        self.results[lane] = Some(PropagationResult::Unresolved {
-            reason,
-            live_locations: live,
-        });
-        self.active &= !(1u64 << lane);
-        self.state.clear_lane(lane);
+
+    /// Retire `lanes` unresolved, each with its live count as it stands,
+    /// and erase their bits from both tables in one sweep.
+    fn retire(&mut self, lanes: u64, reason: UnresolvedReason) {
+        if lanes == 0 {
+            return;
+        }
+        for lane in iter_lanes(lanes) {
+            self.results[lane] = Some(PropagationResult::Unresolved {
+                reason,
+                live_locations: self.state.live_count(lane),
+            });
+        }
+        self.active &= !lanes;
+        self.state.clear_lanes(lanes);
     }
 
     /// Retire a lane whose corruption fully masked out.  Its bits are
@@ -1039,8 +1121,25 @@ impl BatchWalk<'_> {
         self.active &= !(1u64 << lane);
     }
 
+    /// Retire the lanes whose evaluation trapped, then write the register
+    /// `(frame, dst)` for every lane still active.
+    fn write_reg(&mut self, frame: u64, dst: RegId, w: LaneWrites) {
+        self.retire(w.trapped, UnresolvedReason::EvalTrap);
+        self.state
+            .assign_reg(frame, dst, self.active, w.set, &self.scratch.vals);
+    }
+
+    /// Retire the active lanes whose register `source` feeds an address.
+    fn check_address(&mut self, frame: u64, source: ValueSource) {
+        let m = self.state.source(frame, source, self.active).mask;
+        self.retire(m, UnresolvedReason::AddressDivergence);
+    }
+
     fn step(&mut self, rec: &TraceRecord) {
         let frame = rec.frame;
+        let active = self.active;
+        let regs = &self.state.regs;
+        let vals = &mut self.scratch.vals;
         match &rec.op {
             TraceOp::Bin {
                 op,
@@ -1049,27 +1148,33 @@ impl BatchWalk<'_> {
                 rhs,
                 result,
             } => {
-                let ml = self.state.operand_mask(frame, lhs) & self.active;
-                let mr = self.state.operand_mask(frame, rhs) & self.active;
-                let dst = rec.dst.expect("bin has dst");
-                self.state
-                    .kill_reg_lanes(frame, dst, self.active & !(ml | mr));
-                for lane in iter_lanes(ml | mr) {
-                    let a = if ml >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, lhs, lane)
-                    } else {
-                        lhs.value
-                    };
-                    let b = if mr >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, rhs, lane)
-                    } else {
-                        rhs.value
-                    };
-                    match eval_binop(*op, *ty, &a, &b) {
-                        Ok(r) => self.state.set_reg_lane(frame, dst, lane, r, *result),
-                        Err(_) => self.retire_unresolved(lane, UnresolvedReason::EvalTrap),
-                    }
-                }
+                let l = self.state.source(frame, lhs.source, active);
+                let r = self.state.source(frame, rhs.source, active);
+                let operands = |lane| {
+                    (
+                        regs.value(l, lane, lhs.value),
+                        regs.value(r, lane, rhs.value),
+                    )
+                };
+                let w = if *ty == Type::F64 {
+                    // An `f64` lane of `fadd`/`fsub`/`fmul`/`fdiv` is one
+                    // IEEE operation on its operands, the interpreter's
+                    // own kernel, with no generic type checks or rewrapping.
+                    eval_lanes(l.mask | r.mask, result, vals, |lane| {
+                        let (a, b) = operands(lane);
+                        match (a, b) {
+                            (Value::F64(x), Value::F64(y)) => f64_arith(*op, x, y).map(Value::F64),
+                            _ => None,
+                        }
+                        .or_else(|| eval_binop(*op, *ty, &a, &b).ok())
+                    })
+                } else {
+                    eval_lanes(l.mask | r.mask, result, vals, |lane| {
+                        let (a, b) = operands(lane);
+                        eval_binop(*op, *ty, &a, &b).ok()
+                    })
+                };
+                self.write_reg(frame, rec.dst.expect("bin has dst"), w);
             }
             TraceOp::Cmp {
                 pred,
@@ -1077,27 +1182,14 @@ impl BatchWalk<'_> {
                 rhs,
                 result,
             } => {
-                let ml = self.state.operand_mask(frame, lhs) & self.active;
-                let mr = self.state.operand_mask(frame, rhs) & self.active;
-                let dst = rec.dst.expect("cmp has dst");
-                self.state
-                    .kill_reg_lanes(frame, dst, self.active & !(ml | mr));
-                for lane in iter_lanes(ml | mr) {
-                    let a = if ml >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, lhs, lane)
-                    } else {
-                        lhs.value
-                    };
-                    let b = if mr >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, rhs, lane)
-                    } else {
-                        rhs.value
-                    };
-                    match eval_cmp(*pred, &a, &b) {
-                        Ok(r) => self.state.set_reg_lane(frame, dst, lane, r, *result),
-                        Err(_) => self.retire_unresolved(lane, UnresolvedReason::EvalTrap),
-                    }
-                }
+                let l = self.state.source(frame, lhs.source, active);
+                let r = self.state.source(frame, rhs.source, active);
+                let w = eval_lanes(l.mask | r.mask, result, vals, |lane| {
+                    let a = regs.value(l, lane, lhs.value);
+                    let b = regs.value(r, lane, rhs.value);
+                    eval_cmp(*pred, &a, &b).ok()
+                });
+                self.write_reg(frame, rec.dst.expect("cmp has dst"), w);
             }
             TraceOp::Cast {
                 kind,
@@ -1105,16 +1197,11 @@ impl BatchWalk<'_> {
                 src,
                 result,
             } => {
-                let ms = self.state.operand_mask(frame, src) & self.active;
-                let dst = rec.dst.expect("cast has dst");
-                self.state.kill_reg_lanes(frame, dst, self.active & !ms);
-                for lane in iter_lanes(ms) {
-                    let v = self.state.operand_lane(frame, src, lane);
-                    match eval_cast(*kind, *to, &v) {
-                        Ok(r) => self.state.set_reg_lane(frame, dst, lane, r, *result),
-                        Err(_) => self.retire_unresolved(lane, UnresolvedReason::EvalTrap),
-                    }
-                }
+                let s = self.state.source(frame, src.source, active);
+                let w = eval_lanes(s.mask, result, vals, |lane| {
+                    eval_cast(*kind, *to, &regs.value(s, lane, src.value)).ok()
+                });
+                self.write_reg(frame, rec.dst.expect("cast has dst"), w);
             }
             TraceOp::Load {
                 addr,
@@ -1122,18 +1209,13 @@ impl BatchWalk<'_> {
                 result,
                 ..
             } => {
-                if let ValueSource::Reg(r) = addr_src {
-                    for lane in iter_lanes(self.state.reg_mask(frame, *r) & self.active) {
-                        self.retire_unresolved(lane, UnresolvedReason::AddressDivergence);
-                    }
-                }
-                let dst = rec.dst.expect("load has dst");
-                let mm = self.state.mem_mask(*addr) & self.active;
-                self.state.kill_reg_lanes(frame, dst, self.active & !mm);
-                for lane in iter_lanes(mm) {
-                    let v = self.state.mem_lane(*addr, lane);
-                    self.state.set_reg_lane(frame, dst, lane, v, *result);
-                }
+                self.check_address(frame, *addr_src);
+                let m = self.state.mem.tainted(*addr, self.active);
+                let mem = &self.state.mem;
+                let w = eval_lanes(m.mask, result, &mut self.scratch.vals, |lane| {
+                    Some(mem.value(m, lane, *result))
+                });
+                self.write_reg(frame, rec.dst.expect("load has dst"), w);
             }
             TraceOp::Store {
                 addr,
@@ -1141,22 +1223,21 @@ impl BatchWalk<'_> {
                 value,
                 ..
             } => {
-                if let ValueSource::Reg(r) = addr_src {
-                    for lane in iter_lanes(self.state.reg_mask(frame, *r) & self.active) {
-                        self.retire_unresolved(lane, UnresolvedReason::AddressDivergence);
-                    }
-                }
-                let mv = self.state.operand_mask(frame, value) & self.active;
-                // Clean value overwrites any corrupted memory.
-                self.state.mem_remove_lanes(*addr, self.active & !mv);
-                for lane in iter_lanes(mv) {
-                    let corrupted = self.state.operand_lane(frame, value, lane);
-                    if corrupted.bits_eq(&value.value) {
-                        self.state.mem_remove_lanes(*addr, 1u64 << lane);
-                    } else {
-                        self.state.mem_insert_lane(*addr, lane, corrupted);
-                    }
-                }
+                self.check_address(frame, *addr_src);
+                let v = self.state.source(frame, value.source, self.active);
+                let regs = &self.state.regs;
+                let w = eval_lanes(v.mask, &value.value, &mut self.scratch.vals, |lane| {
+                    Some(regs.value(v, lane, value.value))
+                });
+                // A clean value overwrites any corrupted memory.
+                let state = &mut *self.state;
+                state.mem.assign(
+                    *addr,
+                    self.active,
+                    w.set,
+                    &self.scratch.vals,
+                    &mut state.counts,
+                );
             }
             TraceOp::Gep {
                 base,
@@ -1164,28 +1245,17 @@ impl BatchWalk<'_> {
                 elem_size,
                 result,
             } => {
-                let mb = self.state.operand_mask(frame, base) & self.active;
-                let mi = self.state.operand_mask(frame, index) & self.active;
-                let dst = rec.dst.expect("gep has dst");
-                self.state
-                    .kill_reg_lanes(frame, dst, self.active & !(mb | mi));
-                for lane in iter_lanes(mb | mi) {
-                    let b = if mb >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, base, lane)
-                    } else {
-                        base.value
-                    };
-                    let i = if mi >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, index, lane)
-                    } else {
-                        index.value
-                    };
-                    let a = b
-                        .as_u64()
-                        .wrapping_add((i.as_i64() as u64).wrapping_mul(*elem_size));
-                    self.state
-                        .set_reg_lane(frame, dst, lane, Value::Ptr(a), *result);
-                }
+                let b = self.state.source(frame, base.source, active);
+                let i = self.state.source(frame, index.source, active);
+                let w = eval_lanes(b.mask | i.mask, result, vals, |lane| {
+                    let b = regs.value(b, lane, base.value);
+                    let i = regs.value(i, lane, index.value);
+                    Some(Value::Ptr(
+                        b.as_u64()
+                            .wrapping_add((i.as_i64() as u64).wrapping_mul(*elem_size)),
+                    ))
+                });
+                self.write_reg(frame, rec.dst.expect("gep has dst"), w);
             }
             TraceOp::Select {
                 cond,
@@ -1193,66 +1263,48 @@ impl BatchWalk<'_> {
                 else_v,
                 result,
             } => {
-                let mc = self.state.operand_mask(frame, cond) & self.active;
-                let mt = self.state.operand_mask(frame, then_v) & self.active;
-                let me = self.state.operand_mask(frame, else_v) & self.active;
-                let dst = rec.dst.expect("select has dst");
-                self.state
-                    .kill_reg_lanes(frame, dst, self.active & !(mc | mt | me));
-                for lane in iter_lanes(mc | mt | me) {
-                    let c = if mc >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, cond, lane)
+                let c = self.state.source(frame, cond.source, active);
+                let t = self.state.source(frame, then_v.source, active);
+                let e = self.state.source(frame, else_v.source, active);
+                let w = eval_lanes(c.mask | t.mask | e.mask, result, vals, |lane| {
+                    Some(if regs.value(c, lane, cond.value).is_truthy() {
+                        regs.value(t, lane, then_v.value)
                     } else {
-                        cond.value
-                    };
-                    let t = if mt >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, then_v, lane)
-                    } else {
-                        then_v.value
-                    };
-                    let e = if me >> lane & 1 != 0 {
-                        self.state.operand_lane(frame, else_v, lane)
-                    } else {
-                        else_v.value
-                    };
-                    let r = if c.is_truthy() { t } else { e };
-                    self.state.set_reg_lane(frame, dst, lane, r, *result);
-                }
+                        regs.value(e, lane, else_v.value)
+                    })
+                });
+                self.write_reg(frame, rec.dst.expect("select has dst"), w);
             }
             TraceOp::Intrinsic { intr, args, result } => {
-                let dst = rec.dst.expect("intrinsic has dst");
-                self.scratch_masks.clear();
+                let LaneScratch {
+                    vals,
+                    args: resolved,
+                    arg_vals,
+                } = &mut *self.scratch;
+                resolved.clear();
                 let mut tainted = 0u64;
                 for a in args {
-                    let m = self.state.operand_mask(frame, a) & self.active;
-                    self.scratch_masks.push(m);
-                    tainted |= m;
+                    let t = self.state.source(frame, a.source, active);
+                    tainted |= t.mask;
+                    resolved.push(t);
                 }
-                self.state
-                    .kill_reg_lanes(frame, dst, self.active & !tainted);
-                for lane in iter_lanes(tainted) {
-                    self.scratch_vals.clear();
-                    for (a, m) in args.iter().zip(&self.scratch_masks) {
-                        self.scratch_vals.push(if m >> lane & 1 != 0 {
-                            self.state.operand_lane(frame, a, lane)
-                        } else {
-                            a.value
-                        });
-                    }
-                    match eval_intrinsic(*intr, &self.scratch_vals) {
-                        Ok(r) => self.state.set_reg_lane(frame, dst, lane, r, *result),
-                        Err(_) => self.retire_unresolved(lane, UnresolvedReason::EvalTrap),
-                    }
-                }
+                let w = eval_lanes(tainted, result, vals, |lane| {
+                    arg_vals.clear();
+                    arg_vals.extend(
+                        args.iter()
+                            .zip(resolved.iter())
+                            .map(|(a, &t)| regs.value(t, lane, a.value)),
+                    );
+                    eval_intrinsic(*intr, arg_vals).ok()
+                });
+                self.write_reg(frame, rec.dst.expect("intrinsic has dst"), w);
             }
             TraceOp::Mov { src, result } => {
-                let ms = self.state.operand_mask(frame, src) & self.active;
-                let dst = rec.dst.expect("mov has dst");
-                self.state.kill_reg_lanes(frame, dst, self.active & !ms);
-                for lane in iter_lanes(ms) {
-                    let v = self.state.operand_lane(frame, src, lane);
-                    self.state.set_reg_lane(frame, dst, lane, v, *result);
-                }
+                let s = self.state.source(frame, src.source, active);
+                let w = eval_lanes(s.mask, result, vals, |lane| {
+                    Some(regs.value(s, lane, src.value))
+                });
+                self.write_reg(frame, rec.dst.expect("mov has dst"), w);
             }
             TraceOp::Call {
                 args,
@@ -1260,12 +1312,15 @@ impl BatchWalk<'_> {
                 param_regs,
                 ..
             } => {
+                // Only the tainted lanes write a parameter.
                 for (arg, param) in args.iter().zip(param_regs.iter()) {
-                    for lane in iter_lanes(self.state.operand_mask(frame, arg) & self.active) {
-                        let v = self.state.operand_lane(frame, arg, lane);
-                        self.state
-                            .set_reg_lane(*callee_frame, *param, lane, v, arg.value);
-                    }
+                    let t = self.state.source(frame, arg.source, active);
+                    let regs = &self.state.regs;
+                    let w = eval_lanes(t.mask, &arg.value, &mut self.scratch.vals, |lane| {
+                        Some(regs.value(t, lane, arg.value))
+                    });
+                    self.state
+                        .assign_reg(*callee_frame, *param, t.mask, w.set, &self.scratch.vals);
                 }
             }
             TraceOp::Ret {
@@ -1273,58 +1328,43 @@ impl BatchWalk<'_> {
                 caller_frame,
                 dst_in_caller,
             } => {
-                let rm = match value {
-                    Some(v) => self.state.operand_mask(frame, v) & self.active,
-                    None => 0,
+                // Capture the lanes' differing return values before the
+                // frame's registers die.
+                let (t, clean) = match value {
+                    Some(v) => (self.state.source(frame, v.source, active), &v.value),
+                    None => (Tainted::CLEAN, &NO_VALUE),
                 };
-                // Capture per-lane return values before the frame's
-                // registers die.
-                let mut vals = [NO_VALUE; MAX_REPLAY_LANES];
-                if let Some(v) = value {
-                    for lane in iter_lanes(rm) {
-                        vals[lane] = self.state.operand_lane(frame, v, lane);
-                    }
-                }
+                let w = eval_lanes(t.mask, clean, vals, |lane| {
+                    Some(regs.value(t, lane, *clean))
+                });
                 self.state.drop_frame(frame);
                 if let (Some(cf), Some(dst)) = (caller_frame, dst_in_caller) {
-                    self.state.kill_reg_lanes(*cf, *dst, self.active & !rm);
-                    if let Some(clean) = value {
-                        for lane in iter_lanes(rm) {
-                            self.state
-                                .set_reg_lane(*cf, *dst, lane, vals[lane], clean.value);
-                        }
-                    }
-                } else if let Some(clean) = value {
+                    self.state
+                        .assign_reg(*cf, *dst, self.active, w.set, &self.scratch.vals);
+                } else if self.to_end {
                     // Corrupted final program return value: the outcome
                     // differs.
-                    for lane in iter_lanes(rm) {
-                        if vals[lane].bits_eq(&clean.value) {
-                            continue;
-                        }
-                        if self.to_end {
-                            self.returned |= 1u64 << lane;
-                            self.ret_vals[lane] = vals[lane];
-                        } else {
-                            self.retire_unresolved(lane, UnresolvedReason::TraceEnded);
-                        }
+                    self.returned |= w.set;
+                    for lane in iter_lanes(w.set) {
+                        self.ret_vals[lane] = self.scratch.vals[lane];
                     }
+                } else {
+                    self.retire(w.set, UnresolvedReason::TraceEnded);
                 }
             }
             TraceOp::CondBr { cond, taken } => {
-                for lane in iter_lanes(self.state.operand_mask(frame, cond) & self.active) {
-                    let v = self.state.operand_lane(frame, cond, lane);
-                    if v.is_truthy() != *taken {
-                        self.retire_unresolved(lane, UnresolvedReason::ControlDivergence);
-                    }
-                }
+                let t = self.state.source(frame, cond.source, active);
+                let diverged = iter_lanes(t.mask)
+                    .filter(|&lane| regs.value(t, lane, cond.value).is_truthy() != *taken)
+                    .fold(0u64, |m, lane| m | 1u64 << lane);
+                self.retire(diverged, UnresolvedReason::ControlDivergence);
             }
             TraceOp::Switch { value, .. } => {
-                for lane in iter_lanes(self.state.operand_mask(frame, value) & self.active) {
-                    let v = self.state.operand_lane(frame, value, lane);
-                    if !v.bits_eq(&value.value) {
-                        self.retire_unresolved(lane, UnresolvedReason::ControlDivergence);
-                    }
-                }
+                let t = self.state.source(frame, value.source, active);
+                let diverged = iter_lanes(t.mask)
+                    .filter(|&lane| !regs.value(t, lane, value.value).bits_eq(&value.value))
+                    .fold(0u64, |m, lane| m | 1u64 << lane);
+                self.retire(diverged, UnresolvedReason::ControlDivergence);
             }
         }
     }
@@ -1355,14 +1395,16 @@ struct WalkStop {
 /// A reusable lane-batched replay cursor: up to [`MAX_REPLAY_LANES`] replays
 /// share one walk over the decoded records.
 ///
-/// Like [`ReplayCursor`] it owns its state buffers and a warm
-/// [`TraceRead`] reader, so on the paged backend one decoded segment now
-/// serves every lane in the batch instead of a single replay.
+/// Like [`ReplayCursor`] it owns its state buffers (the shadow tables and
+/// the lane buffers, so a walk allocates nothing once they have grown) and
+/// a warm [`TraceRead`] reader, so on the paged backend one decoded
+/// segment now serves every lane in the batch instead of a single replay.
 pub struct BatchReplayCursor<'t> {
     trace: &'t dyn TraceStorage,
     len: u64,
     reader: Box<dyn TraceRead + 't>,
     state: BatchShadowState,
+    scratch: LaneScratch,
 }
 
 impl<'t> BatchReplayCursor<'t> {
@@ -1373,6 +1415,7 @@ impl<'t> BatchReplayCursor<'t> {
             len: trace.len(),
             reader: trace.new_reader(),
             state: BatchShadowState::default(),
+            scratch: LaneScratch::default(),
         }
     }
 
@@ -1394,11 +1437,11 @@ impl<'t> BatchReplayCursor<'t> {
     }
 
     /// Replay every lane of `batch` (each at most `k` records from its own
-    /// `start`) in one walk, appending one [`PropagationResult`] per lane to
-    /// `out` in lane order.
+    /// `start`), [`MAX_REPLAY_LANES`] lanes per walk, appending one
+    /// [`PropagationResult`] per lane to `out` in lane order.
     ///
-    /// Lanes must be sorted by ascending `start` and there can be at most
-    /// [`MAX_REPLAY_LANES`] of them.  Lanes activate when the walk reaches
+    /// Lanes must be sorted by ascending `start`; a longer batch is walked
+    /// in consecutive groups of [`MAX_REPLAY_LANES`].  Lanes activate when the walk reaches
     /// their start and retire individually; when no lane is live the walk
     /// skips straight to the next start.  Lanes the walk never reaches
     /// (start at/past the trace end, or beyond a poisoned backend's decode
@@ -1410,34 +1453,36 @@ impl<'t> BatchReplayCursor<'t> {
         k: usize,
         out: &mut Vec<PropagationResult>,
     ) {
-        let mut results = [None; MAX_REPLAY_LANES];
-        let results = &mut results[..batch.len()];
-        let stop = self.walk(batch, k as u64, false, results);
-        // Trace ended (or the backend poisoned itself) with lanes still
-        // live: same verdict rule as the sequential engine — only corrupted
-        // *memory* survives the end of the trace.
-        let mem_live = self.state.mem.union_mask();
-        for lane in iter_lanes(stop.active) {
-            let examined = (stop.pos - stop.starts[lane]) as usize;
-            results[lane] = Some(if mem_live >> lane & 1 == 0 {
-                PropagationResult::AllMasked {
-                    ops_examined: examined,
-                }
-            } else {
-                PropagationResult::Unresolved {
-                    reason: UnresolvedReason::TraceEnded,
-                    live_locations: self.state.live_count(lane),
-                }
-            });
-        }
-        // Lanes the walk never reached resolve through the exact sequential
-        // engine.
-        for (i, lane) in batch.iter().enumerate() {
-            if results[i].is_none() {
-                results[i] = Some(replay(self.trace, lane.start, &lane.corrupt, k));
+        for lanes in batch.chunks(MAX_REPLAY_LANES) {
+            let mut results = [None; MAX_REPLAY_LANES];
+            let results = &mut results[..lanes.len()];
+            let stop = self.walk(lanes, k as u64, false, results);
+            // Trace ended (or the backend poisoned itself) with lanes still
+            // live: same verdict rule as the sequential engine — only
+            // corrupted *memory* survives the end of the trace.
+            let mem_live = self.state.mem.union_mask();
+            for lane in iter_lanes(stop.active) {
+                let examined = (stop.pos - stop.starts[lane]) as usize;
+                results[lane] = Some(if mem_live >> lane & 1 == 0 {
+                    PropagationResult::AllMasked {
+                        ops_examined: examined,
+                    }
+                } else {
+                    PropagationResult::Unresolved {
+                        reason: UnresolvedReason::TraceEnded,
+                        live_locations: self.state.live_count(lane),
+                    }
+                });
             }
+            // Lanes the walk never reached resolve through the exact
+            // sequential engine.
+            for (i, lane) in lanes.iter().enumerate() {
+                if results[i].is_none() {
+                    results[i] = Some(replay(self.trace, lane.start, &lane.corrupt, k));
+                }
+            }
+            out.extend(results.iter().map(|r| r.expect("lane resolved")));
         }
-        out.extend(results.iter().map(|r| r.expect("lane resolved")));
     }
 
     /// Follow every lane of `batch` to the end of the trace, appending one
@@ -1463,40 +1508,44 @@ impl<'t> BatchReplayCursor<'t> {
     /// does (`tests/dfi_reconstruction.rs` checks each of them against
     /// injection).
     ///
-    /// Lanes must be sorted by ascending `start`, at most
-    /// [`MAX_REPLAY_LANES`] of them, as for
+    /// Lanes must be sorted by ascending `start`, and a batch of any length
+    /// is walked [`MAX_REPLAY_LANES`] lanes at a time, as for
     /// [`BatchReplayCursor::replay_batch`].
     pub fn walk_to_end(&mut self, batch: &[BatchLane], out: &mut Vec<Option<SamePathEnd>>) {
-        let mut results = [None; MAX_REPLAY_LANES];
-        let results = &mut results[..batch.len()];
-        let stop = self.walk(batch, u64::MAX, true, results);
-        let mut ends: Vec<Option<SamePathEnd>> = results
-            .iter()
-            .map(|r| r.filter(|r| r.is_masked()).map(|_| SamePathEnd::default()))
-            .collect();
-        // Lanes still live where the walk stopped are same-path only if it
-        // stopped at the end of the trace, not at a poisoned segment.
-        if stop.pos >= self.len {
-            for lane in iter_lanes(stop.active) {
-                ends[lane] = Some(SamePathEnd::default());
-            }
-            for (addr, e) in &self.state.mem.entries {
-                for lane in iter_lanes(e.mask & stop.active) {
-                    if let Some(end) = &mut ends[lane] {
-                        end.memory.push((*addr, e.vals[lane]));
+        for lanes in batch.chunks(MAX_REPLAY_LANES) {
+            let mut results = [None; MAX_REPLAY_LANES];
+            let results = &mut results[..lanes.len()];
+            let stop = self.walk(lanes, u64::MAX, true, results);
+            let first = out.len();
+            out.extend(
+                results
+                    .iter()
+                    .map(|r| r.filter(|r| r.is_masked()).map(|_| SamePathEnd::default())),
+            );
+            let ends = &mut out[first..];
+            // Lanes still live where the walk stopped are same-path only if
+            // it stopped at the end of the trace, not at a poisoned segment.
+            if stop.pos >= self.len {
+                for lane in iter_lanes(stop.active) {
+                    ends[lane] = Some(SamePathEnd::default());
+                }
+                for (addr, e) in &self.state.mem.entries {
+                    for lane in iter_lanes(e.mask & stop.active) {
+                        if let Some(end) = &mut ends[lane] {
+                            end.memory.push((*addr, e.vals[lane]));
+                        }
                     }
                 }
             }
-        }
-        for lane in iter_lanes(stop.returned) {
-            if let Some(end) = &mut ends[lane] {
-                end.return_value = Some(stop.ret_vals[lane]);
+            for lane in iter_lanes(stop.returned) {
+                if let Some(end) = &mut ends[lane] {
+                    end.return_value = Some(stop.ret_vals[lane]);
+                }
+            }
+            for end in ends.iter_mut().flatten() {
+                end.memory.sort_unstable_by_key(|&(addr, _)| addr);
             }
         }
-        for end in ends.iter_mut().flatten() {
-            end.memory.sort_unstable_by_key(|&(addr, _)| addr);
-        }
-        out.extend(ends);
     }
 
     /// Reset the state, settle empty seeds, and walk `batch` with the given
@@ -1508,10 +1557,6 @@ impl<'t> BatchReplayCursor<'t> {
         to_end: bool,
         results: &mut [Option<PropagationResult>],
     ) -> WalkStop {
-        assert!(
-            batch.len() <= MAX_REPLAY_LANES,
-            "at most {MAX_REPLAY_LANES} lanes per batch"
-        );
         debug_assert!(
             batch.windows(2).all(|w| w[0].start <= w[1].start),
             "batch lanes must be sorted by start"
@@ -1526,13 +1571,12 @@ impl<'t> BatchReplayCursor<'t> {
         }
         let mut walk = BatchWalk {
             state: &mut self.state,
+            scratch: &mut self.scratch,
             results,
             active: 0,
             to_end,
             returned: 0,
             ret_vals: [NO_VALUE; MAX_REPLAY_LANES],
-            scratch_masks: Vec::new(),
-            scratch_vals: Vec::new(),
         };
         let pos = walk.run(
             self.reader.as_mut(),
@@ -1956,6 +2000,55 @@ mod tests {
         m
     }
 
+    /// A value-returning helper called in a loop: calls whose arguments and
+    /// returned values reach a caller's register, and a select, an
+    /// intrinsic, an integer remainder and a cast inside the callee, none of
+    /// which the other fixtures execute.
+    fn call_module() -> Module {
+        let mut m = Module::new("calls");
+        let v = m.add_global(Global::from_f64("v", &[1.5, -2.0, 4.0]));
+        let sum = m.add_global(Global::zeroed("sum", Type::F64, 1));
+        // double scale(double x, long i) {
+        //     return sqrt(x > 0 ? x : 1.0) + (double)(i % 2);
+        // }
+        let mut h = FunctionBuilder::new("scale", &[Type::F64, Type::I64], Some(Type::F64));
+        let (x, i) = (h.param(0), h.param(1));
+        let odd = h.srem(Operand::Reg(i), Operand::const_i64(2));
+        let oddf = h.sitofp(Operand::Reg(odd));
+        let pos = h.cmp(CmpPred::FOgt, Operand::Reg(x), Operand::const_f64(0.0));
+        let ax = h.select(
+            Type::F64,
+            Operand::Reg(pos),
+            Operand::Reg(x),
+            Operand::const_f64(1.0),
+        );
+        let root = h.sqrt(Operand::Reg(ax));
+        let y = h.fadd(Operand::Reg(root), Operand::Reg(oddf));
+        h.ret(Some(Operand::Reg(y)));
+        let scale = m.add_function(h.finish());
+        let mut f = FunctionBuilder::new("main", &[], Some(Type::F64));
+        f.store_elem(
+            Type::F64,
+            sum,
+            Operand::const_i64(0),
+            Operand::const_f64(0.0),
+        );
+        f.for_loop(Operand::const_i64(0), Operand::const_i64(3), |f, i| {
+            let vi = f.load_elem(Type::F64, v, Operand::Reg(i));
+            let y = f
+                .call(scale, &[Operand::Reg(vi), Operand::Reg(i)], Some(Type::F64))
+                .unwrap();
+            let s = f.load_elem(Type::F64, sum, Operand::const_i64(0));
+            let ns = f.fadd(Operand::Reg(s), Operand::Reg(y));
+            f.store_elem(Type::F64, sum, Operand::const_i64(0), Operand::Reg(ns));
+        });
+        let out = f.load_elem(Type::F64, sum, Operand::const_i64(0));
+        f.ret(Some(Operand::Reg(out)));
+        m.add_function(f.finish());
+        moard_ir::verify::assert_verified(&m);
+        m
+    }
+
     /// The clean destination value a record produced, when it has one.
     fn dst_result(rec: &TraceRecord) -> Option<Value> {
         match &rec.op {
@@ -2027,7 +2120,7 @@ mod tests {
                             CorruptLoc::Reg {
                                 frame: rec.frame,
                                 reg: dst,
-                                value: clean.flip_bits(&[1, 2]),
+                                value: clean.flip_mask(0b110),
                             },
                             CorruptLoc::Mem {
                                 addr: 0x1000,
@@ -2079,7 +2172,7 @@ mod tests {
     #[test]
     fn batched_replay_is_bit_identical_to_sequential() {
         let mut max_lanes = 0usize;
-        for m in [overwrite_later_module(), parity_module()] {
+        for m in [overwrite_later_module(), parity_module(), call_module()] {
             let (_, trace) = run_traced(&m).unwrap();
             let lanes = parity_lanes(&trace);
             max_lanes = max_lanes.max(lanes.len());
@@ -2109,7 +2202,7 @@ mod tests {
         // when it is, and otherwise ends on `TraceEnded` with exactly the
         // lane's corrupted words live (the final return is the last
         // record, after every register died).
-        for m in [overwrite_later_module(), parity_module()] {
+        for m in [overwrite_later_module(), parity_module(), call_module()] {
             let (_, trace) = run_traced(&m).unwrap();
             let lanes = parity_lanes(&trace);
             let len = trace.len();
@@ -2169,7 +2262,7 @@ mod tests {
         // every lane the walk follows to the end must rebuild the injected
         // outcome bit for bit.  The population covers every kind of end.
         let (mut same_path, mut diverged, mut words, mut returns) = (0, 0, 0, 0);
-        for m in [overwrite_later_module(), parity_module()] {
+        for m in [overwrite_later_module(), parity_module(), call_module()] {
             let (golden, trace) = run_traced(&m).unwrap();
             let objects = Vm::with_defaults(&m).unwrap().objects().clone();
             let mut lanes = Vec::new();
@@ -2213,6 +2306,32 @@ mod tests {
             }
         }
         assert!(same_path > 0 && diverged > 0 && words > 0 && returns > 0);
+    }
+
+    #[test]
+    fn batches_longer_than_the_lane_cap_walk_in_groups() {
+        // 65 lanes in one call give exactly the results of a 64-lane call
+        // followed by a 1-lane call, for both entry points.
+        let m = parity_module();
+        let (_, trace) = run_traced(&m).unwrap();
+        let lanes = parity_lanes(&trace);
+        let lanes = &lanes[lanes.len() - (MAX_REPLAY_LANES + 1)..];
+        let (head, tail) = lanes.split_at(MAX_REPLAY_LANES);
+        let mut cursor = BatchReplayCursor::new(&trace);
+        for k in [3usize, 50] {
+            let (mut whole, mut parts) = (Vec::new(), Vec::new());
+            cursor.replay_batch(lanes, k, &mut whole);
+            cursor.replay_batch(head, k, &mut parts);
+            cursor.replay_batch(tail, k, &mut parts);
+            assert_eq!(whole.len(), lanes.len());
+            assert_eq!(whole, parts, "k={k}");
+        }
+        let (mut whole, mut parts) = (Vec::new(), Vec::new());
+        cursor.walk_to_end(lanes, &mut whole);
+        cursor.walk_to_end(head, &mut parts);
+        cursor.walk_to_end(tail, &mut parts);
+        assert_eq!(whole.len(), lanes.len());
+        assert_eq!(whole, parts);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub use builder::FunctionBuilder;
 pub use inst::{BinOp, CastKind, CmpPred, Inst, Intrinsic, Operand, Terminator};
 pub use module::{Block, BlockId, FuncId, Function, Global, GlobalId, GlobalInit, Module, RegId};
 pub use types::Type;
-pub use value::{eval_binop, eval_cast, eval_cmp, eval_intrinsic, EvalError, Value};
+pub use value::{eval_binop, eval_cast, eval_cmp, eval_intrinsic, f64_arith, EvalError, Value};
 
 /// Commonly used items, for glob import in builders and tests.
 pub mod prelude {

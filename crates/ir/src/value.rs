@@ -271,6 +271,23 @@ fn wrap_float(ty: Type, v: f64) -> Value {
     }
 }
 
+/// `op` on two `f64` operands when it is `fadd`, `fsub`, `fmul` or `fdiv`:
+/// the one IEEE-754 double operation each computes, or `None` for any
+/// other operation.  [`eval_binop`] evaluates those four through it
+/// (`f32` operands in double precision, the result rounded to `f32`), so a
+/// caller that applies one of them to many `f64` operand pairs can skip
+/// the generic evaluation and still get the interpreter's bits.
+#[inline]
+pub fn f64_arith(op: BinOp, a: f64, b: f64) -> Option<f64> {
+    Some(match op {
+        BinOp::FAdd => a + b,
+        BinOp::FSub => a - b,
+        BinOp::FMul => a * b,
+        BinOp::FDiv => a / b,
+        _ => return None,
+    })
+}
+
 /// Evaluate a binary operation on two values of type `ty`.
 ///
 /// Pointer operands participate in integer arithmetic (address computation)
@@ -329,21 +346,10 @@ pub fn eval_binop(op: BinOp, ty: Type, lhs: &Value, rhs: &Value) -> Result<Value
             }
             Ok(Value::from_bits(ty, a % b))
         }
-        BinOp::FAdd => {
+        BinOp::FAdd | BinOp::FSub | BinOp::FMul | BinOp::FDiv => {
             let (a, b) = float_pair(lhs, rhs)?;
-            Ok(wrap_float(ty, a + b))
-        }
-        BinOp::FSub => {
-            let (a, b) = float_pair(lhs, rhs)?;
-            Ok(wrap_float(ty, a - b))
-        }
-        BinOp::FMul => {
-            let (a, b) = float_pair(lhs, rhs)?;
-            Ok(wrap_float(ty, a * b))
-        }
-        BinOp::FDiv => {
-            let (a, b) = float_pair(lhs, rhs)?;
-            Ok(wrap_float(ty, a / b))
+            let r = f64_arith(op, a, b).expect("fadd, fsub, fmul and fdiv are f64 arithmetic");
+            Ok(wrap_float(ty, r))
         }
         BinOp::FRem => {
             let (a, b) = float_pair(lhs, rhs)?;

@@ -47,6 +47,7 @@ use moard_inject::{
 use moard_json::{Json, ToJson};
 use std::collections::{BinaryHeap, HashMap};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -154,6 +155,21 @@ struct Shared {
 }
 
 impl Shared {
+    /// Idle state around every job's runner: empty queue and job table,
+    /// zeroed metrics.
+    fn new(runner: Runner) -> Shared {
+        Shared {
+            runner,
+            metrics: MetricsRegistry::new(),
+            queue: Mutex::new(BinaryHeap::new()),
+            queue_ready: Condvar::new(),
+            jobs: Mutex::new(HashMap::new()),
+            next_job: AtomicU64::new(0),
+            next_seq: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
     /// Enqueue a job request, returning its state handle.
     fn submit(&self, request: Request) -> Arc<JobState> {
         let job = Arc::new(JobState {
@@ -221,45 +237,73 @@ impl Shared {
 
     /// Execute one job end to end and publish its final response.
     fn run_job(&self, job: &JobState) {
+        job.complete(self.respond(job, |job| self.execute(job)));
+    }
+
+    /// Run `job` through `execute`, book it in the metrics, and return its
+    /// final response.  All of it runs under `catch_unwind`: a job that
+    /// panics answers with an error, counted as one in its operation's row,
+    /// and its worker goes on to the next job instead of dying with the
+    /// job's client still waiting for an answer.
+    fn respond(
+        &self,
+        job: &JobState,
+        execute: impl FnOnce(&JobState) -> Result<(Json, u64, u64), MoardError>,
+    ) -> Response {
         let op = job.request.kind();
         let started = Instant::now();
-        let result = if job.cancel.is_cancelled() {
-            Err(MoardError::Cancelled)
-        } else {
-            self.execute(job)
-        };
-        let ns = started.elapsed().as_nanos() as u64;
-        let response = match result {
-            Ok((payload, cache_hits, executed)) => {
-                self.metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                self.metrics
-                    .cache_hits
-                    .fetch_add(cache_hits, Ordering::Relaxed);
-                self.metrics
-                    .tasks_executed
-                    .fetch_add(executed, Ordering::Relaxed);
-                self.metrics.record(op, ns, true);
-                Response::Result {
-                    job: job.id,
-                    op: op.to_string(),
-                    cache_hits,
-                    executed,
-                    payload,
+        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+            let result = if job.cancel.is_cancelled() {
+                Err(MoardError::Cancelled)
+            } else {
+                execute(job)
+            };
+            let ns = started.elapsed().as_nanos() as u64;
+            match result {
+                Ok((payload, cache_hits, executed)) => {
+                    self.metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
+                    self.metrics
+                        .cache_hits
+                        .fetch_add(cache_hits, Ordering::Relaxed);
+                    self.metrics
+                        .tasks_executed
+                        .fetch_add(executed, Ordering::Relaxed);
+                    self.metrics.record(op, ns, true);
+                    Response::Result {
+                        job: job.id,
+                        op: op.to_string(),
+                        cache_hits,
+                        executed,
+                        payload,
+                    }
+                }
+                Err(MoardError::Cancelled) => {
+                    self.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.record(op, ns, true);
+                    Response::Cancelled { job: job.id }
+                }
+                Err(e) => {
+                    self.metrics.record(op, ns, false);
+                    Response::Error {
+                        message: e.to_string(),
+                    }
                 }
             }
-            Err(MoardError::Cancelled) => {
-                self.metrics.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
-                self.metrics.record(op, ns, true);
-                Response::Cancelled { job: job.id }
+        }));
+        run.unwrap_or_else(|payload| {
+            self.metrics
+                .record(op, started.elapsed().as_nanos() as u64, false);
+            let detail = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            Response::Error {
+                message: match detail {
+                    Some(detail) => format!("job {} panicked: {detail}", job.id),
+                    None => format!("job {} panicked", job.id),
+                },
             }
-            Err(e) => {
-                self.metrics.record(op, ns, false);
-                Response::Error {
-                    message: e.to_string(),
-                }
-            }
-        };
-        job.complete(response);
+        })
     }
 
     /// Run the job's engine.  Every engine runs `Parallelism::Sequential`:
@@ -359,22 +403,13 @@ impl Daemon {
             Some(dir) => Some(ResultStore::open(dir)?),
             None => None,
         };
-        let shared = Arc::new(Shared {
-            runner: Runner {
-                parallelism: Parallelism::Sequential,
-                resume: store.is_some(),
-                store,
-                harnesses: Arc::new(HarnessCache::with_backend(config.trace_backend.clone())),
-                ..Runner::default()
-            },
-            metrics: MetricsRegistry::new(),
-            queue: Mutex::new(BinaryHeap::new()),
-            queue_ready: Condvar::new(),
-            jobs: Mutex::new(HashMap::new()),
-            next_job: AtomicU64::new(0),
-            next_seq: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-        });
+        let shared = Arc::new(Shared::new(Runner {
+            parallelism: Parallelism::Sequential,
+            resume: store.is_some(),
+            store,
+            harnesses: Arc::new(HarnessCache::with_backend(config.trace_backend.clone())),
+            ..Runner::default()
+        }));
         let threads = if config.threads == 0 {
             std::thread::available_parallelism().map_or(2, |n| n.get())
         } else {
@@ -553,5 +588,46 @@ fn serve_connection(stream: TcpStream, shared: Arc<Shared>) {
             }
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_job_answers_with_an_error_and_counts_as_one() {
+        let shared = Shared::new(Runner::default());
+        let job = shared.submit(Request::Analyze {
+            workload: "mm".into(),
+            objects: Vec::new(),
+            config: moard_core::AnalysisConfig::default(),
+            use_dfi: false,
+            priority: Priority::Normal,
+        });
+        let row = shared.metrics.op("analyze");
+        let errors = || row.errors.load(Ordering::Relaxed);
+        match shared.respond(&job, |_| panic!("executor failed")) {
+            Response::Error { message } => {
+                assert_eq!(message, format!("job {} panicked: executor failed", job.id))
+            }
+            other => panic!("expected an error response, got {other:?}"),
+        }
+        assert_eq!(errors(), 1);
+        // A payload that is not a string still answers.
+        match shared.respond(&job, |_| panic::panic_any(7u32)) {
+            Response::Error { message } => assert_eq!(message, format!("job {} panicked", job.id)),
+            other => panic!("expected an error response, got {other:?}"),
+        }
+        assert_eq!(errors(), 2);
+        // The next job on the same path answers as usual.
+        let response = shared.respond(&job, |_| Ok((Json::Null, 0, 1)));
+        assert!(
+            matches!(response, Response::Result { executed: 1, .. }),
+            "{response:?}"
+        );
+        assert_eq!(errors(), 2);
+        assert_eq!(row.requests.load(Ordering::Relaxed), 3);
+        assert_eq!(shared.metrics.jobs_completed.load(Ordering::Relaxed), 1);
     }
 }

@@ -78,33 +78,40 @@ const MAX_ALLOCATIONS_PER_SITE: f64 = 1.0;
 #[test]
 fn analytic_pass_allocates_a_constant_per_site() {
     // LU/u: a Table-1 cell with thousands of sites, most of which need a
-    // propagation replay.
-    let h = WorkloadHarness::new_with(workload_by_name("lu").unwrap(), &TraceBackendSpec::Memory)
+    // propagation replay.  LULESH/m_delv_zeta: a cell whose replays walk
+    // through intrinsic calls, whose evaluation needs argument buffers.
+    for (workload, name, min_sites) in [("lu", "u", 1000), ("lulesh", "m_delv_zeta", 400)] {
+        let h = WorkloadHarness::new_with(
+            workload_by_name(workload).unwrap(),
+            &TraceBackendSpec::Memory,
+        )
         .unwrap();
-    let object = h.object_id("u").unwrap();
-    for patterns in [
-        ErrorPatternSet::SingleBit,
-        ErrorPatternSet::AdjacentBits { width: 2 },
-    ] {
-        let config = AnalysisConfig {
-            patterns: patterns.clone(),
-            ..Default::default()
-        };
-        let analyzer = AdvfAnalyzer::new(h.trace(), config);
-        let (report, allocations) = counted(|| analyzer.analyze(object, "u", "LU", None));
-        let sites = report.sites_analyzed;
-        assert!(sites >= 1000, "{patterns:?}: only {sites} sites");
-        let lanes = replay_lanes(&analyzer, h.trace(), object, &patterns);
-        assert!(
-            lanes >= sites,
-            "{patterns:?}: {lanes} replay lanes for {sites} sites"
-        );
-        let per_site = allocations as f64 / sites as f64;
-        assert!(
-            per_site <= MAX_ALLOCATIONS_PER_SITE,
-            "{patterns:?}: {allocations} allocations for {sites} sites \
-             ({per_site:.2} per site, budget {MAX_ALLOCATIONS_PER_SITE})"
-        );
+        let object = h.object_id(name).unwrap();
+        for patterns in [
+            ErrorPatternSet::SingleBit,
+            ErrorPatternSet::AdjacentBits { width: 2 },
+        ] {
+            let config = AnalysisConfig {
+                patterns: patterns.clone(),
+                ..Default::default()
+            };
+            let analyzer = AdvfAnalyzer::new(h.trace(), config);
+            let (report, allocations) = counted(|| analyzer.analyze(object, name, workload, None));
+            let cell = format!("{workload}/{name} under {patterns:?}");
+            let sites = report.sites_analyzed;
+            assert!(sites >= min_sites, "{cell}: only {sites} sites");
+            let lanes = replay_lanes(&analyzer, h.trace(), object, &patterns);
+            assert!(
+                lanes >= sites,
+                "{cell}: {lanes} replay lanes for {sites} sites"
+            );
+            let per_site = allocations as f64 / sites as f64;
+            assert!(
+                per_site <= MAX_ALLOCATIONS_PER_SITE,
+                "{cell}: {allocations} allocations for {sites} sites \
+                 ({per_site:.2} per site, budget {MAX_ALLOCATIONS_PER_SITE})"
+            );
+        }
     }
 }
 
