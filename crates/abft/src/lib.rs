@@ -30,8 +30,8 @@ pub use checksum::{
 use moard_workloads::Registry;
 
 /// Register the ABFT case-study variants into a workload registry, making
-/// them addressable by the CLI and the `AnalysisSession` façade exactly like
-/// the built-in workloads (`abft-mm`, `abft-pf`, plus long-form aliases).
+/// them addressable by the CLI and `Runner::analyze` exactly like the
+/// built-in workloads (`abft-mm`, `abft-pf`, plus long-form aliases).
 pub fn register(registry: &mut Registry) {
     registry.register(&["abft-matmul", "abftmm"], || {
         Box::new(AbftMatMul::default())

@@ -24,7 +24,7 @@ fn main() {
         let harness = harness_or_exit(wl);
         let mut rows: Vec<(String, f64, f64)> = Vec::new();
         for obj in objects {
-            let report = unwrap_or_exit(harness.analyze(obj, effort.analysis_config()));
+            let report = unwrap_or_exit(harness.analyze(obj, effort.analysis_config(), true));
             let campaign = unwrap_or_exit(harness.exhaustive_with_budget(
                 obj,
                 effort.exhaustive_budget(),

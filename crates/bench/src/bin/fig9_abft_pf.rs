@@ -5,16 +5,13 @@ use moard_bench::{
     kind_header, kind_row, level_header, level_row, print_header, unwrap_or_exit, Effort,
 };
 use moard_core::AdvfReport;
-use moard_inject::Session;
+use moard_inject::WorkloadHarness;
 
 fn analyze(workload: Box<dyn moard_workloads::Workload>, effort: Effort) -> AdvfReport {
-    let mut session = unwrap_or_exit(
-        Session::from_workload(workload)
-            .config(effort.analysis_config())
-            .object("xe")
-            .run(),
-    );
-    session.reports.remove(0)
+    unwrap_or_exit(
+        WorkloadHarness::new(workload)
+            .and_then(|h| h.analyze("xe", effort.analysis_config(), true)),
+    )
 }
 
 fn main() {

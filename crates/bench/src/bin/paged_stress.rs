@@ -17,7 +17,7 @@
 //! `--out` (CI uploads it as the stress artifact).  Exits non-zero if the
 //! trace came up short of the requested record count or the analysis fails.
 
-use moard_inject::Session;
+use moard_inject::{SessionReport, WorkloadHarness};
 use moard_ir::prelude::*;
 use moard_vm::TraceBackendSpec;
 use moard_workloads::{Acceptance, Workload};
@@ -160,23 +160,26 @@ fn main() {
         }
     }
 
+    let config = moard_core::AnalysisConfig {
+        propagation_window: k,
+        site_stride: stride,
+        ..Default::default()
+    };
+    // A bad config must not wait for millions of records to be traced.
+    if let Err(e) = config.validate() {
+        eprintln!("paged_stress: {e}");
+        std::process::exit(1);
+    }
     let stress = Stress::for_records(records);
     println!(
         "kernel              : outer {} x inner {} (target >= {} records)",
         stress.outer, stress.inner, records
     );
-    let session = Session::from_workload(Box::new(stress))
-        .object("acc")
-        .without_dfi()
-        .window(k)
-        .stride(stride)
-        .trace_backend(backend.clone())
-        .build()
-        .unwrap_or_else(|e| {
-            eprintln!("paged_stress: preparing the harness failed: {e}");
-            std::process::exit(1);
-        });
-    let stats = session.trace_stats();
+    let harness = WorkloadHarness::new_with(Box::new(stress), &backend).unwrap_or_else(|e| {
+        eprintln!("paged_stress: preparing the harness failed: {e}");
+        std::process::exit(1);
+    });
+    let stats = harness.trace_stats();
     println!("trace backend       : {}", backend.describe());
     println!("trace records       : {}", stats.records);
     println!("indexed objects     : {}", stats.indexed_objects);
@@ -188,10 +191,17 @@ fn main() {
         );
         std::process::exit(1);
     }
-    let report = session.run().unwrap_or_else(|e| {
-        eprintln!("paged_stress: analysis failed: {e}");
-        std::process::exit(1);
-    });
+    let report = harness
+        .analyze("acc", config.clone(), false)
+        .unwrap_or_else(|e| {
+            eprintln!("paged_stress: analysis failed: {e}");
+            std::process::exit(1);
+        });
+    let report = SessionReport {
+        workload: harness.workload().name().to_string(),
+        config,
+        reports: vec![report],
+    };
     let advf = report.reports[0].advf();
     println!("sites analyzed      : {}", report.reports[0].sites_analyzed);
     println!("aDVF(acc)           : {advf:.6}");

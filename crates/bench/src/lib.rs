@@ -13,7 +13,7 @@ pub mod micro;
 pub mod smoke;
 
 use moard_core::{AdvfReport, AnalysisConfig, MoardError};
-use moard_inject::{Session, SessionReport, WorkloadHarness};
+use moard_inject::{Runner, SessionReport, WorkloadHarness};
 
 /// Effort level selected on the command line of a figure binary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,12 +127,11 @@ pub fn kind_header() -> String {
     )
 }
 
-/// Analyze every target data object of a named workload through the
-/// session façade (objects fan out over worker threads).
+/// Analyze every target data object of a named built-in workload (the
+/// objects run as parallel tasks).
 pub fn analyze_workload(name: &str, effort: Effort) -> Result<SessionReport, MoardError> {
-    Session::for_workload(name)?
-        .config(effort.analysis_config())
-        .run()
+    let registry = moard_workloads::builtin_registry();
+    Runner::default().analyze(name, &[], &effort.analysis_config(), true, registry)
 }
 
 /// Prepare a harness by name, or print the typed error and exit — the

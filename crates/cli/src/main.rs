@@ -3,10 +3,10 @@
 //! Subcommands:
 //!
 //! * `moard list` — Table I plus case studies and ABFT variants;
-//! * `moard analyze <workload> [object] [--k N] [--stride N] [--max-dfi N]
-//!   [--no-dfi] [--seq]` — aDVF analysis with the three-level and
-//!   operation-kind breakdowns;
-//! * `moard report <workload> [object...]` — the full serialized session
+//! * `moard analyze <workload> [object] [--k N] [--stride N] [--max-dfi
+//!   N|unbounded] [--no-dfi] [--seq]` — aDVF analysis with the three-level
+//!   and operation-kind breakdowns;
+//! * `moard report <workload> [object...]` — the full serialized analysis
 //!   report (always JSON);
 //! * `moard sweep [--workloads all|table1|w1,w2] [--objects o1,o2] [--k
 //!   N,N…] [--stride N,N…] [--max-dfi N|unbounded,…] [--rfi-tests N,N…]
@@ -52,8 +52,8 @@
 use moard_core::{MoardError, StudyReport, ValidationReport};
 use moard_inject::{
     HarnessCache, MinimizeReport, MinimizeSpec, ObjectSelector, Parallelism, ResultStore,
-    RfiConfig, Runner, Session, SessionReport, StudySpec, SweepStats, ValidationSpec,
-    ValidationStats, WorkloadHarness, WorkloadSelector,
+    RfiConfig, Runner, SessionReport, StudySpec, SweepStats, ValidationSpec, ValidationStats,
+    WorkloadHarness, WorkloadSelector,
 };
 use moard_json::{Json, ToJson};
 use moard_workloads::{Registry, WorkloadRegistry};
@@ -70,10 +70,10 @@ macro_rules! out {
 
 const USAGE: &str = "usage: moard [--format json|text] <command> [args]
   moard list
-  moard analyze <workload> [object] [--k N] [--stride N] [--max-dfi N] [--patterns P]
-                [--no-dfi] [--seq] [--trace-backend B]
-  moard report  <workload> [object...] [--k N] [--stride N] [--max-dfi N] [--patterns P]
-                [--no-dfi] [--seq] [--trace-backend B]
+  moard analyze <workload> [object] [--k N] [--stride N] [--max-dfi N|unbounded]
+                [--patterns P] [--no-dfi] [--seq] [--trace-backend B]
+  moard report  <workload> [object...] [--k N] [--stride N] [--max-dfi N|unbounded]
+                [--patterns P] [--no-dfi] [--seq] [--trace-backend B]
   moard sweep   [workload...] [--workloads all|table1|w1,w2] [--objects o1,o2]
                 [--k N,N...] [--stride N,N...] [--max-dfi N|unbounded,...]
                 [--patterns P,P...] [--no-dfi]
@@ -89,7 +89,7 @@ const USAGE: &str = "usage: moard [--format json|text] <command> [args]
   moard minimize <workload> <object> [--report FILE] [--site REC:SLOT]
                 [--mask b+b...] [--window N] [--stride N] [--patterns P]
                 [--expect CLASS] [--seed N] [--name NAME] [--emit-scenario DIR]
-  moard rank    <workload> [--k N] [--stride N] [--max-dfi N] [--patterns P]
+  moard rank    <workload> [--k N] [--stride N] [--max-dfi N|unbounded] [--patterns P]
                 [--no-dfi] [--seq] [--trace-backend B]
   moard serve   [--addr HOST:PORT] [--port N] [--threads N] [--store DIR]
                 [--trace-backend B]
@@ -101,7 +101,8 @@ const USAGE: &str = "usage: moard [--format json|text] <command> [args]
 options:
   --format json|text   output format (default: text; `report` is always JSON)
   --stride N           analyze every N-th participation site (default 4)
-  --max-dfi N          cap deterministic fault injections per object (default 5000)
+  --max-dfi N          cap deterministic fault injections per object (default
+                       5000; `unbounded` lifts the cap)
   --k N                propagation window (default 50)
   --patterns P         error-pattern set: single-bit (default),
                        adjacent-bits:N (N-bit bursts, paper sec. VII-B),
@@ -466,8 +467,8 @@ fn str_flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'a str>,
 }
 
 /// One `--max-dfi` item: `unbounded`/`none` lifts the cap, anything else
-/// must be an unsigned cap (shared by `sweep`'s grid list and `validate`'s
-/// single value).
+/// must be an unsigned cap (shared by `sweep`'s grid list and the single
+/// value of the other analyses).
 fn parse_max_dfi(item: &str) -> Result<Option<u64>, MoardError> {
     match item.trim() {
         "unbounded" | "none" => Ok(None),
@@ -539,11 +540,11 @@ fn threads_flag(args: &[String]) -> Result<Option<usize>, MoardError> {
     }
 }
 
-/// The [`Runner`] of `sweep` and `validate` (and of `validate
-/// --emit-scenarios`): the harness cache on `--trace-backend`, the `--seq |
-/// --threads N` choice (giving both is a contradiction the CLI refuses
-/// rather than resolves), and `--store DIR` with `--resume`, which requires
-/// a store.
+/// The [`Runner`] of `analyze`, `report`, `rank`, `sweep` and `validate`
+/// (and of `validate --emit-scenarios`): the harness cache on
+/// `--trace-backend`, the `--seq | --threads N` choice (giving both is a
+/// contradiction the CLI refuses rather than resolves), and `--store DIR`
+/// with `--resume`, which requires a store.
 fn runner_flags(args: &[String]) -> Result<Runner, MoardError> {
     let backend = trace_backend_flag(args)?.unwrap_or_default();
     let mut runner = Runner {
@@ -619,42 +620,45 @@ fn positionals(args: &[String]) -> Vec<&String> {
     out
 }
 
-/// Session builder with the CLI's analysis settings applied.
-fn configured_session(
-    cli: &Cli,
-    workload: &str,
-) -> Result<moard_inject::SessionBuilder, MoardError> {
-    let mut builder = Session::for_workload_in(&cli.registry, workload)?
-        .stride(flag_value(&cli.args, "--stride")?.unwrap_or(4) as usize)
-        .max_dfi(flag_value(&cli.args, "--max-dfi")?.unwrap_or(5_000));
-    if let Some(k) = flag_value(&cli.args, "--k")? {
-        builder = builder.window(k as usize);
-    }
-    if let Some(patterns) = patterns_flag(&cli.args)? {
-        builder = builder.patterns(patterns);
-    }
-    if has_flag(&cli.args, "--no-dfi") {
-        builder = builder.without_dfi();
-    }
-    if has_flag(&cli.args, "--seq") {
-        builder = builder.parallelism(Parallelism::Sequential);
-    }
-    if let Some(backend) = trace_backend_flag(&cli.args)? {
-        builder = builder.trace_backend(backend);
-    }
-    Ok(builder)
-}
-
-fn session_for_positionals(cli: &Cli) -> Result<SessionReport, CliError> {
-    let pos = positionals(&cli.args);
+/// The workload, objects, configuration and DFI switch of `analyze`,
+/// `report`, `rank` and `client analyze` (`args[0]` is the subcommand or
+/// client op): stride 4, a DFI budget of 5000 (`--max-dfi N|unbounded`),
+/// window 50 and single-bit errors unless the flags say otherwise.
+fn analysis_args(
+    args: &[String],
+) -> Result<(String, Vec<String>, moard_core::AnalysisConfig, bool), CliError> {
+    let pos = positionals(args);
     let Some(workload) = pos.first() else {
         return Err(CliError::Usage);
     };
-    let mut builder = configured_session(cli, workload)?;
-    for object in &pos[1..] {
-        builder = builder.object(object.as_str());
+    let mut config = moard_core::AnalysisConfig {
+        site_stride: flag_value(args, "--stride")?.unwrap_or(4) as usize,
+        max_dfi_per_object: match str_flag_value(args, "--max-dfi")? {
+            None => Some(5_000),
+            Some(value) => parse_max_dfi(value)?,
+        },
+        ..moard_core::AnalysisConfig::default()
+    };
+    if let Some(k) = flag_value(args, "--k")? {
+        config.propagation_window = k as usize;
     }
-    Ok(builder.run()?)
+    if let Some(patterns) = patterns_flag(args)? {
+        config.patterns = patterns;
+    }
+    let objects = pos[1..].iter().map(|s| s.to_string()).collect();
+    Ok((
+        workload.to_string(),
+        objects,
+        config,
+        !has_flag(args, "--no-dfi"),
+    ))
+}
+
+/// The report of `analyze`, `report` and `rank`.
+fn analysis_report(cli: &Cli) -> Result<SessionReport, CliError> {
+    let (workload, objects, config, use_dfi) = analysis_args(&cli.args)?;
+    let runner = runner_flags(&cli.args)?;
+    Ok(runner.analyze(&workload, &objects, &config, use_dfi, &cli.registry)?)
 }
 
 fn cmd_list(cli: &Cli) -> Result<(), CliError> {
@@ -707,7 +711,7 @@ fn cmd_list(cli: &Cli) -> Result<(), CliError> {
 }
 
 fn cmd_analyze(cli: &Cli) -> Result<(), CliError> {
-    let report = session_for_positionals(cli)?;
+    let report = analysis_report(cli)?;
     match cli.format {
         Format::Json => out!("{}", report.to_json().to_pretty()),
         Format::Text => {
@@ -721,7 +725,7 @@ fn cmd_analyze(cli: &Cli) -> Result<(), CliError> {
 
 fn cmd_report(cli: &Cli) -> Result<(), CliError> {
     // `report` exists to feed machines; it is JSON regardless of --format.
-    let report = session_for_positionals(cli)?;
+    let report = analysis_report(cli)?;
     out!("{}", report.to_json().to_pretty());
     Ok(())
 }
@@ -1290,7 +1294,7 @@ fn print_minimize(report: &MinimizeReport) {
 }
 
 fn cmd_rank(cli: &Cli) -> Result<(), CliError> {
-    let mut report = session_for_positionals(cli)?;
+    let mut report = analysis_report(cli)?;
     report.reports.sort_by(|a, b| {
         a.advf()
             .partial_cmp(&b.advf())
@@ -1440,29 +1444,12 @@ fn cmd_client(cli: &Cli) -> Result<(), CliError> {
             };
         }
         "analyze" => {
-            let pos = positionals(sub);
-            let Some(workload) = pos.first() else {
-                return Err(CliError::Usage);
-            };
-            let mut config = moard_core::AnalysisConfig {
-                site_stride: flag_value(sub, "--stride")?.unwrap_or(4) as usize,
-                max_dfi_per_object: match str_flag_value(sub, "--max-dfi")? {
-                    None => Some(5_000),
-                    Some(value) => parse_max_dfi(value)?,
-                },
-                ..moard_core::AnalysisConfig::default()
-            };
-            if let Some(k) = flag_value(sub, "--k")? {
-                config.propagation_window = k as usize;
-            }
-            if let Some(patterns) = patterns_flag(sub)? {
-                config.patterns = patterns;
-            }
+            let (workload, objects, config, use_dfi) = analysis_args(sub)?;
             Request::Analyze {
-                workload: workload.to_string(),
-                objects: pos[1..].iter().map(|s| s.to_string()).collect(),
+                workload,
+                objects,
                 config,
-                use_dfi: !has_flag(sub, "--no-dfi"),
+                use_dfi,
                 priority: priority_flag(sub)?,
             }
         }

@@ -33,7 +33,7 @@ use crate::propagation::{
     BatchLane, BatchReplayCursor, PropagationResult, ReplayCursor, MAX_REPLAY_LANES,
 };
 use crate::resolver::{DfiResolver, EquivalenceCache, EquivalenceKey, ResolverStats};
-use crate::sites::{sites_by_record, strided_sites_through, ParticipationSite, SiteSlot};
+use crate::sites::{sites_by_record, strided_sites_through, ParticipationSite};
 use moard_ir::Type;
 use moard_vm::{FaultSpec, ObjectId, OutcomeClass, TraceRead, TraceRecord, TraceStorage};
 use std::cell::Cell;
@@ -72,14 +72,6 @@ impl Default for AnalysisConfig {
 }
 
 impl AnalysisConfig {
-    /// Configuration with a specific propagation window.
-    pub fn with_window(k: usize) -> Self {
-        AnalysisConfig {
-            propagation_window: k,
-            ..Default::default()
-        }
-    }
-
     /// Check every field is inside its valid domain.
     ///
     /// `site_stride = 0` would analyze no site at all while silently looking
@@ -842,21 +834,11 @@ fn record_pattern_class(tallies: &mut Vec<PatternClassTally>, width: u32, class:
     }
 }
 
-/// Summarize the masking classes of a whole site (utility for tests and the
-/// observation bench of §III-D).
-pub fn site_masked_fraction(fractions: &[(Masking, f64)]) -> f64 {
-    fractions.iter().map(|(_, f)| f).sum()
-}
-
-/// Convenience for filtering: true if a site slot is a store destination.
-pub fn is_store_dest(slot: SiteSlot) -> bool {
-    matches!(slot, SiteSlot::StoreDest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::propagation::SamePathEnd;
+    use crate::sites::SiteSlot;
     use moard_ir::prelude::*;
     use moard_vm::{run_traced, run_with_fault, TraceError, TraceIndex, TraceRead, TraceStats, Vm};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1699,15 +1681,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn helper_predicates() {
-        assert!(is_store_dest(SiteSlot::StoreDest));
-        assert!(!is_store_dest(SiteSlot::Operand(0)));
-        assert_eq!(
-            site_masked_fraction(&[(Masking::Propagation, 0.25), (Masking::Algorithm, 0.5)]),
-            0.75
-        );
     }
 }

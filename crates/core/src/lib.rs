@@ -55,9 +55,9 @@
 //! # Ok::<(), moard_core::MoardError>(())
 //! ```
 //!
-//! The one-call façade over this pipeline (workload lookup, tracing,
+//! The one call over this pipeline (workload lookup, tracing,
 //! deterministic injection, parallel multi-object analysis) is
-//! `moard_inject::AnalysisSession`; every fallible entry point across both
+//! `moard_inject::Runner::analyze`; every fallible entry point across both
 //! crates returns `Result<_, `[`MoardError`]`>`.
 
 pub mod advf;

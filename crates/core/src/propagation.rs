@@ -1338,18 +1338,22 @@ impl BatchWalk<'_> {
                     Some(regs.value(t, lane, *clean))
                 });
                 self.state.drop_frame(frame);
-                if let (Some(cf), Some(dst)) = (caller_frame, dst_in_caller) {
-                    self.state
-                        .assign_reg(*cf, *dst, self.active, w.set, &self.scratch.vals);
-                } else if self.to_end {
+                match (caller_frame, dst_in_caller) {
+                    (Some(cf), Some(dst)) => {
+                        self.state
+                            .assign_reg(*cf, *dst, self.active, w.set, &self.scratch.vals)
+                    }
                     // Corrupted final program return value: the outcome
                     // differs.
-                    self.returned |= w.set;
-                    for lane in iter_lanes(w.set) {
-                        self.ret_vals[lane] = self.scratch.vals[lane];
+                    (None, _) if self.to_end => {
+                        self.returned |= w.set;
+                        for lane in iter_lanes(w.set) {
+                            self.ret_vals[lane] = self.scratch.vals[lane];
+                        }
                     }
-                } else {
-                    self.retire(w.set, UnresolvedReason::TraceEnded);
+                    // The caller discards the value: it is dead.
+                    (Some(_), None) if self.to_end => {}
+                    _ => self.retire(w.set, UnresolvedReason::TraceEnded),
                 }
             }
             TraceOp::CondBr { cond, taken } => {
@@ -2306,6 +2310,57 @@ mod tests {
             }
         }
         assert!(same_path > 0 && diverged > 0 && words > 0 && returns > 0);
+    }
+
+    #[test]
+    fn walk_to_end_drops_a_return_value_its_caller_discards() {
+        // double twice(double x) { return x * 2.0; }
+        // double main() { twice(g[0]); return 1.0; }
+        let mut m = Module::new("discard");
+        let g = m.add_global(Global::from_f64("g", &[1.5]));
+        let mut h = FunctionBuilder::new("twice", &[Type::F64], Some(Type::F64));
+        let y = h.fmul(Operand::Reg(h.param(0)), Operand::const_f64(2.0));
+        h.ret(Some(Operand::Reg(y)));
+        let twice = m.add_function(h.finish());
+        let mut f = FunctionBuilder::new("main", &[], Some(Type::F64));
+        let x = f.load_elem(Type::F64, g, Operand::const_i64(0));
+        assert_eq!(f.call(twice, &[Operand::Reg(x)], None), None);
+        f.ret(Some(Operand::const_f64(1.0)));
+        m.add_function(f.finish());
+        moard_ir::verify::assert_verified(&m);
+
+        let (golden, trace) = run_traced(&m).unwrap();
+        let rec = trace.iter().find(|r| r.mnemonic() == "fmul").unwrap();
+        let mask = 1u64 << 62;
+        let lane = BatchLane {
+            start: rec.id as usize + 1,
+            corrupt: seed([CorruptLoc::Reg {
+                frame: rec.frame,
+                reg: rec.dst.unwrap(),
+                value: dst_result(rec).unwrap().flip_mask(mask),
+            }]),
+        };
+        let mut ends = Vec::new();
+        BatchReplayCursor::new(&trace).walk_to_end(std::slice::from_ref(&lane), &mut ends);
+        let end = ends[0]
+            .as_ref()
+            .expect("the fault stays on the golden path");
+        assert_eq!(*end, SamePathEnd::default());
+        let objects = Vm::with_defaults(&m).unwrap().objects().clone();
+        let injected =
+            run_with_fault(&m, &FaultSpec::masked(rec.id, FaultTarget::Result, mask)).unwrap();
+        let rebuilt = patched(&golden, &objects, end);
+        assert!(rebuilt.bits_identical(&injected) && rebuilt.steps == injected.steps);
+        // A windowed replay still gives up at the return.
+        let mut windowed = Vec::new();
+        BatchReplayCursor::new(&trace).replay_batch(&[lane], 50, &mut windowed);
+        assert!(matches!(
+            windowed[0],
+            PropagationResult::Unresolved {
+                reason: UnresolvedReason::TraceEnded,
+                ..
+            }
+        ));
     }
 
     #[test]

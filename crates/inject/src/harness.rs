@@ -6,9 +6,10 @@
 //! injector, and expose aDVF analysis and injection campaigns per data
 //! object.  Every fallible entry point returns `Result<_, MoardError>`.
 //!
-//! Most callers want the builder façade in [`crate::session`] instead; the
-//! figure/table binaries in `moard-bench`, the CLI, and the examples are all
-//! thin wrappers over one of the two.
+//! Workloads from a registry are usually analyzed through
+//! [`crate::Runner::analyze`], which takes its harness from the runner's
+//! [`HarnessCache`]; a workload instance that is in no registry is analyzed
+//! here directly.
 
 use crate::campaign::Parallelism;
 use crate::exhaustive::{run_exhaustive, ExhaustiveConfig};
@@ -16,8 +17,7 @@ use crate::injector::DeterministicInjector;
 use crate::random::{run_rfi, RfiConfig};
 use crate::stats::CampaignStats;
 use moard_core::{
-    enumerate_sites, run_indexed, AdvfAnalyzer, AdvfReport, AnalysisConfig, MoardError,
-    ParticipationSite,
+    enumerate_sites, AdvfAnalyzer, AdvfReport, AnalysisConfig, MoardError, ParticipationSite,
 };
 use moard_vm::{
     DataObjectRegistry, ExecOutcome, ObjectId, TraceBackendSpec, TraceData, Vm, VmConfig,
@@ -175,23 +175,10 @@ impl WorkloadHarness {
         Ok(sites)
     }
 
-    /// Run the aDVF analysis for one data object, using deterministic fault
-    /// injection to resolve what the trace analysis cannot.
-    pub fn analyze(&self, object: &str, config: AnalysisConfig) -> Result<AdvfReport, MoardError> {
-        self.analyze_inner(object, config, true)
-    }
-
-    /// Run the aDVF analysis without any deterministic fault injection
-    /// (purely analytical lower bound).
-    pub fn analyze_without_dfi(
-        &self,
-        object: &str,
-        config: AnalysisConfig,
-    ) -> Result<AdvfReport, MoardError> {
-        self.analyze_inner(object, config, false)
-    }
-
-    fn analyze_inner(
+    /// Run the aDVF analysis for one data object.  With `use_dfi`,
+    /// deterministic fault injection resolves what the trace analysis
+    /// cannot; without it the report is a purely analytical lower bound.
+    pub fn analyze(
         &self,
         object: &str,
         config: AnalysisConfig,
@@ -213,73 +200,6 @@ impl WorkloadHarness {
         let report = analyzer.analyze(id, object, self.workload().name(), resolver);
         self.check_trace()?;
         Ok(report)
-    }
-
-    /// Run the aDVF analysis for every target data object of the workload,
-    /// fanning the objects out over worker threads.
-    ///
-    /// Each object's analysis is self-contained (its own analyzer and
-    /// equivalence cache), so the reports are **bit-identical** to a
-    /// sequential run regardless of thread count, and arrive in target-object
-    /// order.
-    pub fn analyze_targets(
-        &self,
-        config: &AnalysisConfig,
-        parallelism: Parallelism,
-    ) -> Result<Vec<AdvfReport>, MoardError> {
-        let objects: Vec<String> = self
-            .workload()
-            .target_objects()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        self.analyze_objects(&objects, config, parallelism)
-    }
-
-    /// Run the aDVF analysis for an explicit list of data objects, fanning
-    /// the objects out over worker threads (see [`Self::analyze_targets`]).
-    pub fn analyze_objects(
-        &self,
-        objects: &[String],
-        config: &AnalysisConfig,
-        parallelism: Parallelism,
-    ) -> Result<Vec<AdvfReport>, MoardError> {
-        self.analyze_many(objects, config, parallelism, true)
-    }
-
-    /// [`Self::analyze_objects`] without deterministic fault injection
-    /// (purely analytical lower bound, same fan-out).
-    pub fn analyze_objects_without_dfi(
-        &self,
-        objects: &[String],
-        config: &AnalysisConfig,
-        parallelism: Parallelism,
-    ) -> Result<Vec<AdvfReport>, MoardError> {
-        self.analyze_many(objects, config, parallelism, false)
-    }
-
-    fn analyze_many(
-        &self,
-        objects: &[String],
-        config: &AnalysisConfig,
-        parallelism: Parallelism,
-        use_dfi: bool,
-    ) -> Result<Vec<AdvfReport>, MoardError> {
-        config.validate()?;
-        // Fail fast on unknown objects before spending any analysis time.
-        for object in objects {
-            self.object_id(object)?;
-        }
-        // One task per object, so a single object runs as one task.  Each
-        // object's analysis, with or without DFI, still schedules and
-        // replays its site ranges and runs its planned walks and injections
-        // on every core (`AdvfAnalyzer::analyze`), and its report never
-        // depends on scheduling.
-        run_indexed(parallelism.worker_count(), objects.len(), |i| {
-            self.analyze_inner(&objects[i], config.clone(), use_dfi)
-        })
-        .into_iter()
-        .collect()
     }
 
     /// Exhaustive (or strided) fault-injection campaign over one object.
@@ -429,8 +349,8 @@ impl HarnessCache {
 
 /// Instantiate a workload from a registry, or produce the typed
 /// [`MoardError::UnknownWorkload`] carrying the registered names.  Shared by
-/// every by-name entry point (`WorkloadHarness::by_name_in`,
-/// `AnalysisSession::for_workload_in`).
+/// every by-name entry point (`WorkloadHarness::by_name_in`, study
+/// expansion, `Runner::analyze`).
 pub(crate) fn create_workload(
     registry: &dyn moard_workloads::WorkloadRegistry,
     name: &str,
@@ -470,6 +390,7 @@ mod tests {
                     max_dfi_per_object: Some(300),
                     ..Default::default()
                 },
+                true,
             )
             .unwrap();
         let advf = report.advf();
@@ -500,38 +421,6 @@ mod tests {
             assert_eq!(h.object_id(&obj.name).unwrap(), obj.id);
         }
         assert_eq!(h.objects().len(), vm.objects().len());
-    }
-
-    #[test]
-    fn parallel_target_analysis_is_bit_identical_to_sequential() {
-        let h = WorkloadHarness::new(Box::new(MatMul::default())).unwrap();
-        let config = AnalysisConfig {
-            site_stride: 16,
-            max_dfi_per_object: Some(200),
-            ..Default::default()
-        };
-        let seq = h.analyze_targets(&config, Parallelism::Sequential).unwrap();
-        let par = h.analyze_targets(&config, Parallelism::Fixed(4)).unwrap();
-        assert_eq!(seq, par);
-        assert!(!seq.is_empty());
-    }
-
-    #[test]
-    fn sharded_single_object_analytic_run_is_bit_identical_to_sequential() {
-        let h = WorkloadHarness::new(Box::new(MatMul::default())).unwrap();
-        let config = AnalysisConfig {
-            site_stride: 8,
-            ..Default::default()
-        };
-        let objects = vec!["C".to_string()];
-        let seq = h
-            .analyze_objects_without_dfi(&objects, &config, Parallelism::Sequential)
-            .unwrap();
-        let parallel = h
-            .analyze_objects_without_dfi(&objects, &config, Parallelism::Fixed(4))
-            .unwrap();
-        assert_eq!(seq, parallel);
-        assert_eq!(parallel[0].dfi_runs, 0);
     }
 
     #[test]

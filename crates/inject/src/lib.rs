@@ -1,9 +1,9 @@
 //! # moard-inject
 //!
-//! Fault-injection campaigns, the end-to-end analysis harness, the
-//! [`Session`] façade, and the [`Runner`] that executes sweeps, validation
-//! campaigns and minimizations — everything between "a workload name" and
-//! "a serialized report".
+//! Fault-injection campaigns, the end-to-end analysis harness, and the
+//! [`Runner`] that executes analyses, sweeps, validation campaigns and
+//! minimizations — everything between "a workload name" and "a serialized
+//! report".
 //!
 //! ## Campaigns
 //!
@@ -20,23 +20,27 @@
 //! * **random** ([`random`]) — the traditional RFI baseline with
 //!   statistically sized campaigns and margins of error (§V-C, Fig. 7).
 //!
-//! ## One workload: the `Session` façade
+//! ## One workload: `Runner::analyze`
 //!
 //! [`harness::WorkloadHarness`] packages a workload's module, golden run,
-//! dynamic trace, object table, and injector behind a one-call API, and
-//! [`session::AnalysisSession`] is the fluent, `Result`-based façade over it
-//! used by the CLI, the examples, and every figure/table binary in
-//! `moard-bench`:
+//! dynamic trace, object table, and injector behind a one-call API.
+//! [`Runner::analyze`] analyzes data objects of a registered workload on a
+//! harness from the runner's cache and returns a [`SessionReport`]; the
+//! CLI, the examples, and the figure/table binaries in `moard-bench` use
+//! it:
 //!
 //! ```no_run
-//! use moard_inject::Session;
+//! use moard_core::AnalysisConfig;
+//! use moard_inject::Runner;
 //!
-//! let report = Session::for_workload("mm")?
-//!     .object("C")
-//!     .window(50)     // propagation window k
-//!     .stride(4)      // every 4th participation site
-//!     .max_dfi(5_000) // cap deterministic fault injections
-//!     .run()?;        // objects analyzed in parallel
+//! let config = AnalysisConfig {
+//!     propagation_window: 50,          // propagation window k
+//!     site_stride: 4,                  // every 4th participation site
+//!     max_dfi_per_object: Some(5_000), // cap deterministic fault injections
+//!     ..Default::default()
+//! };
+//! let registry = moard_workloads::builtin_registry();
+//! let report = Runner::default().analyze("mm", &["C".into()], &config, true, registry)?;
 //! println!("aDVF(C in MM) = {:.4}", report.reports[0].advf());
 //! println!("{}", report.to_json_string());
 //! # Ok::<(), moard_core::MoardError>(())
@@ -89,9 +93,10 @@
 //! [`moard_core::ValidationReport`].  Both legs of every cell cache in the
 //! same [`store::ResultStore`], so killed campaigns resume byte-identically.
 //!
-//! One [`Runner`] carries the execution settings of sweeps, validation
-//! campaigns and minimizations ([`Runner::minimize`]): worker count, result
-//! store and resume flag, cancel token, and warm-harness cache.
+//! One [`Runner`] carries the execution settings of analyses, sweeps,
+//! validation campaigns and minimizations ([`Runner::minimize`]): worker
+//! count, result store and resume flag, cancel token, and warm-harness
+//! cache.
 //!
 //! Expanding a spec is cheap (no module is built, no trace recorded), so the
 //! task matrix can be inspected up front:
@@ -136,7 +141,7 @@ pub use minimize::{
 pub use moard_core::MoardError;
 pub use random::{run_rfi, sample_faults, sample_shard, shard_seed, PatternSampler, RfiConfig};
 pub use runner::Runner;
-pub use session::{AnalysisSession, Session, SessionBuilder, SessionReport};
+pub use session::SessionReport;
 pub use stats::{required_sample_size, z_value, CampaignStats};
 pub use store::{ResultStore, StoreEntry};
 pub use sweep::{

@@ -1,12 +1,13 @@
 //! The execution settings every batch of analyses shares.
 //!
-//! A sweep ([`Runner::sweep`]), a validation campaign ([`Runner::validate`])
-//! and a minimization ([`Runner::minimize`]) run under the same settings:
-//! how many workers, which [`ResultStore`] and whether to resume from it,
-//! which [`CancelToken`] to observe, and which [`HarnessCache`] to take warm
+//! An analysis ([`Runner::analyze`]), a sweep ([`Runner::sweep`]), a
+//! validation campaign ([`Runner::validate`]) and a minimization
+//! ([`Runner::minimize`]) run under the same settings: how many workers,
+//! which [`ResultStore`] and whether to resume from it, which
+//! [`CancelToken`] to observe, and which [`HarnessCache`] to take warm
 //! workloads from.  [`Runner`] holds them in one place; each study's
 //! `impl Runner` block lives next to its spec (see the examples in
-//! [`crate::sweep`] and [`crate::validate`]).
+//! [`crate::session`], [`crate::sweep`] and [`crate::validate`]).
 
 use crate::campaign::Parallelism;
 use crate::cancel::CancelToken;
@@ -18,9 +19,9 @@ use moard_json::Json;
 use moard_workloads::WorkloadRegistry;
 use std::sync::Arc;
 
-/// How a sweep, a validation campaign or a minimization executes.  None of
-/// these settings enters a fingerprint or a report: a study gives the same
-/// report under every runner.
+/// How an analysis, a sweep, a validation campaign or a minimization
+/// executes.  None of these settings enters a fingerprint or a report: a
+/// study gives the same report under every runner.
 #[derive(Clone)]
 pub struct Runner {
     /// Worker-thread policy for tasks, cells and shards.

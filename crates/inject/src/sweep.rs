@@ -182,6 +182,33 @@ impl Default for StudySpec {
 }
 
 impl StudySpec {
+    /// The one-configuration study of one workload analysis: `objects` of
+    /// `workload` (its target objects when empty; request order, repeats
+    /// kept) under `config`.  [`Runner::analyze`] and the daemon's
+    /// `analyze` job both run it, so they share study fingerprints and
+    /// store keys.
+    pub fn analysis(
+        workload: &str,
+        objects: &[String],
+        config: &AnalysisConfig,
+        use_dfi: bool,
+    ) -> StudySpec {
+        StudySpec {
+            workloads: WorkloadSelector::Named(vec![workload.to_string()]),
+            objects: if objects.is_empty() {
+                ObjectSelector::Targets
+            } else {
+                ObjectSelector::Named(objects.to_vec())
+            },
+            windows: vec![config.propagation_window],
+            strides: vec![config.site_stride],
+            max_dfis: vec![config.max_dfi_per_object],
+            patterns: vec![config.patterns.clone()],
+            use_dfi,
+            rfi: None,
+        }
+    }
+
     /// Select the workloads to sweep.
     pub fn workloads(mut self, selector: WorkloadSelector) -> Self {
         self.workloads = selector;
@@ -615,14 +642,9 @@ impl StudyTask {
     /// cold and resumed sweeps fold exactly the same bytes).
     fn execute(&self, harness: &WorkloadHarness) -> Result<Json, MoardError> {
         match &self.kind {
-            StudyTaskKind::Advf { config, use_dfi } => {
-                let report = if *use_dfi {
-                    harness.analyze(&self.object, config.clone())?
-                } else {
-                    harness.analyze_without_dfi(&self.object, config.clone())?
-                };
-                Ok(report.to_json())
-            }
+            StudyTaskKind::Advf { config, use_dfi } => Ok(harness
+                .analyze(&self.object, config.clone(), *use_dfi)?
+                .to_json()),
             StudyTaskKind::Rfi {
                 tests,
                 seed,
@@ -797,7 +819,6 @@ mod tests {
     use super::*;
     use crate::harness::HarnessCache;
     use crate::minimize::MinimizeSpec;
-    use crate::session::Session;
     use crate::store::ResultStore;
     use moard_workloads::builtin_registry;
     use std::sync::Arc;
@@ -1014,22 +1035,18 @@ mod tests {
     }
 
     #[test]
-    fn sweep_matches_the_session_facade_bit_for_bit() {
-        let report = sweep(&Runner::default(), &quick_spec()).unwrap();
-        assert_eq!(report.entries.len(), 1);
-        let session = Session::for_workload("mm")
-            .unwrap()
-            .object("C")
-            .stride(16)
-            .max_dfi(200)
-            .run()
-            .unwrap();
-        assert_eq!(report.entries[0].advf, session.reports[0]);
-        assert_eq!(
-            report.entries[0].advf.advf().to_bits(),
-            session.reports[0].advf().to_bits()
-        );
-        assert_eq!(report.study_fingerprint, quick_spec().fingerprint());
+    fn sweep_matches_direct_harness_analyses_bit_for_bit() {
+        let spec = quick_spec().windows(vec![20, 50]);
+        let report = sweep(&Runner::default(), &spec).unwrap();
+        assert_eq!(report.entries.len(), 2);
+        let harness = WorkloadHarness::by_name("mm").unwrap();
+        for (entry, config) in report.entries.iter().zip(spec.configs()) {
+            assert_eq!(entry.config, config);
+            let direct = harness.analyze("C", config, true).unwrap();
+            assert_eq!(entry.advf, direct);
+            assert_eq!(entry.advf.advf().to_bits(), direct.advf().to_bits());
+        }
+        assert_eq!(report.study_fingerprint, spec.fingerprint());
     }
 
     #[test]

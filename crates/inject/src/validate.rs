@@ -485,11 +485,7 @@ impl Runner {
             self.cancel.checkpoint()?;
             let cell = &cells[i];
             let harness = harnesses.get(&cell.workload);
-            let report = if spec.use_dfi {
-                harness.analyze(&cell.object, spec.config.clone())?
-            } else {
-                harness.analyze_without_dfi(&cell.object, spec.config.clone())?
-            };
+            let report = harness.analyze(&cell.object, spec.config.clone(), spec.use_dfi)?;
             self.save(
                 fingerprint,
                 &cell.advf_key(&spec.config, spec.use_dfi),

@@ -13,10 +13,10 @@
 //!   priority queue (Mutex<BinaryHeap> + Condvar)
 //!                 │
 //!                 ▼
-//!   worker pool (`--threads` threads) ── engines run `Parallelism::Sequential`
-//!                 │                       (cross-job concurrency comes from the
-//!                 ▼                        pool itself; nesting pools would
-//!   shared warm state                      oversubscribe the machine)
+//!   worker pool (`--threads` threads) ── runners run `Parallelism::Sequential`
+//!                 │                       (one task at a time per job; each
+//!                 ▼                        analysis still schedules, replays and
+//!   shared warm state                      injects on every core)
 //!     · one template `Runner`, cloned per job with the job's cancel token:
 //!         `HarnessCache` — one prepared harness per workload, ever
 //!         `ResultStore` — completed cells/tasks, shared across jobs
@@ -40,10 +40,7 @@ use crate::protocol::{
     read_frame, write_json, FrameError, Priority, Request, Response, MAX_FRAME_BYTES,
 };
 use moard_core::MoardError;
-use moard_inject::{
-    CancelToken, HarnessCache, ObjectSelector, Parallelism, ResultStore, Runner, StudySpec,
-    WorkloadSelector,
-};
+use moard_inject::{CancelToken, HarnessCache, Parallelism, ResultStore, Runner, StudySpec};
 use moard_json::{Json, ToJson};
 use std::collections::{BinaryHeap, HashMap};
 use std::net::{TcpListener, TcpStream};
@@ -333,23 +330,7 @@ impl Shared {
                 config,
                 use_dfi,
                 ..
-            } => {
-                let mut spec = StudySpec::default()
-                    .workloads(WorkloadSelector::Named(vec![workload.clone()]))
-                    .objects(if objects.is_empty() {
-                        ObjectSelector::Targets
-                    } else {
-                        ObjectSelector::Named(objects.clone())
-                    })
-                    .windows(vec![config.propagation_window])
-                    .strides(vec![config.site_stride])
-                    .max_dfis(vec![config.max_dfi_per_object])
-                    .patterns(vec![config.patterns.clone()]);
-                if !use_dfi {
-                    spec = spec.without_dfi();
-                }
-                sweep(&spec)
-            }
+            } => sweep(&StudySpec::analysis(workload, objects, config, *use_dfi)),
             Request::Sweep { spec, .. } => sweep(spec),
             Request::Validate { spec, .. } => {
                 let (report, stats) = runner.validate(spec, registry)?;
@@ -436,12 +417,6 @@ impl Daemon {
     /// The actually bound address (resolves port 0).
     pub fn addr(&self) -> std::net::SocketAddr {
         self.addr
-    }
-
-    /// Current metrics snapshot (in-process view, same document as the
-    /// `metrics` request).
-    pub fn metrics_json(&self) -> Json {
-        self.shared.metrics_snapshot()
     }
 
     /// Initiate shutdown from inside the process (tests, signal handlers).

@@ -5,8 +5,8 @@
 //! benchmarks, the MM/PF case studies, and out-of-crate workload families
 //! (e.g. the ABFT variants in `moard-abft`, or workloads defined by a
 //! downstream crate) all register through the same interface and become
-//! visible to the CLI, the `AnalysisSession` façade, and the figure
-//! binaries without touching this crate.
+//! visible to the CLI, `Runner::analyze`, and the figure binaries without
+//! touching this crate.
 
 use crate::spec::Workload;
 use std::sync::OnceLock;

@@ -9,16 +9,17 @@
 //! cargo run --release --example abft_case_study
 //! ```
 
-use moard::inject::Session;
-use moard::model::MoardError;
+use moard::inject::Runner;
+use moard::model::{AnalysisConfig, MoardError};
 
 fn advf_of(workload: &str, object: &str) -> Result<f64, MoardError> {
+    let config = AnalysisConfig {
+        site_stride: 8,
+        max_dfi_per_object: Some(2_000),
+        ..Default::default()
+    };
     let registry = moard::full_registry();
-    let report = Session::for_workload_in(&registry, workload)?
-        .object(object)
-        .stride(8)
-        .max_dfi(2_000)
-        .run()?;
+    let report = Runner::default().analyze(workload, &[object.into()], &config, true, &registry)?;
     Ok(report.reports[0].advf())
 }
 

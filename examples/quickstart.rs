@@ -1,21 +1,24 @@
-//! Quickstart: compute the aDVF of the data objects of one workload through
-//! the `AnalysisSession` façade.
+//! Quickstart: compute the aDVF of the data objects of one workload with
+//! `Runner::analyze`.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use moard::inject::Session;
-use moard::model::MoardError;
+use moard::inject::Runner;
+use moard::model::{AnalysisConfig, MoardError};
 
 fn main() -> Result<(), MoardError> {
     // The LU benchmark: the paper's worked example (Listing 2 / Equation 2)
     // computes aDVF for the l2norm routine inside `ssor`.  No object is
-    // selected, so the session analyzes LU's target objects — in parallel.
-    let report = Session::for_workload("lu")?
-        .stride(4) // analyze every 4th participation site
-        .max_dfi(2_000) // cap deterministic fault injections
-        .run()?;
+    // selected, so the runner analyzes LU's target objects — in parallel.
+    let config = AnalysisConfig {
+        site_stride: 4,                  // analyze every 4th participation site
+        max_dfi_per_object: Some(2_000), // cap deterministic fault injections
+        ..Default::default()
+    };
+    let registry = moard::workloads::builtin_registry();
+    let report = Runner::default().analyze("lu", &[], &config, true, registry)?;
 
     for r in &report.reports {
         let (op, prop, alg) = r.accumulator.level_breakdown();

@@ -6,22 +6,26 @@
 //! cargo run --release --example rank_data_objects
 //! ```
 
-use moard::inject::Session;
-use moard::model::MoardError;
+use moard::inject::Runner;
+use moard::model::{AnalysisConfig, MoardError};
 
 fn main() -> Result<(), MoardError> {
-    let objects = ["rowstr", "colidx", "a", "p", "q"];
-    let session = Session::for_workload("cg")?
-        .objects(objects)
-        .stride(8)
-        .max_dfi(1_500)
-        .build()?;
-    let report = session.run()?;
+    let objects = ["rowstr", "colidx", "a", "p", "q"].map(String::from);
+    let config = AnalysisConfig {
+        site_stride: 8,
+        max_dfi_per_object: Some(1_500),
+        ..Default::default()
+    };
+    let registry = moard::workloads::builtin_registry();
+    let runner = Runner::default();
+    let report = runner.analyze("cg", &objects, &config, true, registry)?;
+    // The analysis left CG's prepared harness in the runner's cache.
+    let harness = runner.harnesses.get_or_prepare(registry, "cg")?;
 
     println!("{:<10} {:>8} {:>14}", "object", "aDVF", "FI success");
     let mut rows = Vec::new();
     for r in &report.reports {
-        let campaign = session.harness().exhaustive_with_budget(
+        let campaign = harness.exhaustive_with_budget(
             &r.object,
             1_000,
             &moard::model::ErrorPatternSet::SingleBit,

@@ -7,21 +7,20 @@
 //! cargo run --release --example rfi_instability
 //! ```
 
-use moard::inject::{Parallelism, RfiConfig, Session};
-use moard::model::MoardError;
+use moard::inject::{Parallelism, RfiConfig, Runner};
+use moard::model::{AnalysisConfig, MoardError};
 
 fn main() -> Result<(), MoardError> {
-    let objects = ["m_x", "m_y", "m_z"];
-    let session = Session::for_workload("lulesh")?
-        .objects(objects)
-        .stride(8)
-        .max_dfi(1_500)
-        .build()?;
+    let objects = ["m_x", "m_y", "m_z"].map(String::from);
+    let registry = moard::workloads::builtin_registry();
+    // The campaigns and the analysis below share one prepared harness.
+    let runner = Runner::default();
+    let harness = runner.harnesses.get_or_prepare(registry, "lulesh")?;
 
     for &tests in &[300usize, 600, 900] {
         print!("RFI with {tests:>4} tests :");
         for (i, object) in objects.iter().enumerate() {
-            let stats = session.harness().rfi(
+            let stats = harness.rfi(
                 object,
                 &RfiConfig {
                     tests,
@@ -40,7 +39,12 @@ fn main() -> Result<(), MoardError> {
     }
 
     print!("deterministic aDVF  :");
-    let report = session.run()?;
+    let config = AnalysisConfig {
+        site_stride: 8,
+        max_dfi_per_object: Some(1_500),
+        ..Default::default()
+    };
+    let report = runner.analyze("lulesh", &objects, &config, true, registry)?;
     for r in &report.reports {
         print!("  {} = {:.3}        ", r.object, r.advf());
     }

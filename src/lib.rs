@@ -11,23 +11,26 @@
 //!   replay, equivalence-cached DFI resolution, Equation 1) plus the
 //!   [`model::MoardError`] type and the versioned JSON report schema;
 //! * [`inject`] — exhaustive / random campaigns, the
-//!   [`inject::WorkloadHarness`], and the [`inject::AnalysisSession`]
-//!   façade;
+//!   [`inject::WorkloadHarness`], and the [`inject::Runner`] that runs
+//!   analyses and studies;
 //! * [`workloads`] — the Table I benchmarks, the MM and PF case studies,
 //!   and the extensible [`workloads::WorkloadRegistry`];
 //! * [`abft`] — the checksum-protected case-study variants.
 //!
-//! The front door is the fluent, `Result`-based session builder:
+//! One workload is analyzed with [`inject::Runner::analyze`]:
 //!
 //! ```no_run
-//! use moard::inject::Session;
+//! use moard::inject::Runner;
+//! use moard::model::AnalysisConfig;
 //!
-//! let report = Session::for_workload("mm")?
-//!     .object("C")
-//!     .window(50)
-//!     .stride(4)
-//!     .max_dfi(5_000)
-//!     .run()?;
+//! let config = AnalysisConfig {
+//!     propagation_window: 50,
+//!     site_stride: 4,
+//!     max_dfi_per_object: Some(5_000),
+//!     ..Default::default()
+//! };
+//! let registry = moard::full_registry();
+//! let report = Runner::default().analyze("mm", &["C".into()], &config, true, &registry)?;
 //! println!("aDVF(C in MM) = {:.3}", report.reports[0].advf());
 //!
 //! // Reports serialize to a stable, versioned JSON schema…
@@ -40,7 +43,7 @@
 //!
 //! For the full multi-workload campaign — the paper's Table I / Fig. 4 /
 //! Fig. 7 evaluation as one resumable parameter sweep — see the study
-//! driver ([`inject::StudySpec`] / [`inject::Runner`]) and the
+//! driver ([`inject::StudySpec`] / [`inject::Runner::sweep`]) and the
 //! repository's `docs/ARCHITECTURE.md`.
 
 pub use moard_abft as abft;

@@ -2,7 +2,8 @@
 //! xe in the particle filter very little.
 
 use moard::abft::{AbftMatMul, AbftPf};
-use moard::inject::Session;
+use moard::inject::WorkloadHarness;
+use moard::model::AnalysisConfig;
 use moard::workloads::{MatMul, MmConfig, Pf, PfConfig, Workload};
 
 fn small_mm() -> MmConfig {
@@ -21,13 +22,15 @@ fn small_pf() -> PfConfig {
 }
 
 fn advf_of(workload: Box<dyn Workload>, object: &str) -> f64 {
-    Session::from_workload(workload)
-        .object(object)
-        .stride(16)
-        .max_dfi(2_500)
-        .run()
+    let config = AnalysisConfig {
+        site_stride: 16,
+        max_dfi_per_object: Some(2_500),
+        ..Default::default()
+    };
+    WorkloadHarness::new(workload)
         .unwrap()
-        .reports[0]
+        .analyze(object, config, true)
+        .unwrap()
         .advf()
 }
 

@@ -1,27 +1,34 @@
 //! Cross-crate integration tests: the full pipeline from workload to aDVF
-//! report through the `AnalysisSession` façade, checked against the
-//! behaviour the paper reports.
+//! report through `Runner::analyze`, checked against the behaviour the
+//! paper reports.
 
-use moard::inject::{Session, SessionBuilder};
+use moard::inject::{Runner, SessionReport};
+use moard::model::AnalysisConfig;
 
-fn quick(builder: SessionBuilder) -> SessionBuilder {
-    builder.stride(12).max_dfi(400)
+/// `objects` of `workload` (its targets when empty) at stride 12 with a
+/// DFI budget of 400.
+fn quick(workload: &str, objects: &[&str]) -> SessionReport {
+    let config = AnalysisConfig {
+        site_stride: 12,
+        max_dfi_per_object: Some(400),
+        ..Default::default()
+    };
+    let objects: Vec<String> = objects.iter().map(|o| o.to_string()).collect();
+    let registry = moard::workloads::builtin_registry();
+    Runner::default()
+        .analyze(workload, &objects, &config, true, registry)
+        .unwrap()
 }
 
 fn advf_of(workload: &str, object: &str) -> f64 {
-    quick(Session::for_workload(workload).unwrap())
-        .object(object)
-        .run()
-        .unwrap()
-        .reports[0]
-        .advf()
+    quick(workload, &[object]).reports[0].advf()
 }
 
 #[test]
 fn advf_is_always_a_valid_fraction() {
     for name in ["cg", "lu", "mm", "pf"] {
-        // No object selected: the session analyzes every target object.
-        let report = quick(Session::for_workload(name).unwrap()).run().unwrap();
+        // No object selected: every target object is analyzed.
+        let report = quick(name, &[]);
         assert!(!report.reports.is_empty());
         for r in &report.reports {
             let advf = r.advf();
@@ -64,14 +71,8 @@ fn fp_state_arrays_are_more_resilient_than_integer_index_arrays() {
 fn analysis_is_deterministic() {
     // Evaluation conclusion 4: unlike RFI, the aDVF calculation is
     // deterministic — two runs produce the same number, bit for bit.
-    let a = quick(Session::for_workload("lulesh").unwrap())
-        .object("m_elemBC")
-        .run()
-        .unwrap();
-    let b = quick(Session::for_workload("lulesh").unwrap())
-        .object("m_elemBC")
-        .run()
-        .unwrap();
+    let a = quick("lulesh", &["m_elemBC"]);
+    let b = quick("lulesh", &["m_elemBC"]);
     assert_eq!(a, b);
     assert_eq!(a.reports[0].advf().to_bits(), b.reports[0].advf().to_bits());
 }
@@ -80,10 +81,7 @@ fn analysis_is_deterministic() {
 fn masking_event_counts_alone_are_misleading() {
     // Evaluation conclusion 2: comparing raw masking-event counts between
     // objects says little; the aDVF ratio is what ranks them correctly.
-    let report = quick(Session::for_workload("cg").unwrap())
-        .objects(["r", "colidx"])
-        .run()
-        .unwrap();
+    let report = quick("cg", &["r", "colidx"]);
     let r = report.report_for("r").unwrap();
     let colidx = report.report_for("colidx").unwrap();
     // colidx participates in plenty of operations (it is read every matvec),

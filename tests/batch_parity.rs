@@ -15,20 +15,22 @@
 //! * at the operation-rule layer, [`analyze_site`] must give every site of
 //!   every Table-1 cell, under all three pattern families, the verdict
 //!   [`analyze_operation`] gives each pattern;
-//! * at the session layer, full `SessionReport`s (verdict fractions, DFI
-//!   runs, cache hits, budget flags, batch telemetry — everything
-//!   `PartialEq` sees) must be identical across both trace backends and
-//!   any thread count, with and without DFI.
+//! * at the `Runner::analyze` layer, full `SessionReport`s (verdict
+//!   fractions, DFI runs, cache hits, budget flags — everything `PartialEq`
+//!   sees) must be identical across both trace backends and any thread
+//!   count, with and without DFI.
 
-use moard::inject::{Parallelism, Session, SessionReport, WorkloadHarness};
+use moard::inject::{HarnessCache, Parallelism, Runner, SessionReport, WorkloadHarness};
 use moard::model::{
-    analyze_operation, analyze_site, enumerate_strided_sites, replay, BatchLane, BatchReplayCursor,
-    CorruptLoc, CorruptSeeds, ErrorPattern, ErrorPatternSet, OpVerdict, MAX_REPLAY_LANES,
+    analyze_operation, analyze_site, enumerate_strided_sites, replay, AnalysisConfig, BatchLane,
+    BatchReplayCursor, CorruptLoc, CorruptSeeds, ErrorPattern, ErrorPatternSet, OpVerdict,
+    MAX_REPLAY_LANES,
 };
 use moard::vm::{run_traced, ObjectId, TraceBackendSpec, TraceStorage, Vm};
 use moard::workloads::{table1_workloads, MatMul, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// The three pattern families of the public grammar: single-bit flips,
 /// adjacent double-bit bursts (§VII-B), and an explicit mixed-arity set.
@@ -288,19 +290,21 @@ fn session(
     parallelism: Parallelism,
     use_dfi: bool,
 ) -> SessionReport {
-    let mut builder = Session::for_workload("mm")
+    let config = AnalysisConfig {
+        propagation_window: 50,
+        site_stride: 8,
+        max_dfi_per_object: Some(200),
+        patterns: set.clone(),
+    };
+    let runner = Runner {
+        parallelism,
+        harnesses: Arc::new(HarnessCache::with_backend(backend.clone())),
+        ..Runner::default()
+    };
+    let registry = moard::workloads::builtin_registry();
+    runner
+        .analyze("mm", &["C".into()], &config, use_dfi, registry)
         .unwrap()
-        .object("C")
-        .stride(8)
-        .max_dfi(200)
-        .window(50)
-        .patterns(set.clone())
-        .trace_backend(backend.clone())
-        .parallelism(parallelism);
-    if !use_dfi {
-        builder = builder.without_dfi();
-    }
-    builder.run().unwrap()
 }
 
 #[test]

@@ -1,7 +1,8 @@
-//! Every fallible path of the public façade returns a typed `MoardError` —
-//! no panics, no bare `Option`s (the api_redesign acceptance checklist).
+//! Every fallible path of the public analysis entry points returns a typed
+//! `MoardError` — no panics, no bare `Option`s (the api_redesign acceptance
+//! checklist).
 
-use moard::inject::{Session, WorkloadHarness};
+use moard::inject::{Runner, SessionReport, WorkloadHarness};
 use moard::ir::prelude::*;
 use moard::model::{AnalysisConfig, MoardError};
 use moard::workloads::{Acceptance, Workload};
@@ -52,9 +53,28 @@ impl Workload for WithUnusedObject {
     }
 }
 
+/// `objects` of a built-in workload through `Runner::analyze`.
+fn analyze(
+    workload: &str,
+    objects: &[&str],
+    config: &AnalysisConfig,
+) -> Result<SessionReport, MoardError> {
+    let objects: Vec<String> = objects.iter().map(|o| o.to_string()).collect();
+    let registry = moard::workloads::builtin_registry();
+    Runner::default().analyze(workload, &objects, config, true, registry)
+}
+
+fn quick() -> AnalysisConfig {
+    AnalysisConfig {
+        site_stride: 16,
+        max_dfi_per_object: Some(50),
+        ..Default::default()
+    }
+}
+
 #[test]
 fn unknown_workload_is_a_typed_error_with_suggestions() {
-    match Session::for_workload("warp-core") {
+    match analyze("warp-core", &[], &quick()) {
         Err(MoardError::UnknownWorkload { name, available }) => {
             assert_eq!(name, "warp-core");
             assert!(available.contains(&"CG".to_string()));
@@ -71,13 +91,7 @@ fn unknown_workload_is_a_typed_error_with_suggestions() {
 
 #[test]
 fn unknown_object_is_a_typed_error_with_suggestions() {
-    let err = Session::for_workload("mm")
-        .unwrap()
-        .object("D")
-        .stride(16)
-        .max_dfi(50)
-        .run()
-        .unwrap_err();
+    let err = analyze("mm", &["D"], &quick()).unwrap_err();
     match err {
         MoardError::UnknownObject {
             workload,
@@ -94,41 +108,30 @@ fn unknown_object_is_a_typed_error_with_suggestions() {
 
 #[test]
 fn zero_site_object_is_a_typed_error() {
-    let session = Session::from_workload(Box::new(WithUnusedObject))
-        .object("unused")
-        .build()
-        .unwrap();
-    match session.run() {
+    let harness = WorkloadHarness::new(Box::new(WithUnusedObject)).unwrap();
+    match harness.analyze("unused", AnalysisConfig::default(), true) {
         Err(MoardError::NoParticipationSites { workload, object }) => {
             assert_eq!(workload, "UNUSED-OBJ");
             assert_eq!(object, "unused");
         }
-        other => panic!(
-            "expected NoParticipationSites, got {:?}",
-            other.map(|r| r.reports.len())
-        ),
+        other => panic!("expected NoParticipationSites, got {other:?}"),
     }
     // An object with sites still analyzes fine in the same workload.
-    assert!(Session::from_workload(Box::new(WithUnusedObject))
-        .object("data")
-        .run()
+    assert!(harness
+        .analyze("data", AnalysisConfig::default(), true)
         .is_ok());
 }
 
 #[test]
 fn zero_stride_is_an_invalid_config_error_everywhere() {
-    // Through the builder…
-    let err = Session::for_workload("mm")
-        .unwrap()
-        .stride(0)
-        .run()
-        .unwrap_err();
-    assert!(matches!(err, MoardError::InvalidConfig(_)), "got {err}");
-    // …and through the raw config validation.
+    // Through `Runner::analyze`…
     let config = AnalysisConfig {
         site_stride: 0,
         ..Default::default()
     };
+    let err = analyze("mm", &[], &config).unwrap_err();
+    assert!(matches!(err, MoardError::InvalidConfig(_)), "got {err}");
+    // …and through the raw config validation.
     assert!(matches!(
         config.validate(),
         Err(MoardError::InvalidConfig(_))
@@ -157,12 +160,12 @@ fn zero_stride_is_an_invalid_config_error_everywhere() {
 
 #[test]
 fn errors_render_actionable_messages() {
-    let Err(err) = Session::for_workload("warp-core") else {
+    let Err(err) = analyze("warp-core", &[], &quick()) else {
         panic!("expected an error for an unknown workload");
     };
     let msg = err.to_string();
     assert!(msg.contains("warp-core") && msg.contains("CG"), "{msg}");
-    let Err(err) = Session::for_workload("mm").unwrap().object("D").build() else {
+    let Err(err) = analyze("mm", &["D"], &quick()) else {
         panic!("expected an error for an unknown object");
     };
     assert!(err.to_string().contains("`D`"));

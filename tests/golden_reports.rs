@@ -16,10 +16,8 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_reports
 //! ```
 
-use moard_core::ValidationReport;
-use moard_inject::{
-    Runner, Session, SessionBuilder, SessionReport, ValidationSpec, WorkloadSelector,
-};
+use moard_core::{AnalysisConfig, ErrorPatternSet, ValidationReport};
+use moard_inject::{Runner, SessionReport, ValidationSpec, WorkloadSelector};
 
 fn golden_path(name: &str) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -31,8 +29,30 @@ fn render(report: &SessionReport) -> String {
     report.to_json().to_pretty() + "\n"
 }
 
-fn check_golden(name: &str, builder: SessionBuilder) {
-    let report = builder.run().expect("session runs");
+/// The target objects of `workload` at window 50 under `stride`, a DFI
+/// budget of `max_dfi` and `patterns`.
+fn check_golden(
+    name: &str,
+    workload: &str,
+    stride: usize,
+    max_dfi: u64,
+    patterns: ErrorPatternSet,
+) {
+    let config = AnalysisConfig {
+        propagation_window: 50,
+        site_stride: stride,
+        max_dfi_per_object: Some(max_dfi),
+        patterns,
+    };
+    let report = Runner::default()
+        .analyze(
+            workload,
+            &[],
+            &config,
+            true,
+            moard_workloads::builtin_registry(),
+        )
+        .expect("analysis runs");
     let text = render(&report);
     let path = golden_path(name);
     if std::env::var("UPDATE_GOLDEN").is_ok() {
@@ -54,38 +74,17 @@ fn check_golden(name: &str, builder: SessionBuilder) {
 
 #[test]
 fn mm_session_report_is_bit_identical_to_golden() {
-    check_golden(
-        "mm",
-        Session::for_workload("mm")
-            .unwrap()
-            .window(50)
-            .stride(16)
-            .max_dfi(150),
-    );
+    check_golden("mm", "mm", 16, 150, ErrorPatternSet::SingleBit);
 }
 
 #[test]
 fn pf_session_report_is_bit_identical_to_golden() {
-    check_golden(
-        "pf",
-        Session::for_workload("pf")
-            .unwrap()
-            .window(50)
-            .stride(16)
-            .max_dfi(150),
-    );
+    check_golden("pf", "pf", 16, 150, ErrorPatternSet::SingleBit);
 }
 
 #[test]
 fn cg_session_report_is_bit_identical_to_golden() {
-    check_golden(
-        "cg",
-        Session::for_workload("cg")
-            .unwrap()
-            .window(50)
-            .stride(24)
-            .max_dfi(100),
-    );
+    check_golden("cg", "cg", 24, 100, ErrorPatternSet::SingleBit);
 }
 
 #[test]
@@ -95,12 +94,10 @@ fn mm_multibit_session_report_is_bit_identical_to_golden() {
     // the per-pattern-class tallies of the v2 schema.
     check_golden(
         "mm_adjacent2",
-        Session::for_workload("mm")
-            .unwrap()
-            .window(50)
-            .stride(16)
-            .max_dfi(150)
-            .patterns(moard_core::ErrorPatternSet::AdjacentBits { width: 2 }),
+        "mm",
+        16,
+        150,
+        ErrorPatternSet::AdjacentBits { width: 2 },
     );
 }
 

@@ -4,23 +4,36 @@
 //! reports bit-identical to a sequential run.
 
 use moard::inject::{ObjectSelector, WorkloadSelector};
-use moard::inject::{Parallelism, Runner, Session, SessionReport, ValidationSpec};
+use moard::inject::{Parallelism, Runner, SessionReport, ValidationSpec};
 use moard::json::Json;
-use moard::model::{AdvfReport, ValidationReport, SCHEMA_VERSION};
+use moard::model::{AdvfReport, AnalysisConfig, ValidationReport, SCHEMA_VERSION};
 
-fn mm_session(parallelism: Parallelism) -> SessionReport {
-    Session::for_workload("mm")
-        .unwrap()
-        .stride(16)
-        .max_dfi(150)
-        .parallelism(parallelism)
-        .run()
+/// The target objects of `workload` under `stride` and a DFI budget of
+/// `max_dfi`, analyzed with `parallelism`.
+fn analyze(workload: &str, stride: usize, max_dfi: u64, parallelism: Parallelism) -> SessionReport {
+    let config = AnalysisConfig {
+        site_stride: stride,
+        max_dfi_per_object: Some(max_dfi),
+        ..Default::default()
+    };
+    let runner = Runner {
+        parallelism,
+        ..Runner::default()
+    };
+    runner
+        .analyze(
+            workload,
+            &[],
+            &config,
+            true,
+            moard::workloads::builtin_registry(),
+        )
         .unwrap()
 }
 
 #[test]
 fn advf_report_round_trips_bit_exactly() {
-    let report = &mm_session(Parallelism::Sequential).reports[0];
+    let report = &analyze("mm", 16, 150, Parallelism::Sequential).reports[0];
     let text = report.to_json_string();
     let back = AdvfReport::from_json_str(&text).unwrap();
 
@@ -51,7 +64,7 @@ fn advf_report_round_trips_bit_exactly() {
 
 #[test]
 fn session_report_round_trips_through_pretty_and_compact_forms() {
-    let report = mm_session(Parallelism::Sequential);
+    let report = analyze("mm", 16, 150, Parallelism::Sequential);
     let compact = report.to_json_string();
     let pretty = report.to_json().to_pretty();
     assert_eq!(SessionReport::from_json_str(&compact).unwrap(), report);
@@ -60,26 +73,14 @@ fn session_report_round_trips_through_pretty_and_compact_forms() {
 
 #[test]
 fn parallel_analysis_is_bit_identical_to_sequential() {
-    let seq = mm_session(Parallelism::Sequential);
-    let par = mm_session(Parallelism::Auto);
+    let seq = analyze("mm", 16, 150, Parallelism::Sequential);
+    let par = analyze("mm", 16, 150, Parallelism::Auto);
     assert_eq!(seq, par);
     assert_eq!(seq.to_json_string(), par.to_json_string());
 
     // Multi-object workload: CG has two targets analyzed concurrently.
-    let cg_seq = Session::for_workload("cg")
-        .unwrap()
-        .stride(24)
-        .max_dfi(100)
-        .parallelism(Parallelism::Sequential)
-        .run()
-        .unwrap();
-    let cg_par = Session::for_workload("cg")
-        .unwrap()
-        .stride(24)
-        .max_dfi(100)
-        .parallelism(Parallelism::Fixed(4))
-        .run()
-        .unwrap();
+    let cg_seq = analyze("cg", 24, 100, Parallelism::Sequential);
+    let cg_par = analyze("cg", 24, 100, Parallelism::Fixed(4));
     assert!(cg_seq.reports.len() >= 2);
     assert_eq!(cg_seq, cg_par);
     assert_eq!(cg_seq.to_json_string(), cg_par.to_json_string());
@@ -137,7 +138,7 @@ fn validation_report_round_trips_bit_exactly() {
 
 #[test]
 fn a_tampered_schema_version_is_rejected() {
-    let report = mm_session(Parallelism::Sequential);
+    let report = analyze("mm", 16, 150, Parallelism::Sequential);
     let bad = report.to_json_string().replacen(
         &format!("\"schema_version\":{SCHEMA_VERSION}"),
         "\"schema_version\":42",

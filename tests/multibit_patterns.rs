@@ -6,9 +6,18 @@
 //! thread count.
 
 use moard::inject::{
-    Parallelism, PatternSampler, Runner, Session, ValidationSpec, WorkloadHarness, WorkloadSelector,
+    Parallelism, PatternSampler, Runner, SessionReport, ValidationSpec, WorkloadHarness,
+    WorkloadSelector,
 };
-use moard::model::{ErrorPattern, ErrorPatternSet};
+use moard::model::{AnalysisConfig, ErrorPattern, ErrorPatternSet};
+
+/// MM's C under `config`.
+fn mm_c(runner: &Runner, config: &AnalysisConfig, use_dfi: bool) -> SessionReport {
+    let registry = moard::workloads::builtin_registry();
+    runner
+        .analyze("mm", &["C".into()], config, use_dfi, registry)
+        .unwrap()
+}
 
 /// (a) `AdjacentBits { width: 1 }` enumerates exactly the single-bit
 /// patterns, so its analysis must be bit-identical to `SingleBit` —
@@ -17,14 +26,13 @@ use moard::model::{ErrorPattern, ErrorPatternSet};
 #[test]
 fn adjacent_width_one_analysis_is_bit_identical_to_single_bit() {
     let run = |patterns: ErrorPatternSet| {
-        Session::for_workload("mm")
-            .unwrap()
-            .object("C")
-            .stride(16)
-            .max_dfi(150)
-            .patterns(patterns)
-            .run()
-            .unwrap()
+        let config = AnalysisConfig {
+            site_stride: 16,
+            max_dfi_per_object: Some(150),
+            patterns,
+            ..Default::default()
+        };
+        mm_c(&Runner::default(), &config, true)
     };
     let single = run(ErrorPatternSet::SingleBit);
     let adj1 = run(ErrorPatternSet::AdjacentBits { width: 1 });
@@ -62,15 +70,16 @@ fn multibit_sharded_analysis_is_bit_identical_to_sequential() {
         ]),
     ] {
         let run = |parallelism| {
-            Session::for_workload("mm")
-                .unwrap()
-                .object("C")
-                .stride(8)
-                .patterns(patterns.clone())
-                .without_dfi()
-                .parallelism(parallelism)
-                .run()
-                .unwrap()
+            let runner = Runner {
+                parallelism,
+                ..Runner::default()
+            };
+            let config = AnalysisConfig {
+                site_stride: 8,
+                patterns: patterns.clone(),
+                ..Default::default()
+            };
+            mm_c(&runner, &config, false)
         };
         let seq = run(Parallelism::Sequential);
         let parallel = run(Parallelism::Fixed(8));

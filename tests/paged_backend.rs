@@ -8,11 +8,12 @@
 //! few records cross a segment boundary — any off-by-one in segment
 //! arithmetic, run stitching, or the reader LRU shows up immediately.
 
-use moard::inject::{Session, SessionBuilder, WorkloadHarness};
-use moard::model::{AdvfAnalyzer, DfiResolver, MoardError, SamePathEnd};
+use moard::inject::{HarnessCache, Runner, SessionReport, WorkloadHarness};
+use moard::model::{AdvfAnalyzer, AnalysisConfig, DfiResolver, MoardError, SamePathEnd};
 use moard::vm::{FaultSpec, OutcomeClass, TraceBackendSpec, TraceStorage, VmError};
 use moard::workloads::MatMul;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Paged backend with tiny segments: a seam every 16 records.
 fn tiny_segments() -> TraceBackendSpec {
@@ -67,8 +68,33 @@ fn records_and_runs_are_identical_across_segment_seams() {
     assert!(moard::vm::TraceStorage::poisoned(paged.trace()).is_none());
 }
 
-fn quick(builder: SessionBuilder) -> SessionBuilder {
-    builder.object("C").stride(16).max_dfi(150)
+/// The target objects of `workload` (or `objects`, if any) under `config`,
+/// on a harness traced into `backend`.
+fn analyze(
+    backend: TraceBackendSpec,
+    workload: &str,
+    objects: &[String],
+    config: &AnalysisConfig,
+) -> SessionReport {
+    let runner = Runner {
+        harnesses: Arc::new(HarnessCache::with_backend(backend)),
+        ..Runner::default()
+    };
+    let registry = moard::workloads::builtin_registry();
+    runner
+        .analyze(workload, objects, config, true, registry)
+        .unwrap()
+}
+
+/// MM's C at stride 16, a DFI budget of 150 and window `k` on `backend`.
+fn mm_c(backend: TraceBackendSpec, k: usize) -> SessionReport {
+    let config = AnalysisConfig {
+        propagation_window: k,
+        site_stride: 16,
+        max_dfi_per_object: Some(150),
+        ..Default::default()
+    };
+    analyze(backend, "mm", &["C".into()], &config)
 }
 
 #[test]
@@ -76,15 +102,8 @@ fn window_spanning_many_segments_is_bit_identical_to_memory() {
     // k = 50 over 16-record segments: every replay window crosses at least
     // three seams, and the 4-slot reader LRU must rotate without losing
     // parity.
-    let run = |backend: TraceBackendSpec| {
-        quick(Session::for_workload("mm").unwrap())
-            .window(50)
-            .trace_backend(backend)
-            .run()
-            .unwrap()
-    };
-    let mem = run(TraceBackendSpec::Memory);
-    let paged = run(tiny_segments());
+    let mem = mm_c(TraceBackendSpec::Memory, 50);
+    let paged = mm_c(tiny_segments(), 50);
     assert_eq!(mem, paged);
     assert_eq!(mem.to_json_string(), paged.to_json_string());
 }
@@ -93,15 +112,8 @@ fn window_spanning_many_segments_is_bit_identical_to_memory() {
 fn window_past_the_trace_end_is_bit_identical_to_memory() {
     // A propagation window far longer than the whole trace: replay must
     // stop cleanly at the final record on both backends.
-    let run = |backend: TraceBackendSpec| {
-        quick(Session::for_workload("mm").unwrap())
-            .window(10_000_000)
-            .trace_backend(backend)
-            .run()
-            .unwrap()
-    };
-    let mem = run(TraceBackendSpec::Memory);
-    let paged = run(tiny_segments());
+    let mem = mm_c(TraceBackendSpec::Memory, 10_000_000);
+    let paged = mm_c(tiny_segments(), 10_000_000);
     assert_eq!(mem, paged);
 }
 
@@ -133,13 +145,13 @@ fn corrupt_segment_surfaces_a_typed_error_through_the_harness() {
         .dir()
         .to_path_buf();
     // A healthy analysis first, so the corruption below is the only change.
-    let config = moard::model::AnalysisConfig {
+    let config = AnalysisConfig {
         site_stride: 16,
         ..Default::default()
     };
-    h.analyze_without_dfi("C", config.clone()).unwrap();
+    h.analyze("C", config.clone(), false).unwrap();
     corrupt_segments(&dir);
-    let err = h.analyze_without_dfi("C", config).unwrap_err();
+    let err = h.analyze("C", config, false).unwrap_err();
     match err {
         MoardError::Vm(VmError::Trace(moard::vm::TraceError::Corrupt { reason, .. })) => {
             assert!(
@@ -241,13 +253,13 @@ fn record_without_its_destination_register_is_a_typed_error_not_a_panic() {
         .dir()
         .to_path_buf();
     strip_destination_registers(&dir);
-    let config = moard::model::AnalysisConfig {
+    let config = AnalysisConfig {
         site_stride: 16,
         ..Default::default()
     };
     for result in [
-        h.analyze_without_dfi("C", config.clone()),
-        h.analyze("C", config),
+        h.analyze("C", config.clone(), false),
+        h.analyze("C", config, true),
     ] {
         match result {
             Err(MoardError::Vm(VmError::Trace(moard::vm::TraceError::Corrupt {
@@ -280,15 +292,11 @@ fn truncated_segment_surfaces_a_typed_error_through_the_harness() {
             std::fs::write(&path, &bytes[..bytes.len().min(6)]).unwrap();
         }
     }
-    let err = h
-        .analyze_without_dfi(
-            "C",
-            moard::model::AnalysisConfig {
-                site_stride: 16,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
+    let config = AnalysisConfig {
+        site_stride: 16,
+        ..Default::default()
+    };
+    let err = h.analyze("C", config, false).unwrap_err();
     assert!(
         matches!(
             err,
@@ -312,14 +320,13 @@ fn golden_session_reports_are_backend_invariant() {
         ("cg", "cg", 24, 100),
     ];
     for (golden, workload, stride, max_dfi) in cases {
-        let report = Session::for_workload(workload)
-            .unwrap()
-            .window(50)
-            .stride(stride)
-            .max_dfi(max_dfi)
-            .trace_backend(TraceBackendSpec::paged())
-            .run()
-            .unwrap();
+        let config = AnalysisConfig {
+            propagation_window: 50,
+            site_stride: stride,
+            max_dfi_per_object: Some(max_dfi),
+            ..Default::default()
+        };
+        let report = analyze(TraceBackendSpec::paged(), workload, &[], &config);
         let text = report.to_json().to_pretty() + "\n";
         let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("tests/golden")
@@ -354,8 +361,8 @@ fn paged_spill_directory_is_removed_on_drop() {
 
 /// MM's `A` at stride 8 with a budget of 24 DFI verdicts: every planned
 /// fault sits early in the trace, and most corrupt `C` until the end.
-fn a_config() -> moard::model::AnalysisConfig {
-    moard::model::AnalysisConfig {
+fn a_config() -> AnalysisConfig {
+    AnalysisConfig {
         site_stride: 8,
         max_dfi_per_object: Some(24),
         ..Default::default()
@@ -389,7 +396,7 @@ fn dfi_analysis_over_a_poisoned_segment_is_a_typed_error() {
     // error, never a report built from walks cut short, and never panic.
     let h = mm_harness(&tiny_segments());
     corrupt_last_segment(&h);
-    match h.analyze("A", a_config()) {
+    match h.analyze("A", a_config(), true) {
         Err(MoardError::Vm(VmError::Trace(moard::vm::TraceError::Corrupt { .. }))) => {}
         other => panic!("expected a typed Corrupt trace error, got {other:?}"),
     }
