@@ -9,7 +9,7 @@
 //! masks them within k, and compares with the deterministic-injection verdict.
 
 use moard_bench::{harness_or_exit, print_header, unwrap_or_exit, Effort};
-use moard_core::{analyze_operation, ErrorPattern, OpVerdict, ReplayCursor};
+use moard_core::{analyze_operation, BatchLane, BatchReplayCursor, ErrorPattern, OpVerdict};
 use moard_vm::OutcomeClass;
 
 fn main() {
@@ -31,11 +31,15 @@ fn main() {
         for wl in workloads {
             let harness = harness_or_exit(wl);
             // Sites are enumerated through the per-object trace index, and
-            // one cursor's replay buffers are reused across all of them.
-            let mut cursor = ReplayCursor::new(harness.trace());
+            // one cursor's replay buffers are reused across all objects.
+            let mut cursor = BatchReplayCursor::new(harness.trace());
             for object in harness.workload().target_objects() {
                 let sites = unwrap_or_exit(harness.sites(object));
                 let stride = (sites.len() / per_object).max(1);
+                // The sampled sites ascend by record, so their lanes settle
+                // in one batched replay per object.
+                let mut lanes = Vec::new();
+                let mut faults = Vec::new();
                 for site in sites.iter().step_by(stride) {
                     let rec = harness.trace().record(site.record_id).unwrap();
                     let bit = 62 % site.bit_width();
@@ -45,12 +49,20 @@ fn main() {
                         OpVerdict::OvershadowCandidate { corrupt } => corrupt,
                         _ => continue,
                     };
-                    let prop = cursor.replay(site.record_id as usize + 1, &corrupt, k);
+                    lanes.push(BatchLane {
+                        start: site.record_id as usize + 1,
+                        corrupt,
+                    });
+                    faults.push(site.fault_bit(bit));
+                }
+                let mut results = Vec::with_capacity(lanes.len());
+                cursor.replay_batch(&lanes, k, &mut results);
+                for (prop, fault) in results.iter().zip(&faults) {
                     if prop.is_masked() {
                         continue;
                     }
                     not_masked_within_k += 1;
-                    let outcome = harness.injector().run_classified(&site.fault_bit(bit));
+                    let outcome = harness.injector().run_classified(fault);
                     if !matches!(outcome, OutcomeClass::Identical) {
                         incorrect_outcomes += 1;
                     }

@@ -17,8 +17,9 @@
 
 use crate::micro::{bench, black_box, BenchStats};
 use moard_core::{
-    analyze_operation, enumerate_sites, fingerprint_hex, parse_fingerprint, replay,
-    trace_stats_to_json, AdvfAnalyzer, AnalysisConfig, CorruptSeeds, ErrorPattern, OpVerdict,
+    analyze_operation, enumerate_sites, fingerprint_hex, parse_fingerprint, trace_stats_to_json,
+    AdvfAnalyzer, AnalysisConfig, BatchLane, BatchReplayCursor, CorruptSeeds, ErrorPattern,
+    OpVerdict,
 };
 use moard_inject::{
     DeterministicInjector, Parallelism, Runner, StudySpec, ValidationSpec, WorkloadSelector,
@@ -200,7 +201,8 @@ pub fn dfi_smoke_fault(trace: &Trace, object: moard_vm::ObjectId) -> FaultSpec {
 }
 
 /// Collect up to `cap` propagation seeds for the object: participation sites
-/// whose operation-level verdict leaves corrupted locations to replay.
+/// whose operation-level verdict leaves corrupted locations to replay, by
+/// ascending start.
 pub fn propagation_seeds(
     trace: &Trace,
     object: moard_vm::ObjectId,
@@ -236,8 +238,8 @@ pub struct SmokeReport {
 }
 
 /// Run the full suite: `advf_analysis/{mm,pf}` (analytic aDVF of the target
-/// object), `propagation_k/{mm,pf}/k=50` (replay of every collected
-/// propagation seed with the paper's default window),
+/// object), `propagation_k/{mm,pf}/k=50` (one batched replay of every
+/// collected propagation seed with the paper's default window),
 /// `patterns/mm/adjacent-bits:2` (the multi-bit analysis hot path — same
 /// MM instance, adjacent double-bit bursts), `paged/pf` (the same analytic
 /// PF analysis streamed through the paged on-disk trace backend with
@@ -270,20 +272,27 @@ pub fn run_suite() -> SmokeReport {
                 black_box(analyzer.analyze(wl.object, wl.object_name, &wl.workload, None));
             },
         ));
-        let seeds = propagation_seeds(&wl.trace, wl.object, 256);
+        let lanes: Vec<BatchLane> = propagation_seeds(&wl.trace, wl.object, 256)
+            .into_iter()
+            .map(|(start, corrupt)| BatchLane { start, corrupt })
+            .collect();
         assert!(
-            !seeds.is_empty(),
+            !lanes.is_empty(),
             "{} must expose at least one propagation seed",
             wl.workload
         );
+        // The seeds ascend by start, so one `replay_batch` walks them all,
+        // 64 lanes per walk, as `analyze` walks its lanes.
+        let mut cursor = BatchReplayCursor::new(&wl.trace);
+        let mut out = Vec::with_capacity(lanes.len());
         benches.push(bench(
             &format!("propagation_k/{}/k={k}", wl.key),
             2,
             20,
             || {
-                for (start, corrupt) in &seeds {
-                    black_box(replay(&wl.trace, *start, corrupt, k));
-                }
+                out.clear();
+                cursor.replay_batch(&lanes, k, &mut out);
+                black_box(&out);
             },
         ));
     }

@@ -22,16 +22,15 @@
 //! verdicts in (site, pattern) order.  The per-class masking fractions
 //! accumulate into an [`AdvfAccumulator`] exactly as Equation 1 prescribes.
 //! [`AdvfAnalyzer::classify`] runs the same pipeline for a single
-//! (site, pattern), replaying it alone through a [`ReplayCursor`].
+//! (site, pattern), replaying it as a one-lane walk of the same engine
+//! ([`BatchReplayCursor::replay`]).
 
 use crate::advf::{AdvfAccumulator, AdvfReport, PatternClassTally};
 use crate::error_pattern::{ErrorPattern, ErrorPatternSet};
 use crate::masking::{Masking, OpMaskKind};
 use crate::op_rules::{analyze_operation, analyze_site, CorruptSeeds, OpVerdict};
 use crate::parallel::{available_workers, run_indexed, run_indexed_with};
-use crate::propagation::{
-    BatchLane, BatchReplayCursor, PropagationResult, ReplayCursor, MAX_REPLAY_LANES,
-};
+use crate::propagation::{BatchLane, BatchReplayCursor, PropagationResult, MAX_REPLAY_LANES};
 use crate::resolver::{DfiResolver, EquivalenceCache, EquivalenceKey, ResolverStats};
 use crate::sites::{sites_by_record, strided_sites_through, ParticipationSite};
 use moard_ir::Type;
@@ -449,9 +448,10 @@ impl<'a> AdvfAnalyzer<'a> {
     }
 
     /// Classify one (site, error pattern) through the full pipeline: the
-    /// operation rules, a replay of this fault alone through a fresh
-    /// [`ReplayCursor`], and DFI under a budget of its own.  The second
-    /// element reports whether DFI was consulted.
+    /// operation rules, a replay of this fault alone (a one-lane walk,
+    /// [`BatchReplayCursor::replay`], on a fresh cursor), and DFI under a
+    /// budget of its own.  The second element reports whether DFI was
+    /// consulted.
     pub fn classify(
         &self,
         rec: &TraceRecord,
@@ -461,7 +461,7 @@ impl<'a> AdvfAnalyzer<'a> {
     ) -> (Masking, bool) {
         let dfi = resolver.map(|r| DfiCall::new(r, self.cache.stats()));
         self.classify_with(
-            &mut ReplayCursor::new(self.trace),
+            &mut BatchReplayCursor::new(self.trace),
             rec,
             site,
             &pattern,
@@ -472,7 +472,7 @@ impl<'a> AdvfAnalyzer<'a> {
     /// [`AdvfAnalyzer::classify`] with a caller's cursor and DFI budget.
     fn classify_with(
         &self,
-        cursor: &mut ReplayCursor<'a>,
+        cursor: &mut BatchReplayCursor<'a>,
         rec: &TraceRecord,
         site: &ParticipationSite,
         pattern: &ErrorPattern,
@@ -985,8 +985,8 @@ mod tests {
     }
 
     /// The inline-DFI oracle that [`AdvfAnalyzer::analyze`] must match: each
-    /// (site, pattern) in fold order, replayed alone through one
-    /// [`ReplayCursor`] and, where the trace cannot settle it, injected on
+    /// (site, pattern) in fold order, replayed alone (a one-lane walk of one
+    /// [`BatchReplayCursor`]) and, where the trace cannot settle it, injected on
     /// the spot through `classify_with`, all under one `DfiCall` budget.
     fn oracle(
         analyzer: &AdvfAnalyzer,
@@ -1001,7 +1001,7 @@ mod tests {
         let sites = analyzer.pattern_sites(object);
         let stats_before = analyzer.cache.stats();
         let dfi = resolver.map(|r| DfiCall::new(r, stats_before));
-        let mut cursor = ReplayCursor::new(analyzer.trace);
+        let mut cursor = BatchReplayCursor::new(analyzer.trace);
         for site in &sites {
             let rec = cursor.fetch(site.record_id).unwrap();
             let patterns = analyzer.config.patterns.patterns_for(site.value.ty());
@@ -1046,10 +1046,10 @@ mod tests {
 
     /// The replay lanes of an analysis of `object`, and how many of them
     /// the replay masks, counted one (site, pattern) at a time through the
-    /// operation rules and one [`ReplayCursor`].
+    /// operation rules and one-lane walks of one [`BatchReplayCursor`].
     fn replay_lanes(analyzer: &AdvfAnalyzer, object: ObjectId) -> (usize, usize) {
         let k = analyzer.config.propagation_window;
-        let mut cursor = ReplayCursor::new(analyzer.trace);
+        let mut cursor = BatchReplayCursor::new(analyzer.trace);
         let (mut lanes, mut masked) = (0, 0);
         for site in analyzer.pattern_sites(object) {
             let rec = cursor.fetch(site.record_id).unwrap();

@@ -60,6 +60,11 @@
 //! `moard_inject::Runner::analyze`; every fallible entry point across both
 //! crates returns `Result<_, `[`MoardError`]`>`.
 
+// The one-fault reference replay the propagation tests share with the
+// integration tests (`tests/reference/mod.rs`) names this crate as they do.
+#[cfg(test)]
+extern crate self as moard_core;
+
 pub mod advf;
 pub mod analysis;
 pub mod error;
@@ -84,8 +89,8 @@ pub use masking::{Masking, OpMaskKind};
 pub use op_rules::{analyze_operation, analyze_site, CorruptLoc, CorruptSeeds, OpVerdict};
 pub use parallel::{available_workers, run_indexed};
 pub use propagation::{
-    replay, BatchLane, BatchReplayCursor, PropagationResult, ReplayCursor, SamePathEnd,
-    UnresolvedReason, MAX_REPLAY_LANES,
+    BatchLane, BatchReplayCursor, PropagationResult, ReplayCursor, SamePathEnd, UnresolvedReason,
+    MAX_REPLAY_LANES,
 };
 pub use report::{
     check_schema_version, fingerprint_hex, fnv1a, parse_fingerprint, trace_stats_to_json,

@@ -51,8 +51,9 @@ pub enum CorruptLoc {
 /// ([`crate::BatchLane`]) never allocates.  No operation rule leaves more
 /// than two: the corrupted source register, and the destination register,
 /// memory word or callee parameter it flows into.  It derefs to
-/// `[CorruptLoc]`, so code that reads a seed as a slice (`&seed[..]`,
-/// `seed.iter()`, `replay(trace, start, &seed, k)`) works unchanged.
+/// `[CorruptLoc]`, so code reads a seed as a slice (`&seed[..]`,
+/// `seed.iter()`); a replay takes the seed itself
+/// ([`crate::BatchReplayCursor::replay`]`(start, &seed, k)`).
 #[derive(Clone, Copy)]
 pub struct CorruptSeeds {
     len: u8,

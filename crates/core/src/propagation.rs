@@ -16,12 +16,13 @@
 //! The paper's empirical bound (1000 random injections over 16 data objects)
 //! found k = 50 sufficient: errors not masked within 50 operations virtually
 //! never end up masked by further propagation.  `k` is configurable so the
-//! `propagation_k` ablation bench can reproduce that observation.
+//! `obs_propagation_bound` binary of the bench crate can reproduce that
+//! observation.
 //!
 //! ## Engine notes
 //!
 //! Replay is *the* hot loop of the analytical pipeline (every participation
-//! site × every error pattern replays a window), so the implementation is
+//! site × every error pattern replays a window), so there is one engine,
 //! tuned accordingly:
 //!
 //! * the trace is walked through [`moard_vm::TraceRead`] *runs* — zero-copy
@@ -31,30 +32,24 @@
 //!   streams segments without ever needing the full trace resident.
 //!   Walks on several threads (the analyzer's plan pass) share one
 //!   immutable trace with no cloning — each cursor owns its own reader;
-//! * a [`ReplayCursor`] replays one fault per walk.  It is the reference
-//!   engine the batched one is checked against, and
-//!   [`crate::AdvfAnalyzer::classify`] uses it to settle a single
-//!   (site, pattern).  Its live corrupted state (`ShadowState`) is a pair
-//!   of small linear vectors, not hash maps: live sets are almost always a
-//!   handful of locations, where linear probing beats hashing by a wide
-//!   margin.  The cursor owns the state buffers and is reusable across
-//!   replays; the free [`replay`] function is the one-shot convenience
-//!   entry point;
-//! * the analyzer replays through a [`BatchReplayCursor`]: up to 64
-//!   replays whose windows overlap share **one** walk over the decoded
-//!   records.  Its shadow state maps each (frame, register) and memory
-//!   word to a `u64` *lane mask* plus the per-lane corrupted values, and
-//!   each record is stepped once for the whole batch: every operand's entry
-//!   is resolved once (its position and which active lanes it taints), the
-//!   tainted lanes alone re-evaluate the operation, reading their values
-//!   from that entry by position, with the sequential engine's rules (an
-//!   `f64` `fadd`/`fsub`/`fmul`/`fdiv` lane straight through
+//! * a [`BatchReplayCursor`] carries up to 64 replays whose windows overlap
+//!   in **one** walk over the decoded records.  Its shadow state maps each
+//!   (frame, register) and memory word to a `u64` *lane mask* plus the
+//!   per-lane corrupted values, and each record is stepped once for the
+//!   whole batch: every operand's entry is resolved once (its position and
+//!   which active lanes it taints), the tainted lanes alone re-evaluate the
+//!   operation, reading their values from that entry by position (an `f64`
+//!   `fadd`/`fsub`/`fmul`/`fdiv` lane straight through
 //!   [`moard_ir::f64_arith`], the kernel `eval_binop` itself uses), and
 //!   one masked assignment writes the destination for every active lane.
 //!   Lanes retire individually — `AllMasked`, window exhaustion, traps,
 //!   control or address divergence — and all lanes that retire unresolved
-//!   at one record leave the tables in one sweep.  Every verdict is
-//!   bit-identical to the sequential [`ReplayCursor::replay`];
+//!   at one record leave the tables in one sweep.  The tests hold every
+//!   verdict, bit for bit, to a one-fault replay that follows the same
+//!   rules one lane at a time (`tests/reference/mod.rs`);
+//! * a single fault is a one-lane walk: [`BatchReplayCursor::replay`]
+//!   settles one (site, pattern) for [`crate::AdvfAnalyzer::classify`], and
+//!   settles the lanes a batched walk never reaches;
 //! * the same walk with no window, [`BatchReplayCursor::walk_to_end`],
 //!   follows a deterministic fault to the end of the trace: a lane that
 //!   stays on the recorded path yields the exact corrupted end state
@@ -68,7 +63,7 @@
 
 use crate::op_rules::{CorruptLoc, CorruptSeeds};
 use moard_ir::{eval_binop, eval_cast, eval_cmp, eval_intrinsic, f64_arith, RegId, Type, Value};
-use moard_vm::{TraceOp, TraceRead, TraceRecord, TraceStorage, TracedVal, ValueSource};
+use moard_vm::{TraceOp, TraceRead, TraceRecord, TraceStorage, ValueSource};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -111,230 +106,6 @@ impl PropagationResult {
     pub fn is_masked(&self) -> bool {
         matches!(self, PropagationResult::AllMasked { .. })
     }
-}
-
-/// Live corrupted state during replay: small linear tables keyed by
-/// (frame, register) and by memory address.
-///
-/// Live sets during replay are tiny (an error seeds one or two locations and
-/// masking shrinks the set), so linear scans over dense vectors beat hash
-/// maps on both lookup latency and allocation count.  Entries are unique by
-/// key; removal is `swap_remove` (order is irrelevant to every observable
-/// result: lookups, liveness counts, and emptiness).
-#[derive(Debug, Default, Clone)]
-struct ShadowState {
-    regs: Vec<((u64, u32), Value)>,
-    mem: Vec<(u64, Value)>,
-}
-
-impl ShadowState {
-    /// Reset the buffers (keeping their capacity) and seed the initial
-    /// corrupted locations.  Later duplicates overwrite earlier ones, the
-    /// insert semantics the map-based implementation had.
-    fn reset(&mut self, locs: &[CorruptLoc]) {
-        self.regs.clear();
-        self.mem.clear();
-        for loc in locs {
-            match loc {
-                CorruptLoc::Reg { frame, reg, value } => {
-                    self.reg_insert(*frame, *reg, *value);
-                }
-                CorruptLoc::Mem { addr, value } => {
-                    self.mem_insert(*addr, *value);
-                }
-            }
-        }
-    }
-
-    fn is_clean(&self) -> bool {
-        self.regs.is_empty() && self.mem.is_empty()
-    }
-
-    fn live(&self) -> usize {
-        self.regs.len() + self.mem.len()
-    }
-
-    fn reg(&self, frame: u64, reg: RegId) -> Option<Value> {
-        let key = (frame, reg.0);
-        self.regs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v)
-    }
-
-    fn reg_insert(&mut self, frame: u64, reg: RegId, value: Value) {
-        let key = (frame, reg.0);
-        match self.regs.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, slot)) => *slot = value,
-            None => self.regs.push((key, value)),
-        }
-    }
-
-    fn kill_reg(&mut self, frame: u64, reg: RegId) {
-        let key = (frame, reg.0);
-        if let Some(i) = self.regs.iter().position(|(k, _)| *k == key) {
-            self.regs.swap_remove(i);
-        }
-    }
-
-    fn set_reg(&mut self, frame: u64, reg: RegId, corrupted: Value, clean: Value) {
-        if corrupted.bits_eq(&clean) {
-            self.kill_reg(frame, reg);
-        } else {
-            self.reg_insert(frame, reg, corrupted);
-        }
-    }
-
-    /// Remove every register belonging to a frame that has returned.
-    fn drop_frame(&mut self, frame: u64) {
-        self.regs.retain(|((f, _), _)| *f != frame);
-    }
-
-    fn mem_get(&self, addr: u64) -> Option<Value> {
-        self.mem.iter().find(|(a, _)| *a == addr).map(|(_, v)| *v)
-    }
-
-    fn mem_insert(&mut self, addr: u64, value: Value) {
-        match self.mem.iter_mut().find(|(a, _)| *a == addr) {
-            Some((_, slot)) => *slot = value,
-            None => self.mem.push((addr, value)),
-        }
-    }
-
-    fn mem_remove(&mut self, addr: u64) {
-        if let Some(i) = self.mem.iter().position(|(a, _)| *a == addr) {
-            self.mem.swap_remove(i);
-        }
-    }
-
-    fn mem_is_empty(&self) -> bool {
-        self.mem.is_empty()
-    }
-
-    /// Corrupted value of an operand, if its source register is corrupted.
-    fn operand(&self, frame: u64, v: &TracedVal) -> Option<Value> {
-        match v.source {
-            ValueSource::Reg(r) => self.reg(frame, r),
-            _ => None,
-        }
-    }
-}
-
-/// A reusable single-fault replay cursor over one immutable trace (either
-/// backend): the reference engine that [`BatchReplayCursor`] must agree
-/// with, and the replay behind [`crate::AdvfAnalyzer::classify`].
-///
-/// The cursor owns the shadow-state buffers *and* a [`TraceRead`] reader, so
-/// a loop replaying many sites allocates nothing per replay and — on the
-/// paged backend — keeps a warm LRU of decoded segments across the whole
-/// site loop.  The trace itself is only borrowed: any number of cursors in
-/// any number of threads can walk the same trace concurrently.
-pub struct ReplayCursor<'t> {
-    trace: &'t dyn TraceStorage,
-    len: u64,
-    reader: Box<dyn TraceRead + 't>,
-    state: ShadowState,
-}
-
-impl<'t> ReplayCursor<'t> {
-    /// A cursor over `trace` with empty state buffers.
-    pub fn new(trace: &'t dyn TraceStorage) -> Self {
-        ReplayCursor {
-            trace,
-            len: trace.len(),
-            reader: trace.new_reader(),
-            state: ShadowState::default(),
-        }
-    }
-
-    /// The trace this cursor walks.
-    pub fn trace(&self) -> &'t dyn TraceStorage {
-        self.trace
-    }
-
-    /// Clone one record out of the trace through this cursor's warm reader
-    /// (on the paged backend a fresh reader would decode a full segment per
-    /// lookup; site loops hit the same segments their replays just paged in).
-    pub fn fetch(&mut self, id: u64) -> Option<TraceRecord> {
-        self.reader.fetch(id)
-    }
-
-    /// Replay the trace from `start_index` (a record position, usually
-    /// `target_record_index + 1`) with the given initial corrupted
-    /// locations, examining at most `k` records.
-    ///
-    /// A `start_index` at or past the end of the trace examines nothing: the
-    /// verdict is then decided purely by whether corrupted *memory* is live
-    /// (registers of finished frames are dead state).
-    pub fn replay(
-        &mut self,
-        start_index: usize,
-        initial: &[CorruptLoc],
-        k: usize,
-    ) -> PropagationResult {
-        let state = &mut self.state;
-        state.reset(initial);
-        if state.is_clean() {
-            return PropagationResult::AllMasked { ops_examined: 0 };
-        }
-        let mut examined = 0usize;
-        let mut pos = start_index as u64;
-        while pos < self.len {
-            // One run = the longest contiguous decoded stretch from `pos`
-            // (the whole tail in memory, a segment suffix when paged).  An
-            // empty run before the end means the backend poisoned itself on
-            // a decode error; stop here — the harness surfaces the error.
-            let run = self.reader.run_from(pos);
-            if run.is_empty() {
-                break;
-            }
-            for rec in run {
-                if examined >= k {
-                    return PropagationResult::Unresolved {
-                        reason: UnresolvedReason::WindowExhausted,
-                        live_locations: state.live(),
-                    };
-                }
-                examined += 1;
-                match step(rec, state) {
-                    StepResult::Continue => {}
-                    StepResult::Unresolved(reason) => {
-                        return PropagationResult::Unresolved {
-                            reason,
-                            live_locations: state.live(),
-                        }
-                    }
-                }
-                if state.is_clean() {
-                    return PropagationResult::AllMasked {
-                        ops_examined: examined,
-                    };
-                }
-            }
-            pos += run.len() as u64;
-        }
-        // Trace ended.  Registers of finished frames are dead state; only
-        // corrupted memory can still influence the snapshot the outcome is
-        // compared on.
-        if state.mem_is_empty() {
-            PropagationResult::AllMasked {
-                ops_examined: examined,
-            }
-        } else {
-            PropagationResult::Unresolved {
-                reason: UnresolvedReason::TraceEnded,
-                live_locations: state.live(),
-            }
-        }
-    }
-}
-
-/// One-shot replay: build a throw-away [`ReplayCursor`] and run it.  Loops
-/// over many sites should hold a cursor instead to reuse its buffers.
-pub fn replay(
-    trace: &dyn TraceStorage,
-    start_index: usize,
-    initial: &[CorruptLoc],
-    k: usize,
-) -> PropagationResult {
-    ReplayCursor::new(trace).replay(start_index, initial, k)
 }
 
 /// Maximum number of replays one [`BatchReplayCursor`] walk can carry: one
@@ -602,8 +373,8 @@ impl<K: Copy + Eq + Hash> LaneTable<K> {
     }
 }
 
-/// Lane-masked shadow state: the batched counterpart of [`ShadowState`].
-/// Each entry carries a `u64` of lane occupancy plus the per-lane corrupted
+/// Lane-masked shadow state, keyed by (frame, register) and by memory
+/// word.  Each entry carries a `u64` of lane occupancy plus the per-lane corrupted
 /// values, so one lookup serves every lane in the batch.
 #[derive(Default)]
 struct BatchShadowState {
@@ -738,271 +509,20 @@ impl Default for LaneScratch {
     }
 }
 
-enum StepResult {
-    Continue,
-    Unresolved(UnresolvedReason),
-}
-
-fn step(rec: &TraceRecord, state: &mut ShadowState) -> StepResult {
-    let frame = rec.frame;
-    match &rec.op {
-        TraceOp::Bin {
-            op,
-            ty,
-            lhs,
-            rhs,
-            result,
-        } => {
-            let cl = state.operand(frame, lhs);
-            let cr = state.operand(frame, rhs);
-            let dst = rec.dst.expect("bin has dst");
-            if cl.is_none() && cr.is_none() {
-                state.kill_reg(frame, dst);
-                return StepResult::Continue;
-            }
-            let a = cl.unwrap_or(lhs.value);
-            let b = cr.unwrap_or(rhs.value);
-            match eval_binop(*op, *ty, &a, &b) {
-                Ok(r) => {
-                    state.set_reg(frame, dst, r, *result);
-                    StepResult::Continue
-                }
-                Err(_) => StepResult::Unresolved(UnresolvedReason::EvalTrap),
-            }
-        }
-        TraceOp::Cmp {
-            pred,
-            lhs,
-            rhs,
-            result,
-        } => {
-            let cl = state.operand(frame, lhs);
-            let cr = state.operand(frame, rhs);
-            let dst = rec.dst.expect("cmp has dst");
-            if cl.is_none() && cr.is_none() {
-                state.kill_reg(frame, dst);
-                return StepResult::Continue;
-            }
-            let a = cl.unwrap_or(lhs.value);
-            let b = cr.unwrap_or(rhs.value);
-            match eval_cmp(*pred, &a, &b) {
-                Ok(r) => {
-                    state.set_reg(frame, dst, r, *result);
-                    StepResult::Continue
-                }
-                Err(_) => StepResult::Unresolved(UnresolvedReason::EvalTrap),
-            }
-        }
-        TraceOp::Cast {
-            kind,
-            to,
-            src,
-            result,
-        } => {
-            let cs = state.operand(frame, src);
-            let dst = rec.dst.expect("cast has dst");
-            match cs {
-                None => {
-                    state.kill_reg(frame, dst);
-                    StepResult::Continue
-                }
-                Some(v) => match eval_cast(*kind, *to, &v) {
-                    Ok(r) => {
-                        state.set_reg(frame, dst, r, *result);
-                        StepResult::Continue
-                    }
-                    Err(_) => StepResult::Unresolved(UnresolvedReason::EvalTrap),
-                },
-            }
-        }
-        TraceOp::Load {
-            addr,
-            addr_src,
-            result,
-            ..
-        } => {
-            // A corrupted address register means the program would read a
-            // different location: undecidable from the trace.
-            if let ValueSource::Reg(r) = addr_src {
-                if state.reg(frame, *r).is_some() {
-                    return StepResult::Unresolved(UnresolvedReason::AddressDivergence);
-                }
-            }
-            let dst = rec.dst.expect("load has dst");
-            match state.mem_get(*addr) {
-                Some(v) => state.set_reg(frame, dst, v, *result),
-                None => state.kill_reg(frame, dst),
-            }
-            StepResult::Continue
-        }
-        TraceOp::Store {
-            addr,
-            addr_src,
-            value,
-            ..
-        } => {
-            if let ValueSource::Reg(r) = addr_src {
-                if state.reg(frame, *r).is_some() {
-                    return StepResult::Unresolved(UnresolvedReason::AddressDivergence);
-                }
-            }
-            match state.operand(frame, value) {
-                Some(corrupted) => {
-                    if corrupted.bits_eq(&value.value) {
-                        state.mem_remove(*addr);
-                    } else {
-                        state.mem_insert(*addr, corrupted);
-                    }
-                }
-                None => {
-                    // Clean value overwrites any corrupted memory.
-                    state.mem_remove(*addr);
-                }
-            }
-            StepResult::Continue
-        }
-        TraceOp::Gep {
-            base,
-            index,
-            elem_size,
-            result,
-        } => {
-            let cb = state.operand(frame, base);
-            let ci = state.operand(frame, index);
-            let dst = rec.dst.expect("gep has dst");
-            if cb.is_none() && ci.is_none() {
-                state.kill_reg(frame, dst);
-                return StepResult::Continue;
-            }
-            let b = cb.unwrap_or(base.value);
-            let i = ci.unwrap_or(index.value);
-            let addr = b
-                .as_u64()
-                .wrapping_add((i.as_i64() as u64).wrapping_mul(*elem_size));
-            state.set_reg(frame, dst, Value::Ptr(addr), *result);
-            StepResult::Continue
-        }
-        TraceOp::Select {
-            cond,
-            then_v,
-            else_v,
-            result,
-        } => {
-            let cc = state.operand(frame, cond);
-            let ct = state.operand(frame, then_v);
-            let ce = state.operand(frame, else_v);
-            let dst = rec.dst.expect("select has dst");
-            if cc.is_none() && ct.is_none() && ce.is_none() {
-                state.kill_reg(frame, dst);
-                return StepResult::Continue;
-            }
-            let c = cc.unwrap_or(cond.value);
-            let t = ct.unwrap_or(then_v.value);
-            let e = ce.unwrap_or(else_v.value);
-            let r = if c.is_truthy() { t } else { e };
-            state.set_reg(frame, dst, r, *result);
-            StepResult::Continue
-        }
-        TraceOp::Intrinsic { intr, args, result } => {
-            let dst = rec.dst.expect("intrinsic has dst");
-            let mut any = false;
-            let vals: Vec<Value> = args
-                .iter()
-                .map(|a| match state.operand(frame, a) {
-                    Some(v) => {
-                        any = true;
-                        v
-                    }
-                    None => a.value,
-                })
-                .collect();
-            if !any {
-                state.kill_reg(frame, dst);
-                return StepResult::Continue;
-            }
-            match eval_intrinsic(*intr, &vals) {
-                Ok(r) => {
-                    state.set_reg(frame, dst, r, *result);
-                    StepResult::Continue
-                }
-                Err(_) => StepResult::Unresolved(UnresolvedReason::EvalTrap),
-            }
-        }
-        TraceOp::Mov { src, result } => {
-            let dst = rec.dst.expect("mov has dst");
-            match state.operand(frame, src) {
-                Some(v) => state.set_reg(frame, dst, v, *result),
-                None => state.kill_reg(frame, dst),
-            }
-            StepResult::Continue
-        }
-        TraceOp::Call {
-            args,
-            callee_frame,
-            param_regs,
-            ..
-        } => {
-            for (arg, param) in args.iter().zip(param_regs.iter()) {
-                if let Some(v) = state.operand(frame, arg) {
-                    state.set_reg(*callee_frame, *param, v, arg.value);
-                }
-            }
-            StepResult::Continue
-        }
-        TraceOp::Ret {
-            value,
-            caller_frame,
-            dst_in_caller,
-        } => {
-            let corrupted_ret = value.as_ref().and_then(|v| state.operand(frame, v));
-            // Every register of the returning frame dies.
-            state.drop_frame(frame);
-            if let (Some(cf), Some(dst)) = (caller_frame, dst_in_caller) {
-                match (corrupted_ret, value) {
-                    (Some(v), Some(clean)) => state.set_reg(*cf, *dst, v, clean.value),
-                    _ => state.kill_reg(*cf, *dst),
-                }
-            } else if let Some(v) = corrupted_ret {
-                // Corrupted final program return value: the outcome differs.
-                if value.map(|c| !v.bits_eq(&c.value)).unwrap_or(false) {
-                    return StepResult::Unresolved(UnresolvedReason::TraceEnded);
-                }
-            }
-            StepResult::Continue
-        }
-        TraceOp::CondBr { cond, taken } => {
-            if let Some(v) = state.operand(frame, cond) {
-                if v.is_truthy() != *taken {
-                    return StepResult::Unresolved(UnresolvedReason::ControlDivergence);
-                }
-            }
-            StepResult::Continue
-        }
-        TraceOp::Switch { value, .. } => {
-            if let Some(v) = state.operand(frame, value) {
-                if !v.bits_eq(&value.value) {
-                    return StepResult::Unresolved(UnresolvedReason::ControlDivergence);
-                }
-            }
-            StepResult::Continue
-        }
-    }
-}
-
 /// In-flight state of one batched walk: the lane-masked shadow tables, the
 /// per-lane results, and the set of lanes still advancing.
 ///
-/// The step logic mirrors [`step`] arm for arm, once per record for the
-/// whole batch.  Each operand's table entry is looked up once; the tainted
-/// lanes re-evaluate the operation with exactly the sequential rules,
-/// reading their values by entry position, and their new values land in
+/// The step logic applies the one-fault rules of §III-D arm for arm, once
+/// per record for the whole batch.  Each operand's table entry is looked up
+/// once; the tainted lanes re-evaluate the operation, reading their values
+/// by entry position, and their new values land in
 /// the cursor's lane buffer.  Lanes that trap or diverge at the record
 /// retire next, so their live counts are those before it; then one
 /// [`LaneTable::assign`] writes the destination for every active lane (the
 /// lanes whose value differs from the clean one hold it, the others lose
 /// it).  Every read precedes every write and each lane touches only its own
 /// mask bit and value slot, so lanes cannot observe each other — which is
-/// what makes every verdict bit-identical to a sequential replay.
+/// what makes every verdict bit-identical to a replay of the lane alone.
 ///
 /// A walk to the end of the trace ([`BatchReplayCursor::walk_to_end`])
 /// differs in two places only: it has no window, and a corrupted final
@@ -1073,7 +593,7 @@ impl BatchWalk<'_> {
                     continue 'walk;
                 }
                 // Window exhaustion, checked before the record is examined
-                // (handles k = 0 like the sequential engine).  Starts ascend
+                // (so k = 0 examines nothing).  Starts ascend
                 // with the lane index, so the lanes that run out here are
                 // the lowest active ones, and they retire in one sweep.
                 let mut exhausted = 0u64;
@@ -1397,12 +917,15 @@ struct WalkStop {
 }
 
 /// A reusable lane-batched replay cursor: up to [`MAX_REPLAY_LANES`] replays
-/// share one walk over the decoded records.
+/// share one walk over the decoded records, and a single fault is a
+/// one-lane walk ([`BatchReplayCursor::replay`]).
 ///
-/// Like [`ReplayCursor`] it owns its state buffers (the shadow tables and
-/// the lane buffers, so a walk allocates nothing once they have grown) and
-/// a warm [`TraceRead`] reader, so on the paged backend one decoded
-/// segment now serves every lane in the batch instead of a single replay.
+/// The cursor owns its state buffers (the shadow tables and the lane
+/// buffers, so a walk allocates nothing once they have grown) and a warm
+/// [`TraceRead`] reader, so a loop replaying many sites allocates nothing
+/// per walk and, on the paged backend, one decoded segment serves every
+/// lane in the batch.  The trace itself is only borrowed: any number of
+/// cursors in any number of threads can walk the same trace concurrently.
 pub struct BatchReplayCursor<'t> {
     trace: &'t dyn TraceStorage,
     len: u64,
@@ -1410,6 +933,11 @@ pub struct BatchReplayCursor<'t> {
     state: BatchShadowState,
     scratch: LaneScratch,
 }
+
+/// The cursor under the name single-fault callers use:
+/// `ReplayCursor::new(trace).replay(start, &seed, k)` is a one-lane
+/// [`BatchReplayCursor::replay`].
+pub type ReplayCursor<'t> = BatchReplayCursor<'t>;
 
 impl<'t> BatchReplayCursor<'t> {
     /// A cursor over `trace` with empty state buffers.
@@ -1429,7 +957,8 @@ impl<'t> BatchReplayCursor<'t> {
     }
 
     /// Clone one record out of the trace through this cursor's warm reader
-    /// (same rationale as [`ReplayCursor::fetch`]).
+    /// (on the paged backend a fresh reader would decode a full segment per
+    /// lookup; site loops hit the same segments their replays just paged in).
     pub fn fetch(&mut self, id: u64) -> Option<TraceRecord> {
         self.reader.fetch(id)
     }
@@ -1440,17 +969,45 @@ impl<'t> BatchReplayCursor<'t> {
         self.reader.as_mut()
     }
 
+    /// Replay one fault alone, a one-lane walk: from `start` (a record
+    /// position, usually the target record's id + 1) with the corrupted
+    /// locations `corrupt`, examining at most `k` records.  The verdict is
+    /// the one [`BatchReplayCursor::replay_batch`] gives the same lane in
+    /// any batch.
+    ///
+    /// A lane the walk never reaches (`start` at or past the end of the
+    /// trace, or a first read that comes back empty) examines nothing: the
+    /// trace-end rule settles it on its seed alone, masked unless the seed
+    /// corrupts memory (registers of finished frames are dead state).
+    pub fn replay(&mut self, start: usize, corrupt: &CorruptSeeds, k: usize) -> PropagationResult {
+        let lane = BatchLane {
+            start,
+            corrupt: *corrupt,
+        };
+        let mut result = [None];
+        let mut stop = self.walk(std::slice::from_ref(&lane), k as u64, false, &mut result);
+        if result[0].is_none() && stop.active == 0 {
+            // Never reached: the seed alone, as if the walk stopped at its
+            // start.
+            self.state.seed_lane(0, corrupt, &mut self.scratch.vals);
+            stop.active = 1;
+            stop.pos = lane.start as u64;
+        }
+        self.settle_live(&stop, &mut result);
+        result[0].expect("lane resolved")
+    }
+
     /// Replay every lane of `batch` (each at most `k` records from its own
     /// `start`), [`MAX_REPLAY_LANES`] lanes per walk, appending one
     /// [`PropagationResult`] per lane to `out` in lane order.
     ///
     /// Lanes must be sorted by ascending `start`; a longer batch is walked
-    /// in consecutive groups of [`MAX_REPLAY_LANES`].  Lanes activate when the walk reaches
-    /// their start and retire individually; when no lane is live the walk
-    /// skips straight to the next start.  Lanes the walk never reaches
-    /// (start at/past the trace end, or beyond a poisoned backend's decode
-    /// error) fall back to the one-shot sequential [`replay`] — rare tail
-    /// cases where exactness matters more than batching.
+    /// in consecutive groups of [`MAX_REPLAY_LANES`].  Lanes activate when
+    /// the walk reaches their start and retire individually; when no lane
+    /// is live the walk skips straight to the next start.  Each lane the
+    /// walk never reaches (start at/past the trace end, or beyond a poisoned
+    /// backend's decode error) is replayed alone from its own start by
+    /// [`BatchReplayCursor::replay`] on a fresh cursor.
     pub fn replay_batch(
         &mut self,
         batch: &[BatchLane],
@@ -1461,31 +1018,34 @@ impl<'t> BatchReplayCursor<'t> {
             let mut results = [None; MAX_REPLAY_LANES];
             let results = &mut results[..lanes.len()];
             let stop = self.walk(lanes, k as u64, false, results);
-            // Trace ended (or the backend poisoned itself) with lanes still
-            // live: same verdict rule as the sequential engine — only
-            // corrupted *memory* survives the end of the trace.
-            let mem_live = self.state.mem.union_mask();
-            for lane in iter_lanes(stop.active) {
-                let examined = (stop.pos - stop.starts[lane]) as usize;
-                results[lane] = Some(if mem_live >> lane & 1 == 0 {
-                    PropagationResult::AllMasked {
-                        ops_examined: examined,
-                    }
-                } else {
-                    PropagationResult::Unresolved {
-                        reason: UnresolvedReason::TraceEnded,
-                        live_locations: self.state.live_count(lane),
-                    }
-                });
-            }
-            // Lanes the walk never reached resolve through the exact
-            // sequential engine.
-            for (i, lane) in lanes.iter().enumerate() {
-                if results[i].is_none() {
-                    results[i] = Some(replay(self.trace, lane.start, &lane.corrupt, k));
+            self.settle_live(&stop, results);
+            for (result, lane) in results.iter_mut().zip(lanes) {
+                if result.is_none() {
+                    let mut alone = BatchReplayCursor::new(self.trace);
+                    *result = Some(alone.replay(lane.start, &lane.corrupt, k));
                 }
             }
             out.extend(results.iter().map(|r| r.expect("lane resolved")));
+        }
+    }
+
+    /// Settle the lanes still live where a windowed walk stopped (the trace
+    /// ended, or the backend poisoned itself): only corrupted *memory*
+    /// survives the end of the trace.
+    fn settle_live(&self, stop: &WalkStop, results: &mut [Option<PropagationResult>]) {
+        let mem_live = self.state.mem.union_mask();
+        for lane in iter_lanes(stop.active) {
+            let examined = (stop.pos - stop.starts[lane]) as usize;
+            results[lane] = Some(if mem_live >> lane & 1 == 0 {
+                PropagationResult::AllMasked {
+                    ops_examined: examined,
+                }
+            } else {
+                PropagationResult::Unresolved {
+                    reason: UnresolvedReason::TraceEnded,
+                    live_locations: self.state.live_count(lane),
+                }
+            });
         }
     }
 
@@ -1600,10 +1160,35 @@ impl<'t> BatchReplayCursor<'t> {
 }
 
 #[cfg(test)]
+#[path = "../../../tests/reference/mod.rs"]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use moard_ir::prelude::*;
     use moard_vm::{run_traced, run_with_fault, ExecOutcome, FaultSpec, FaultTarget, Trace, Vm};
+
+    /// The library's replay of one fault (a one-lane walk), held to the
+    /// reference replay of the same fault.
+    fn replay_one(
+        trace: &Trace,
+        start: usize,
+        initial: &[CorruptLoc],
+        k: usize,
+    ) -> PropagationResult {
+        let mut seeds = CorruptSeeds::new();
+        for loc in initial {
+            seeds.push(*loc);
+        }
+        let got = BatchReplayCursor::new(trace).replay(start, &seeds, k);
+        assert_eq!(
+            got,
+            reference::replay(trace, start, initial, k),
+            "start={start} k={k}"
+        );
+        got
+    }
 
     /// x = a[0]; y = x * 2; a[1] = y; a[1] = 7.0; return a[1]
     /// An error in a[0] propagates into a[1] but is overwritten by the later
@@ -1648,7 +1233,7 @@ mod tests {
                 value: Value::F64(-6.0),
             },
         ];
-        let res = replay(&trace, fmul.id as usize + 1, &initial, 50);
+        let res = replay_one(&trace, fmul.id as usize + 1, &initial, 50);
         assert!(res.is_masked(), "later constant store must mask: {res:?}");
     }
 
@@ -1669,7 +1254,7 @@ mod tests {
             addr,
             value: Value::F64(-7.0),
         }];
-        let res = replay(&trace, last_store.id as usize + 1, &initial, 50);
+        let res = replay_one(&trace, last_store.id as usize + 1, &initial, 50);
         match res {
             PropagationResult::Unresolved { .. } => {}
             other => panic!("expected unresolved, got {other:?}"),
@@ -1703,7 +1288,7 @@ mod tests {
             reg: mov.dst.unwrap(),
             value: Value::F64(-1.0),
         }];
-        let res = replay(&trace, mov.id as usize + 1, &initial, 10);
+        let res = replay_one(&trace, mov.id as usize + 1, &initial, 10);
         assert!(matches!(
             res,
             PropagationResult::Unresolved {
@@ -1713,7 +1298,7 @@ mod tests {
         ));
         // With a window large enough to reach the end the corruption is still
         // live in `out`'s memory.
-        let res = replay(&trace, mov.id as usize + 1, &initial, 100_000);
+        let res = replay_one(&trace, mov.id as usize + 1, &initial, 100_000);
         assert!(matches!(
             res,
             PropagationResult::Unresolved {
@@ -1761,7 +1346,7 @@ mod tests {
             reg: cmp.dst.unwrap(),
             value: Value::I1(false),
         }];
-        let res = replay(&trace, cmp.id as usize + 1, &initial, 50);
+        let res = replay_one(&trace, cmp.id as usize + 1, &initial, 50);
         assert!(matches!(
             res,
             PropagationResult::Unresolved {
@@ -1794,7 +1379,7 @@ mod tests {
             reg: i_load.dst.unwrap(),
             value: Value::I64(2),
         }];
-        let res = replay(&trace, i_load.id as usize + 1, &initial, 50);
+        let res = replay_one(&trace, i_load.id as usize + 1, &initial, 50);
         assert!(matches!(
             res,
             PropagationResult::Unresolved {
@@ -1809,60 +1394,31 @@ mod tests {
         let m = overwrite_later_module();
         let (_, trace) = run_traced(&m).unwrap();
         assert_eq!(
-            replay(&trace, 0, &[], 50),
+            replay_one(&trace, 0, &[], 50),
             PropagationResult::AllMasked { ops_examined: 0 }
         );
     }
 
-    /// Test-only naive replay: the pre-index implementation, iterating the
-    /// full record list with `skip` instead of the zero-copy window cursor.
-    /// The parity tests below pin the indexed engine to this reference on
-    /// the window edge cases.
+    /// Test-only naive replay: the reference's rules over the full record
+    /// list with `skip`, instead of the reader's zero-copy runs.  The
+    /// window-edge tests below pin the one-lane walk to it and to the
+    /// reference.
     fn naive_replay(
         trace: &Trace,
         start_index: usize,
         initial: &[CorruptLoc],
         k: usize,
     ) -> PropagationResult {
-        let mut state = ShadowState::default();
-        state.reset(initial);
-        if state.is_clean() {
+        let mut walk = reference::Walk::new(initial, k);
+        if walk.is_clean() {
             return PropagationResult::AllMasked { ops_examined: 0 };
         }
-        let mut examined = 0usize;
         for rec in trace.iter().skip(start_index) {
-            if examined >= k {
-                return PropagationResult::Unresolved {
-                    reason: UnresolvedReason::WindowExhausted,
-                    live_locations: state.live(),
-                };
-            }
-            examined += 1;
-            match step(rec, &mut state) {
-                StepResult::Continue => {}
-                StepResult::Unresolved(reason) => {
-                    return PropagationResult::Unresolved {
-                        reason,
-                        live_locations: state.live(),
-                    }
-                }
-            }
-            if state.is_clean() {
-                return PropagationResult::AllMasked {
-                    ops_examined: examined,
-                };
+            if let Some(result) = walk.step(rec) {
+                return result;
             }
         }
-        if state.mem_is_empty() {
-            PropagationResult::AllMasked {
-                ops_examined: examined,
-            }
-        } else {
-            PropagationResult::Unresolved {
-                reason: UnresolvedReason::TraceEnded,
-                live_locations: state.live(),
-            }
-        }
+        walk.end()
     }
 
     fn corrupt_reg_seed(trace: &Trace, mnemonic: &str) -> (usize, Vec<CorruptLoc>) {
@@ -1896,7 +1452,7 @@ mod tests {
         // finished program must count as masked.
         for start in [len - 1, len, len + 10] {
             for (seed, expect_masked) in [(&mem_seed, false), (&reg_seed, start >= len)] {
-                let indexed = replay(&trace, start, seed, 50);
+                let indexed = replay_one(&trace, start, seed, 50);
                 let naive = naive_replay(&trace, start, seed, 50);
                 assert_eq!(indexed, naive, "start={start}");
                 if start >= len {
@@ -1917,7 +1473,7 @@ mod tests {
         // clamp cannot double-count or skip the final records).
         for k in [remaining, remaining + 1, remaining * 10 + 7] {
             assert_eq!(
-                replay(&trace, start, &seed, k),
+                replay_one(&trace, start, &seed, k),
                 naive_replay(&trace, start, &seed, k),
                 "k={k}"
             );
@@ -1946,7 +1502,7 @@ mod tests {
                     value: Value::F64(99.5),
                 }];
                 assert_eq!(
-                    replay(&trace, start, &seed, k),
+                    replay_one(&trace, start, &seed, k),
                     naive_replay(&trace, start, &seed, k),
                     "stride={stride} site at record {}",
                     site.record_id
@@ -2185,8 +1741,12 @@ mod tests {
             for k in [0usize, 1, 3, 10, 50, 100_000] {
                 let sequential: Vec<PropagationResult> = lanes
                     .iter()
-                    .map(|l| replay(&trace, l.start, &l.corrupt, k))
+                    .map(|l| reference::replay(&trace, l.start, &l.corrupt, k))
                     .collect();
+                // One lane at a time on the reused cursor, then in batches.
+                for (l, want) in lanes.iter().zip(&sequential) {
+                    assert_eq!(cursor.replay(l.start, &l.corrupt, k), *want, "k={k}");
+                }
                 for width in [1usize, 3, 7, 64] {
                     let mut batched = Vec::new();
                     for chunk in lanes.chunks(width) {
@@ -2201,7 +1761,7 @@ mod tests {
 
     #[test]
     fn walk_to_end_agrees_with_an_unbounded_sequential_replay() {
-        // The sequential engine with no window stops where a walk to the
+        // The reference with no window stops where a walk to the
         // end gives up (control, address, trap), reports a lane masked
         // when it is, and otherwise ends on `TraceEnded` with exactly the
         // lane's corrupted words live (the final return is the last
@@ -2222,7 +1782,7 @@ mod tests {
                         assert_eq!(*end, None, "{case}");
                         continue;
                     }
-                    match replay(&trace, lane.start, &lane.corrupt, usize::MAX) {
+                    match reference::replay(&trace, lane.start, &lane.corrupt, usize::MAX) {
                         PropagationResult::AllMasked { .. } => {
                             assert_eq!(*end, Some(SamePathEnd::default()), "{case}")
                         }
@@ -2393,7 +1953,8 @@ mod tests {
     fn cursor_reuse_is_equivalent_to_one_shot_replay() {
         let m = overwrite_later_module();
         let (_, trace) = run_traced(&m).unwrap();
-        let (start, seed) = corrupt_reg_seed(&trace, "fmul");
+        let (start, initial) = corrupt_reg_seed(&trace, "fmul");
+        let corrupt = seed([initial[0]]);
         let mut cursor = ReplayCursor::new(&trace);
         // Same underlying storage (compare data pointers; the trait object
         // reference is fat).
@@ -2404,13 +1965,13 @@ mod tests {
         for _ in 0..3 {
             for k in [1usize, 2, 50] {
                 assert_eq!(
-                    cursor.replay(start, &seed, k),
-                    replay(&trace, start, &seed, k)
+                    cursor.replay(start, &corrupt, k),
+                    reference::replay(&trace, start, &initial, k)
                 );
             }
             // Interleave a replay that leaves live state in the buffers to
             // prove reset fully isolates successive replays.
-            let _ = cursor.replay(trace.len() - 1, &seed, 50);
+            let _ = cursor.replay(trace.len() - 1, &corrupt, 50);
         }
     }
 }

@@ -7,11 +7,13 @@
 //!
 //! * at the propagation layer, seeded lane sets drawn from real
 //!   participation sites under all three pattern families replay through a
-//!   [`BatchReplayCursor`] and must match the one-shot [`replay`] (the
-//!   single-fault reference engine) of every lane, for windows from
-//!   degenerate to default: random picks from MM's C, and batches of
-//!   neighbouring lanes from every Table-1 cell, whose traces add the
-//!   intrinsic, select, call and return records MM's lack;
+//!   [`BatchReplayCursor`], in batches and one lane at a time, and must
+//!   match the one-fault reference replay (`reference::replay`) of every
+//!   lane, for windows from degenerate to default: random picks from MM's
+//!   C, and batches of neighbouring lanes from every Table-1 cell, whose
+//!   traces add the intrinsic, select, call and return records MM's lack;
+//!   and a full batch over a storage whose reads fail on one band of
+//!   records must give each lane the reference's replay on that storage;
 //! * at the operation-rule layer, [`analyze_site`] must give every site of
 //!   every Table-1 cell, under all three pattern families, the verdict
 //!   [`analyze_operation`] gives each pattern;
@@ -20,16 +22,23 @@
 //!   sees) must be identical across both trace backends and any thread
 //!   count, with and without DFI.
 
+mod reference;
+
 use moard::inject::{HarnessCache, Parallelism, Runner, SessionReport, WorkloadHarness};
+use moard::ir::{RegId, Value};
 use moard::model::{
-    analyze_operation, analyze_site, enumerate_strided_sites, replay, AnalysisConfig, BatchLane,
+    analyze_operation, analyze_site, enumerate_strided_sites, AnalysisConfig, BatchLane,
     BatchReplayCursor, CorruptLoc, CorruptSeeds, ErrorPattern, ErrorPatternSet, OpVerdict,
-    MAX_REPLAY_LANES,
+    PropagationResult, SamePathEnd, UnresolvedReason, MAX_REPLAY_LANES,
 };
-use moard::vm::{run_traced, ObjectId, TraceBackendSpec, TraceStorage, Vm};
+use moard::vm::{
+    run_traced, ObjectId, TraceBackendSpec, TraceIndex, TraceRead, TraceRecord, TraceStats,
+    TraceStorage, Vm,
+};
 use moard::workloads::{table1_workloads, MatMul, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The three pattern families of the public grammar: single-bit flips,
@@ -83,17 +92,23 @@ fn table1_harnesses() -> Vec<WorkloadHarness> {
         .collect()
 }
 
-/// Check that every lane of `batch` replays through `cursor` as the
-/// one-shot [`replay`] does.
+/// Check that every lane of `batch` replays through `cursor`, in the batch
+/// and alone, as the reference replay does.
 fn check_batch(cursor: &mut BatchReplayCursor, batch: &[BatchLane], k: usize, case: &str) {
     let mut out = Vec::new();
     cursor.replay_batch(batch, k, &mut out);
     assert_eq!(out.len(), batch.len());
     for (lane, got) in batch.iter().zip(&out) {
-        let want = replay(cursor.trace(), lane.start, &lane.corrupt, k);
+        let want = reference::replay(cursor.trace(), lane.start, &lane.corrupt, k);
         assert_eq!(
             *got, want,
             "lane start {} diverged on {case} with k={k}",
+            lane.start
+        );
+        assert_eq!(
+            cursor.replay(lane.start, &lane.corrupt, k),
+            want,
+            "lane start {} replayed alone diverged on {case} with k={k}",
             lane.start
         );
     }
@@ -188,6 +203,187 @@ fn batched_replay_matches_one_shot_replay_on_every_table1_cell() {
         }
     }
     assert_eq!(cells, 16, "every Table-1 cell");
+}
+
+/// A storage whose reads fail on the band `fails` of records, as a paged
+/// trace's do when a segment stops decoding: a read inside the band comes
+/// back empty, and a run that starts before it stops at its first record.
+struct FailingBand<'t> {
+    trace: &'t dyn TraceStorage,
+    fails: Range<u64>,
+}
+
+impl TraceStorage for FailingBand<'_> {
+    fn len(&self) -> u64 {
+        self.trace.len()
+    }
+
+    fn index(&self) -> &TraceIndex {
+        self.trace.index()
+    }
+
+    fn stats(&self) -> TraceStats {
+        self.trace.stats()
+    }
+
+    fn backend_name(&self) -> &'static str {
+        "failing-band"
+    }
+
+    fn new_reader(&self) -> Box<dyn TraceRead + '_> {
+        Box::new(FailingBandReader {
+            fails: self.fails.clone(),
+            inner: self.trace.new_reader(),
+        })
+    }
+}
+
+struct FailingBandReader<'s> {
+    fails: Range<u64>,
+    inner: Box<dyn TraceRead + 's>,
+}
+
+impl TraceRead for FailingBandReader<'_> {
+    fn run_from(&mut self, id: u64) -> &[TraceRecord] {
+        if self.fails.contains(&id) {
+            return &[];
+        }
+        let run = self.inner.run_from(id);
+        if id < self.fails.start {
+            return &run[..run.len().min((self.fails.start - id) as usize)];
+        }
+        run
+    }
+}
+
+/// `n` evenly spaced lanes of `seeds` (the first and the last included).
+fn spread(seeds: &[(usize, CorruptSeeds)], n: usize) -> Vec<BatchLane> {
+    assert!(seeds.len() >= n, "{} seeds, {n} wanted", seeds.len());
+    (0..n)
+        .map(|i| {
+            let (start, corrupt) = seeds[i * (seeds.len() - 1) / (n - 1)];
+            BatchLane { start, corrupt }
+        })
+        .collect()
+}
+
+#[test]
+fn lanes_a_batch_never_reaches_replay_alone_on_a_failing_storage() {
+    let module = MatMul::default().build();
+    let (_, trace) = run_traced(&module).expect("MM builds and runs");
+    let vm = Vm::with_defaults(&module).expect("MM loads");
+    let object = vm.objects().by_name("C").expect("MM has C").id;
+    let seeds = seeds_of(&trace, object, 1, &ErrorPatternSet::SingleBit);
+    let len = trace.len() as u64;
+    let band_start = seeds[seeds.len() / 2].0 as u64;
+    let fails = band_start..band_start + 64;
+    let storage = FailingBand {
+        trace: &trace,
+        fails: fails.clone(),
+    };
+    let region = |within: Range<u64>| -> Vec<(usize, CorruptSeeds)> {
+        seeds
+            .iter()
+            .filter(|(start, _)| within.contains(&(*start as u64)))
+            .copied()
+            .collect()
+    };
+    // A full batch: lanes before the band (the last of them start just
+    // before it, and four mask out before it), inside it, after it, and at
+    // and past the end of the trace, by ascending start.
+    let before = region(0..fails.start);
+    let masked_before: Vec<(usize, CorruptSeeds)> = before
+        .iter()
+        .filter(|(start, corrupt)| {
+            let window = (fails.start - *start as u64) as usize;
+            reference::replay(&trace, *start, corrupt, window).is_masked()
+        })
+        .copied()
+        .collect();
+    let mut batch = spread(&before, 20);
+    batch.extend(spread(&masked_before, 4));
+    batch.extend(spread(&region(fails.clone()), 12));
+    batch.extend(spread(&region(fails.end..len), 24));
+    let reg = CorruptLoc::Reg {
+        frame: 0,
+        reg: RegId(0),
+        value: Value::I64(7),
+    };
+    let mem = CorruptLoc::Mem {
+        addr: 0x1000,
+        value: Value::F64(1.5),
+    };
+    for start in [len, len + 9] {
+        for loc in [reg, mem] {
+            let mut corrupt = CorruptSeeds::new();
+            corrupt.push(loc);
+            batch.push(BatchLane {
+                start: start as usize,
+                corrupt,
+            });
+        }
+    }
+    batch.sort_by_key(|lane| lane.start);
+    assert_eq!(batch.len(), MAX_REPLAY_LANES);
+
+    let mut cursor = BatchReplayCursor::new(&storage);
+    let mut cut_short = 0;
+    for k in [3usize, 50, 100_000] {
+        let mut out = Vec::new();
+        cursor.replay_batch(&batch, k, &mut out);
+        for (lane, got) in batch.iter().zip(&out) {
+            let start = lane.start as u64;
+            let case = format!("lane start {start}, k={k}");
+            assert_eq!(
+                *got,
+                reference::replay(&storage, lane.start, &lane.corrupt, k),
+                "{case}"
+            );
+            let healthy = reference::replay(&trace, lane.start, &lane.corrupt, k);
+            if start < fails.start {
+                cut_short += usize::from(*got != healthy);
+            } else if start < fails.end {
+                // Inside the band: the seed alone, at the end of the trace.
+                assert!(
+                    matches!(
+                        got,
+                        PropagationResult::AllMasked { ops_examined: 0 }
+                            | PropagationResult::Unresolved {
+                                reason: UnresolvedReason::TraceEnded,
+                                ..
+                            }
+                    ),
+                    "{case}: {got:?}"
+                );
+            } else {
+                // Past the band, or at and past the end: walked from the
+                // lane's own start, as on the healthy trace.
+                assert_eq!(*got, healthy, "{case}");
+            }
+        }
+    }
+    assert!(cut_short > 0, "some lane before the band reaches it live");
+
+    // A walk to the end gives `Some` only to a lane it settled masked
+    // before the band; a lane live at the band, or never reached, gets
+    // `None`.
+    let mut ends = Vec::new();
+    cursor.walk_to_end(&batch, &mut ends);
+    let mut settled = 0;
+    for (lane, end) in batch.iter().zip(&ends) {
+        let start = lane.start as u64;
+        let want = if start < fails.start {
+            let window = (fails.start - start) as usize;
+            reference::replay(&trace, lane.start, &lane.corrupt, window)
+                .is_masked()
+                .then(SamePathEnd::default)
+        } else {
+            None
+        };
+        settled += usize::from(want.is_some());
+        assert_eq!(*end, want, "lane start {start}");
+    }
+    assert!(settled > 0, "some lane masks before the band");
 }
 
 /// Verdict equality with values compared by type and bits: under
